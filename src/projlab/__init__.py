@@ -21,6 +21,7 @@ from .delta_core import (
     optimal_interval_cover,
     project,
     project_param,
+    projection_sweep,
 )
 from .additive import (
     BsgResult,

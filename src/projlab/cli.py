@@ -17,7 +17,7 @@ import sys
 
 from . import serialize
 from .additive import PairGraph, bsg_extract, plunnecke_report
-from .delta_core import DirectionSet, as_delta
+from .delta_core import DirectionSet, as_delta, projection_sweep
 from .errors import ProjlabError
 from .generators import (
     gen_ap,
@@ -26,8 +26,7 @@ from .generators import (
     gen_planted_collinear,
     gen_random_frostman,
 )
-from .incidence import close_pairs, kaufman_witness
-from .delta_core import covering_number, project
+from .incidence import kaufman_witness
 from .product_construction import product_experiment
 from .scale_blowup import frostman_weights, two_scale_decomposition
 from .verify import run_verify
@@ -139,45 +138,36 @@ def _load_directions(args):
     raise CliError("provide --directions FILE or --num-directions N")
 
 
-def _cmd_project_sweep(args):
-    keys = {"delta": float, "seed": int}
+def _sweep_inputs(args, keys):
+    """The points, the nonempty direction set and δ of a sweep command."""
     _merge_config(args, keys)
     _require(args, "input", "output")
     pts = serialize.read_points(args.input)
     dirs = _load_directions(args)
     if len(dirs) == 0:
         raise CliError("directions: empty direction set")
-    d = as_delta(args.delta)
-    rows = []
-    for i in range(len(dirs)):
-        e = dirs[i]
-        rows.append((float(dirs.thetas[i]), covering_number(project(pts, e), d),
-                     close_pairs(pts, e, d)))
-    serialize.write_sweep(args.output, rows)
+    return pts, dirs, as_delta(args.delta)
+
+
+def _cmd_project_sweep(args):
+    pts, dirs, d = _sweep_inputs(args, {"delta": float, "seed": int})
+    cells, pairs = projection_sweep(pts, dirs, d)
+    serialize.write_sweep(args.output, zip(dirs.thetas.tolist(), cells.tolist(), pairs.tolist()))
     summary = os.path.splitext(args.output)[0] + ".summary.txt"
     with open(summary, "w", encoding="utf-8") as fh:
         _header(fh, "project-sweep", args, ["delta", "input", "output"])
         fh.write(f"directions={len(dirs)}\n")
         fh.write(f"points={len(pts)}\n")
-        fh.write(f"max_N={max(r[1] for r in rows)}\n")
-        fh.write(f"total_close_pairs={sum(r[2] for r in rows)}\n")
+        fh.write(f"max_N={cells.max()}\n")
+        fh.write(f"total_close_pairs={pairs.sum()}\n")
     print(f"wrote {args.output} and {summary}")
     return 0
 
 
 def _cmd_kaufman(args):
-    keys = {"delta": float, "s": float}
-    _merge_config(args, keys)
-    _require(args, "input", "output")
-    pts = serialize.read_points(args.input)
-    dirs = _load_directions(args)
-    if len(dirs) == 0:
-        raise CliError("directions: empty direction set")
-    d = as_delta(args.delta)
+    pts, dirs, d = _sweep_inputs(args, {"delta": float, "s": float})
     witness = kaufman_witness(pts, dirs, d, s=args.s)
-    rows = [(float(dirs.thetas[i]), covering_number(project(pts, dirs[i]), d))
-            for i in range(len(dirs))]
-    serialize.write_profile(args.output, rows)
+    serialize.write_profile(args.output, zip(dirs.thetas.tolist(), witness.profile))
     summary = os.path.splitext(args.output)[0] + ".summary.txt"
     with open(summary, "w", encoding="utf-8") as fh:
         _header(fh, "kaufman", args, ["delta", "s", "input", "output"])

@@ -39,6 +39,10 @@ SEPARATION_RTOL = 1e-9
 EXTRACTION_RATIO_BOUND = 20.0
 EXTRACTION_CARDINALITY_C = 0.01
 
+# values per block in check_delta_t (distance rows) and projection_sweep
+# (projected values): bounds their memory whatever the input size
+CHUNK_ELEMENTS = 2 ** 22
+
 
 def as_delta(delta) -> float:
     """Coerce a Scale or plain number to a validated float scale."""
@@ -194,10 +198,6 @@ class Direction:
         return cls(math.atan2(y, x))
 
     @property
-    def vector(self):
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
-    @property
     def ex(self) -> float:
         return math.cos(self.theta)
 
@@ -304,11 +304,7 @@ def _coerce_coords(obj):
 
 def covering_number(S, delta) -> int:
     """Number of nonempty half-open δ-grid cells meeting the 1-D set S."""
-    d = as_delta(delta)
-    vals = S.values if isinstance(S, ScalarSet) else np.asarray(S, dtype=np.float64).ravel()
-    if vals.size == 0:
-        return 0
-    return int(np.unique(np.floor(vals / d).astype(np.int64)).size)
+    return int(grid_cells_1d(S, delta).size)
 
 
 def covering_number_2d(P, delta) -> int:
@@ -325,8 +321,6 @@ def grid_cells_1d(S, delta):
     """Sorted distinct grid indices k with [kδ, (k+1)δ) meeting S."""
     d = as_delta(delta)
     vals = S.values if isinstance(S, ScalarSet) else np.asarray(S, dtype=np.float64).ravel()
-    if vals.size == 0:
-        return np.empty(0, dtype=np.int64)
     return np.unique(np.floor(vals / d).astype(np.int64))
 
 
@@ -394,7 +388,7 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
     worst = -1.0
     witness = (0, 0.0)
     # row-chunked distance matrix; rows sorted once, counts via searchsorted
-    chunk = max(1, min(n, 2 ** 22 // max(n, 1)))
+    chunk = max(1, min(n, CHUNK_ELEMENTS // n))
     for start in range(0, n, chunk):
         block = pts[start : start + chunk]
         if pts.shape[1] == 1:
@@ -535,11 +529,48 @@ def extract_delta_s_subset(K, content, delta, s) -> PointSet2D:
     return PointSet2D(chosen_pts[kept], separation=d, check=False)
 
 
+def projected_values(pts, thetas):
+    """π_e(p) = x·cos θ + y·sin θ with one row per angle θ and one column
+    per point of the (n, 2) array `pts`; cos and sin come from `math`, as in
+    `Direction.ex`/`ey`.  The one place the projection is computed."""
+    cos = np.array([math.cos(t) for t in thetas])
+    sin = np.array([math.sin(t) for t in thetas])
+    vals = np.multiply.outer(cos, pts[:, 0])
+    vals += np.multiply.outer(sin, pts[:, 1])
+    return vals
+
+
 def project(P, e: Direction) -> ScalarSet:
     """Orthogonal projection x ↦ x·e of a planar set, as a ScalarSet."""
     pts = P.points if isinstance(P, PointSet2D) else np.asarray(P, dtype=np.float64).reshape(-1, 2)
-    vals = pts[:, 0] * e.ex + pts[:, 1] * e.ey
-    return ScalarSet(vals)
+    return ScalarSet(projected_values(pts, [e.theta])[0])
+
+
+def projection_sweep(P: PointSet2D, E: DirectionSet, delta):
+    """N(π_e P, δ) and the number of ordered pairs p != q with
+    |π_e(p) - π_e(q)| <= δ, for every e in E: two int64 arrays indexed like
+    `E.thetas`.  Projects blocks of at most CHUNK_ELEMENTS values and sorts
+    each direction's values once; N counts their distinct floor(v/δ), the
+    pairs come from searchsorted(v, v + δ, side="right")."""
+    d = as_delta(delta)
+    pts = P.points
+    thetas = E.thetas
+    n = pts.shape[0]
+    cells = np.zeros(thetas.size, dtype=np.int64)
+    pairs = np.zeros(thetas.size, dtype=np.int64)
+    if n == 0:
+        return cells, pairs
+    width = max(1, CHUNK_ELEMENTS // n)
+    ranks = np.arange(1, n + 1)
+    for start in range(0, thetas.size, width):
+        block = projected_values(pts, thetas[start : start + width])
+        block.sort(axis=1)
+        for k, row in enumerate(block):
+            # row[i] meets row[i+1 .. right-1]: unordered pairs, each once
+            pairs[start + k] = (np.searchsorted(row, row + d, side="right") - ranks).sum()
+        np.floor(np.divide(block, d, out=block), out=block)
+        cells[start : start + block.shape[0]] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
+    return cells, 2 * pairs
 
 
 def project_param(P, t: float) -> ScalarSet:

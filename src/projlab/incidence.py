@@ -21,9 +21,10 @@ from .delta_core import (
     DirectionSet,
     PointSet2D,
     as_delta,
-    covering_number,
     grid_cells_1d,
     project,
+    projected_values,
+    projection_sweep,
 )
 
 
@@ -80,6 +81,7 @@ class KaufmanWitness:
     direction: Direction
     n: int
     index: int
+    profile: tuple  # N(π_e P, δ) for every direction, in E's order
 
 
 def tube_cover(P: PointSet2D, e: Direction, delta) -> TubeFamily:
@@ -91,23 +93,15 @@ def tube_cover(P: PointSet2D, e: Direction, delta) -> TubeFamily:
 
 
 def close_pairs(P: PointSet2D, e: Direction, delta) -> int:
-    """Ordered pairs (p, q), p != q, with |π_e(p) - π_e(q)| <= δ.
-
-    Sort-and-sweep, O(n log n); exact agreement with the quadratic scan.
-    """
-    d = as_delta(delta)
-    proj = np.sort(P.points @ np.array([e.ex, e.ey]))
-    if proj.size < 2:
-        return 0
-    right = np.searchsorted(proj, proj + d, side="right")
-    unordered = int((right - np.arange(proj.size) - 1).sum())
-    return 2 * unordered
+    """Ordered pairs (p, q), p != q, with |π_e(p) - π_e(q)| <= δ: one
+    direction of `projection_sweep`."""
+    return int(projection_sweep(P, DirectionSet([e.theta]), delta)[1][0])
 
 
 def close_pairs_bruteforce(P: PointSet2D, e: Direction, delta) -> int:
     """Quadratic reference count; the documented oracle for close_pairs."""
     d = as_delta(delta)
-    proj = P.points @ np.array([e.ex, e.ey])
+    proj = projected_values(P.points, [e.theta])[0]
     diff = np.abs(proj[:, None] - proj[None, :]) <= d
     return int(diff.sum()) - proj.size
 
@@ -116,11 +110,10 @@ def cauchy_schwarz_lower_bound(P: PointSet2D, e: Direction, delta) -> CauchySchw
     """bound = |P|²/M - |P| with M the projection covering number; the
     actual distinct-pair count always dominates it (same-cell pairs alone
     meet the bound), asserted before returning."""
-    d = as_delta(delta)
-    m = covering_number(project(P, e), d)
+    cells, pairs = projection_sweep(P, DirectionSet([e.theta]), delta)
+    m, actual = int(cells[0]), int(pairs[0])
     n = len(P)
     bound = n * n / m - n if m else 0.0
-    actual = close_pairs(P, e, d)
     if actual < bound - 1e-9:
         raise AssertionError(
             f"Cauchy-Schwarz violation: actual {actual} < bound {bound:.6g}"
@@ -129,9 +122,7 @@ def cauchy_schwarz_lower_bound(P: PointSet2D, e: Direction, delta) -> CauchySchw
 
 
 def tally_close_pairs(P: PointSet2D, E: DirectionSet, delta) -> IncidenceTally:
-    per = {}
-    for i in range(len(E)):
-        per[i] = close_pairs(P, E[i], delta)
+    per = dict(enumerate(projection_sweep(P, E, delta)[1].tolist()))
     return IncidenceTally(per_direction=per, total=sum(per.values()))
 
 
@@ -158,12 +149,9 @@ def direction_sum_upper_bound(P: PointSet2D, E: DirectionSet, delta, c=1.0,
     return report
 
 
-def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None, early_exit=True) -> KaufmanWitness:
-    """Direction in E maximizing N(π_e(P), δ), with the maximum.
-
-    The sweep is exhaustive (ties to the lowest index); early exit stops
-    once the ceiling |P| is reached, which cannot change the argmax.
-    """
+def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None) -> KaufmanWitness:
+    """Direction in E maximizing N(π_e(P), δ), with the maximum and the
+    whole N profile; ties go to the lowest index."""
     d = as_delta(delta)
     if len(E) == 0:
         raise ValueError("direction set is empty")
@@ -172,14 +160,7 @@ def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None, early_exit=Tr
             f"direction set of size {len(E)} is below delta^-s = {d ** -s:.4g}",
             stacklevel=2,
         )
-    best_n = -1
-    best_i = 0
-    cap = len(P)
-    for i in range(len(E)):
-        n = covering_number(project(P, E[i]), d)
-        if n > best_n:
-            best_n = n
-            best_i = i
-            if early_exit and best_n >= cap:
-                break
-    return KaufmanWitness(direction=E[best_i], n=best_n, index=best_i)
+    profile = projection_sweep(P, E, d)[0]
+    best = int(np.argmax(profile))
+    return KaufmanWitness(direction=E[best], n=int(profile[best]), index=best,
+                          profile=tuple(profile.tolist()))

@@ -24,6 +24,7 @@ from .delta_core import (
     as_delta,
     check_delta_t,
     covering_number,
+    projection_sweep,
 )
 from .errors import NonConcentrationError
 
@@ -426,19 +427,12 @@ def product_experiment(P: ProductLikeSet, E: DirectionSet, delta=None, s=None,
     s_val = float(s) if s is not None else P.s
     if len(E) == 0:
         warnings.warn("empty direction set; experiment is vacuous", stacklevel=2)
-    pts = P.points()
     target = d ** -(s_val + float(epsilon))
-    witness = None
-    max_n = 0
-    profile = []
-    for i in range(len(E)):
-        e = E[i]
-        n = covering_number(
-            ScalarSet(pts.points @ np.array([e.ex, e.ey])) if len(pts) else ScalarSet([]), d
-        )
-        profile.append((float(E.thetas[i]), n))
-        if n > max_n:
-            max_n = n
-        if witness is None and n >= target:
-            witness = e
-    return ProductExperiment(witness=witness, max_n=max_n, profile=tuple(profile), target=target)
+    counts = projection_sweep(P.points(), E, d)[0]
+    hits = np.flatnonzero(counts >= target)
+    return ProductExperiment(
+        witness=E[int(hits[0])] if hits.size else None,
+        max_n=int(counts.max(initial=0)),
+        profile=tuple(zip(E.thetas.tolist(), counts.tolist())),
+        target=target,
+    )

@@ -236,10 +236,6 @@ class TwoScaleStructure:
     fine: PointSet2D
     reports: dict
 
-    @property
-    def coarse(self) -> PointSet2D:
-        return self.anchors
-
 
 def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
                             good_ball_factor=GOOD_BALL_FACTOR,

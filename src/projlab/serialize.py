@@ -7,6 +7,8 @@ failures raise CsvFormatError with the 1-based line number.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .delta_core import DirectionSet, PointSet2D, ScalarSet
@@ -20,7 +22,10 @@ def _fmt(x) -> str:
 
 
 def _read_rows(path, expected_header, n_fields):
+    """Data rows as float tuples, the `# key=value` comments, and the
+    1-based line number of each row.  Non-finite values are rejected."""
     rows = []
+    linenos = []
     comments = {}
     with open(path, "r", encoding="utf-8") as fh:
         header_seen = False
@@ -42,12 +47,16 @@ def _read_rows(path, expected_header, n_fields):
             if len(parts) != n_fields:
                 raise CsvFormatError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
             try:
-                rows.append(tuple(float(p) for p in parts))
+                row = tuple(map(float, parts))
             except ValueError as exc:
                 raise CsvFormatError(path, lineno, str(exc)) from None
+            if not all(map(math.isfinite, row)):
+                raise CsvFormatError(path, lineno, f"non-finite value in {line.strip()!r}")
+            rows.append(row)
+            linenos.append(lineno)
         if not header_seen:
             raise CsvFormatError(path, 1, f"missing header {expected_header!r}")
-    return rows, comments
+    return rows, comments, linenos
 
 
 def write_scalars(path, s: ScalarSet):
@@ -58,7 +67,7 @@ def write_scalars(path, s: ScalarSet):
 
 
 def read_scalars(path) -> ScalarSet:
-    rows, _ = _read_rows(path, "v", 1)
+    rows, _, _ = _read_rows(path, "v", 1)
     return ScalarSet([r[0] for r in rows])
 
 
@@ -70,7 +79,7 @@ def write_points(path, p: PointSet2D):
 
 
 def read_points(path, separation=None) -> PointSet2D:
-    rows, _ = _read_rows(path, "x,y", 2)
+    rows, _, _ = _read_rows(path, "x,y", 2)
     return PointSet2D(rows, separation=separation)
 
 
@@ -82,7 +91,7 @@ def write_directions(path, e: DirectionSet):
 
 
 def read_directions(path) -> DirectionSet:
-    rows, _ = _read_rows(path, "theta", 1)
+    rows, _, _ = _read_rows(path, "theta", 1)
     return DirectionSet([r[0] for r in rows])
 
 
@@ -95,13 +104,13 @@ def write_gridset(path, g: GridSet):
 
 
 def read_gridset(path) -> GridSet:
-    rows, comments = _read_rows(path, "k", 1)
+    rows, comments, linenos = _read_rows(path, "k", 1)
     if "delta" not in comments:
         raise CsvFormatError(path, 1, "missing '# delta=' comment header")
     members = []
-    for (v,) in rows:
+    for (v,), lineno in zip(rows, linenos):
         if v != int(v):
-            raise CsvFormatError(path, 1, f"grid index {v} is not an integer")
+            raise CsvFormatError(path, lineno, f"grid index {v} is not an integer")
         members.append(int(v))
     return GridSet(members, float(comments["delta"]))
 
@@ -114,11 +123,11 @@ def write_pairgraph(path, g: PairGraph):
 
 
 def read_pairgraph_edges(path):
-    rows, _ = _read_rows(path, "a_index,b_index", 2)
+    rows, _, linenos = _read_rows(path, "a_index,b_index", 2)
     out = []
-    for a, b in rows:
+    for (a, b), lineno in zip(rows, linenos):
         if a != int(a) or b != int(b):
-            raise CsvFormatError(path, 1, "edge indices must be integers")
+            raise CsvFormatError(path, lineno, "edge indices must be integers")
         out.append((int(a), int(b)))
     return out
 
@@ -134,7 +143,7 @@ def write_product(path, p: ProductLikeSet):
 
 
 def read_product(path) -> ProductLikeSet:
-    rows, comments = _read_rows(path, "b,a", 2)
+    rows, comments, _ = _read_rows(path, "b,a", 2)
     for key in ("delta", "s", "tau"):
         if key not in comments:
             raise CsvFormatError(path, 1, f"missing '# {key}=' comment header")
@@ -159,7 +168,7 @@ def write_weighted(path, points: PointSet2D, weights):
 
 
 def read_weighted(path):
-    rows, _ = _read_rows(path, "x,y,w", 3)
+    rows, _, _ = _read_rows(path, "x,y,w", 3)
     pts = PointSet2D([(x, y) for x, y, _ in rows])
     # realign weights with the sorted point order
     order = sorted(range(len(rows)), key=lambda i: (rows[i][0], rows[i][1]))

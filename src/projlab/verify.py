@@ -22,15 +22,10 @@ from .delta_core import (
     check_delta_t,
     covering_number,
     optimal_interval_cover,
-    project,
+    projection_sweep,
 )
 from .generators import gen_cantor_1d, gen_four_corner, gen_random_frostman
-from .incidence import (
-    cauchy_schwarz_lower_bound,
-    close_pairs,
-    close_pairs_bruteforce,
-    tube_cover,
-)
+from .incidence import cauchy_schwarz_lower_bound, close_pairs_bruteforce, tube_cover
 from .product_construction import triple_intersections
 from .generators import gen_planted_collinear
 from .delta_core import ScalarSet
@@ -68,8 +63,7 @@ def check_close_pairs_oracle() -> CheckResult:
     p = serialize.read_points(_fixture("points_300.csv"))
     e = serialize.read_directions(_fixture("directions_8.csv"))
     d = 2.0 ** -8
-    for i in range(len(e)):
-        fast = close_pairs(p, e[i], d)
+    for i, fast in enumerate(projection_sweep(p, e, d)[1].tolist()):
         slow = close_pairs_bruteforce(p, e[i], d)
         if fast != slow:
             return CheckResult("close-pairs-oracle", False, str(fast), str(slow),
@@ -84,9 +78,10 @@ def check_close_pairs_oracle() -> CheckResult:
 def check_tube_partition() -> CheckResult:
     p = serialize.read_points(_fixture("points_300.csv"))
     d = 2.0 ** -6
-    for theta in (0.0, 0.7, 2.1):
+    dirs = DirectionSet([0.0, 0.7, 2.1])
+    for theta, n in zip(dirs.thetas.tolist(), projection_sweep(p, dirs, d)[0].tolist()):
         fam = tube_cover(p, Direction(theta), d)
-        if len(fam) != covering_number(project(p, Direction(theta)), d):
+        if len(fam) != n:
             return CheckResult("tube-partition", False, str(len(fam)), "covering number",
                                f"theta={theta}")
         for x, y in p.points:

@@ -90,11 +90,9 @@ def test_criterion_3_kaufman_double_count():
         e = DirectionSet.net(math.ceil(d ** -0.7))
         lhs = tally_close_pairs(pts, e, d).total
         ratios.append(lhs / (d ** -2 * math.log(1.0 / d) ** 2))
-        with_exit = kaufman_witness(pts, e, d, s=0.7, early_exit=True)
-        without = kaufman_witness(pts, e, d, s=0.7, early_exit=False)
-        assert (with_exit.index, with_exit.n) == (without.index, without.n)
+        witness = kaufman_witness(pts, e, d, s=0.7)
         sweep = [covering_number(project(pts, e[i]), d) for i in range(len(e))]
-        assert without.n == max(sweep) and without.index == sweep.index(max(sweep))
+        assert witness.n == max(sweep) and witness.index == sweep.index(max(sweep))
     spread = max(ratios) / min(ratios)
     assert spread <= 4.0, f"ratio spread {spread:.3f} across scales"
     report(3, f"Kaufman double-count stable (spread {spread:.2f} <= 4), exact argmax")

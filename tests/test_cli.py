@@ -50,6 +50,16 @@ def test_malformed_csv_exit_1(tmp_path):
                "--output", str(tmp_path / "s.csv")) == 1
 
 
+def test_non_finite_point_exit_1_with_line(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("x,y\n0.1,0.2\nnan,0.3\n")
+    assert run("project-sweep", "--input", str(bad), "--num-directions", "4",
+               "--output", str(tmp_path / "s.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:3: ")
+    assert "Traceback" not in err
+
+
 def test_plunnecke_command(tmp_path):
     a = tmp_path / "a.csv"
     serialize.write_gridset(a, GridSet(range(10), 2.0 ** -8))

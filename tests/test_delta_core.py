@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projlab import delta_core
 from projlab.delta_core import (
     EXTRACTION_CARDINALITY_C,
     EXTRACTION_RATIO_BOUND,
@@ -21,6 +22,7 @@ from projlab.delta_core import (
     optimal_interval_cover,
     project,
     project_param,
+    projection_sweep,
 )
 from projlab.errors import SeparationError
 
@@ -160,13 +162,16 @@ def test_check_delta_t_rejects_crowded_input():
     assert "distance" in str(err.value)
 
 
-def test_check_delta_t_matches_oracle_on_seeded_2d():
+def test_check_delta_t_matches_oracle_on_seeded_2d(monkeypatch):
     rng = np.random.default_rng(15)
     d = 2.0 ** -5
     pts = np.unique(np.floor(rng.uniform(0, 1, size=(60, 2)) / d), axis=0) * d
     rep = check_delta_t(PointSet2D(pts), d, 1.0)
     worst, _ = oracles.brute_nonconcentration([tuple(p) for p in pts], d, 1.0)
     assert rep.worst_ratio == pytest.approx(worst, rel=1e-12)
+    # rows in chunks of 7 (the last one ragged) give the same report
+    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", 7 * len(pts))
+    assert check_delta_t(PointSet2D(pts), d, 1.0) == rep
 
 
 def test_extract_single_point():
@@ -222,6 +227,34 @@ def test_project_axes_and_diagonal():
     assert list(project(p, Direction(math.pi / 2))) == pytest.approx([0.1, 0.5])
     one = project(PointSet2D([(1.0, 1.0)]), Direction(math.pi / 4))
     assert list(one) == pytest.approx([math.sqrt(2.0)], abs=1e-15)
+
+
+def test_projection_sweep_matches_per_direction_oracles(monkeypatch):
+    rng = np.random.default_rng(18)
+    d = 2.0 ** -6
+    # grid points (projections on cell edges at θ = 0, π/2) plus random ones
+    grid = rng.integers(0, 64, size=(30, 2)) * d
+    pts = PointSet2D(np.vstack([grid, rng.uniform(0, 1, size=(30, 2))]))
+    e = DirectionSet(np.concatenate([[0.0, math.pi / 2], rng.uniform(0, 2 * math.pi, 9)]))
+    want_n = [covering_number(project(pts, e[i]), d) for i in range(len(e))]
+    want_pairs = [oracles.brute_close_pairs(pts.points.tolist(), th, d) for th in e.thetas.tolist()]
+    whole = projection_sweep(pts, e, d)
+    # 3 directions per block: blocks of 3, 3, 3 and a ragged 2
+    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", 3 * len(pts) + 1)
+    for cells, pairs in (whole, projection_sweep(pts, e, d)):
+        assert cells.tolist() == want_n
+        assert pairs.tolist() == want_pairs
+
+
+def test_projection_sweep_one_point_and_empty_inputs():
+    d = 2.0 ** -6
+    one = PointSet2D([(0.3, 0.7)])
+    cells, pairs = projection_sweep(one, DirectionSet.net(5), d)
+    assert cells.tolist() == [1] * 5 and pairs.tolist() == [0] * 5
+    cells, pairs = projection_sweep(one, DirectionSet([]), d)
+    assert cells.shape == pairs.shape == (0,)
+    cells, pairs = projection_sweep(PointSet2D([]), DirectionSet.net(3), d)
+    assert cells.tolist() == pairs.tolist() == [0] * 3
 
 
 def test_project_param_matches_rotated_projection():

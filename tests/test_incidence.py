@@ -156,13 +156,11 @@ def test_kaufman_witness_exact_argmax_four_corner():
     c = oracles.cantor_left_endpoints(0.25, 4)
     pts = PointSet2D([(x, y) for x in c for y in c])
     e = DirectionSet.net(math.ceil(d ** -0.7))
-    with_exit = kaufman_witness(pts, e, d, s=0.7, early_exit=True)
-    without = kaufman_witness(pts, e, d, s=0.7, early_exit=False)
-    assert with_exit.index == without.index
-    assert with_exit.n == without.n
+    witness = kaufman_witness(pts, e, d, s=0.7)
     sweep = [covering_number(project(pts, e[i]), d) for i in range(len(e))]
-    assert without.n == max(sweep)
-    assert without.index == sweep.index(max(sweep))
+    assert witness.profile == tuple(sweep)
+    assert witness.n == max(sweep)
+    assert witness.index == sweep.index(max(sweep))
 
 
 def test_kaufman_witness_empty_errors():

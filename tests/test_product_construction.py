@@ -305,6 +305,14 @@ def test_product_experiment_degenerate_single_fiber():
     assert res.max_n == covering_number(p.fibers[0.5], d)
 
 
+def test_product_experiment_empty_direction_set():
+    d = 2.0 ** -8
+    p = ProductLikeSet(ScalarSet([0.5]), {0.5: gen_ap(16, math.sqrt(d))}, d, 0.5, 0.0)
+    with pytest.warns(UserWarning, match="vacuous"):
+        res = product_experiment(p, DirectionSet([]), d, s=0.5)
+    assert res.profile == () and res.max_n == 0 and res.witness is None
+
+
 def test_affine_renormalization_preserves_covering():
     d = 2.0 ** -8
     rng = np.random.default_rng(31)

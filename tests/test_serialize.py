@@ -128,3 +128,26 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     nodelta.write_text("k\n1\n")
     with pytest.raises(CsvFormatError):
         serialize.read_gridset(nodelta)
+    for value in ("nan", "inf", "-Infinity"):
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text(f"x,y\n0.1,0.2\n{value},0.3\n")
+        with pytest.raises(CsvFormatError) as err:
+            serialize.read_points(nonfinite)
+        assert err.value.line == 3
+
+
+def test_gridset_non_integer_index_line_number(tmp_path):
+    g = tmp_path / "g.csv"
+    g.write_text("# delta=0.5\nk\n1\n2\n3.5\n")
+    with pytest.raises(CsvFormatError) as err:
+        serialize.read_gridset(g)
+    assert err.value.line == 5
+    assert str(err.value) == f"{g}:5: grid index 3.5 is not an integer"
+
+
+def test_pairgraph_non_integer_index_line_number(tmp_path):
+    edges = tmp_path / "e.csv"
+    edges.write_text("a_index,b_index\n0,1\n\n1,2.5\n")
+    with pytest.raises(CsvFormatError) as err:
+        serialize.read_pairgraph_edges(edges)
+    assert err.value.line == 4
