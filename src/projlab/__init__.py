@@ -95,6 +95,7 @@ from .generators import (
 from .errors import (
     BsgHypothesisError,
     CsvFormatError,
+    GeneratorError,
     NonConcentrationError,
     ProjlabError,
     SeparationError,

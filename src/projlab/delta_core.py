@@ -546,12 +546,26 @@ def project(P, e: Direction) -> ScalarSet:
     return ScalarSet(projected_values(pts, [e.theta])[0])
 
 
+def _close_pair_count(row, d):
+    """Unordered pairs i < j of the sorted `row` with fl(row[j] - row[i]) <= d,
+    the oracle's test.  fl(row[i] + d) can be an ulp off at the window's edge,
+    so each end steps over runs of equal values until that test agrees."""
+    right = np.searchsorted(row, row + d, side="right")
+    padded = np.append(row, np.inf)
+    while (grow := padded[right] - row <= d).any():
+        right[grow] = np.searchsorted(row, row[right[grow]], side="right")
+    while (shrink := row[right - 1] - row > d).any():
+        right[shrink] = np.searchsorted(row, row[right[shrink] - 1], side="left")
+    # row[i] meets row[i+1 .. right-1]: unordered pairs, each once
+    return int((right - np.arange(1, row.size + 1)).sum())
+
+
 def projection_sweep(P: PointSet2D, E: DirectionSet, delta):
     """N(π_e P, δ) and the number of ordered pairs p != q with
     |π_e(p) - π_e(q)| <= δ, for every e in E: two int64 arrays indexed like
     `E.thetas`.  Projects blocks of at most CHUNK_ELEMENTS values and sorts
-    each direction's values once; N counts their distinct floor(v/δ), the
-    pairs come from searchsorted(v, v + δ, side="right")."""
+    each direction's values once; N counts their distinct floor(v/δ), and
+    `_close_pair_count` the pairs."""
     d = as_delta(delta)
     pts = P.points
     thetas = E.thetas
@@ -561,13 +575,11 @@ def projection_sweep(P: PointSet2D, E: DirectionSet, delta):
     if n == 0:
         return cells, pairs
     width = max(1, CHUNK_ELEMENTS // n)
-    ranks = np.arange(1, n + 1)
     for start in range(0, thetas.size, width):
         block = projected_values(pts, thetas[start : start + width])
         block.sort(axis=1)
         for k, row in enumerate(block):
-            # row[i] meets row[i+1 .. right-1]: unordered pairs, each once
-            pairs[start + k] = (np.searchsorted(row, row + d, side="right") - ranks).sum()
+            pairs[start + k] = _close_pair_count(row, d)
         np.floor(np.divide(block, d, out=block), out=block)
         cells[start : start + block.shape[0]] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
     return cells, 2 * pairs

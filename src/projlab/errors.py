@@ -36,6 +36,10 @@ class BsgHypothesisError(ProjlabError):
     """Pair graph fails the density or restricted-sumset hypothesis."""
 
 
+class GeneratorError(ProjlabError):
+    """A seeded generator could not build a set that meets its bound."""
+
+
 class TwoScaleError(ProjlabError):
     """The two-scale decomposition could not be assembled."""
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delta_core import PointSet2D, ScalarSet, as_delta, check_delta_t
+from .errors import GeneratorError
 from .product_construction import ProductLikeSet, build_product_like
 
 RANDOM_FROSTMAN_RATIO_BOUND = 8.0
@@ -162,7 +163,7 @@ def gen_random_frostman(n: int, exponent: float, delta, seed: int = 0) -> PointS
         rep = check_delta_t(pts, d, exponent, validate_separation=False)
         if rep.worst_ratio <= RANDOM_FROSTMAN_RATIO_BOUND:
             return pts
-    raise RuntimeError("rejection sampling failed to meet the ratio bound")
+    raise GeneratorError(f"random_frostman: no attempt met the ratio bound {RANDOM_FROSTMAN_RATIO_BOUND:g}")
 
 
 def gen_planted_collinear(base: ScalarSet, slope: float, intercept: float, jitter: float,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .delta_core import (
     as_delta,
     check_delta_t,
     covering_number,
+    projected_values,
     projection_sweep,
 )
 from .errors import NonConcentrationError
@@ -60,6 +62,10 @@ class ProductLikeSet:
             for a in self.fibers[b]:
                 rows.append((a, b))
         return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
+
+    def fiber_ids(self):
+        """Index in the base of each row's fiber; nondecreasing along the rows."""
+        return np.repeat(np.arange(len(self.base)), [len(self.fibers[b]) for b in self.base])
 
     def points(self) -> PointSet2D:
         return PointSet2D(self.point_rows())
@@ -177,44 +183,40 @@ class RelationGraph:
         return 2 * len(self.union_edges)
 
 
-def _direction_cells(rows, E: DirectionSet, delta):
-    """Grid cell index of every point's projection, per direction."""
-    d = as_delta(delta)
-    vecs = E.vectors()
-    proj = rows @ vecs.T  # (n_points, n_directions)
-    return np.floor(proj / d).astype(np.int64)
+def _cell_runs(rows, E: DirectionSet, delta):
+    """For each direction of E in order: the number of occupied cells
+    floor(π_e/δ), π_e from `projected_values`, and the cells holding two or
+    more points as (cell, ascending point indices) in cell order, read off
+    the runs of one stable argsort."""
+    cells = np.floor(projected_values(rows, E.thetas) / as_delta(delta)).astype(np.int64)
+    for col in cells:
+        order = np.argsort(col, kind="stable")
+        sorted_cells = col[order]
+        # runs start where the sorted cell changes; prepending cell - 1 starts one at 0
+        starts = np.flatnonzero(np.diff(sorted_cells, prepend=sorted_cells[:1] - 1))
+        stops = np.append(starts[1:], col.size)
+        yield starts.size, [(int(sorted_cells[a]), order[a:b].tolist())
+                            for a, b in zip(starts, stops) if b - a > 1]
 
 
 def relation_graph(P: ProductLikeSet, E: DirectionSet, delta=None) -> RelationGraph:
     d = as_delta(delta) if delta is not None else P.delta
     rows = P.point_rows()
-    base_index = {b: i for i, b in enumerate(P.base)}
-    fiber_ids = np.asarray([base_index[b] for (a, b) in rows.tolist()], dtype=np.int64)
+    fiber_ids = P.fiber_ids()
+    fid = fiber_ids.tolist()
     n = rows.shape[0]
-    cells = _direction_cells(rows, E, d)
     per_direction = {}
     cs_bounds = {}
     union: set = set()
     same_fiber = 0
-    for di in range(len(E)):
-        col = cells[:, di]
-        order = np.argsort(col, kind="stable")
+    for di, (m, runs) in enumerate(_cell_runs(rows, E, d)):
         edges = set()
-        start = 0
-        sorted_cells = col[order]
-        for stop in range(1, n + 1):
-            if stop == n or sorted_cells[stop] != sorted_cells[start]:
-                group = sorted(order[start:stop].tolist())
-                for ii in range(len(group)):
-                    for jj in range(ii + 1, len(group)):
-                        i, j = group[ii], group[jj]
-                        edges.add((i, j))
-                        if fiber_ids[i] == fiber_ids[j]:
-                            same_fiber += 1
-                start = stop
+        for _, group in runs:
+            for i, j in combinations(group, 2):
+                edges.add((i, j))
+                same_fiber += fid[i] == fid[j]
         per_direction[di] = frozenset(edges)
         union.update(edges)
-        m = int(np.unique(col).size)
         cs_bounds[di] = n * n / m - n if m else 0.0
     q_ratio = (2 * len(union)) / (n * n) if n else 0.0
     return RelationGraph(
@@ -233,7 +235,8 @@ class PairTubeIndex:
 
     The tube chosen for a pair is the one with the lowest direction index
     containing both points (the offset is then determined), so families
-    and intersections are deterministic.
+    and intersections are deterministic.  The pairs are also bucketed by
+    fiber pair, so a family reads one bucket (none for a fiber with itself).
     """
 
     def __init__(self, P: ProductLikeSet, E: DirectionSet, delta=None):
@@ -241,34 +244,21 @@ class PairTubeIndex:
         self.directions = E
         self.delta = as_delta(delta) if delta is not None else P.delta
         self.rows = P.point_rows()
-        base_index = {b: i for i, b in enumerate(P.base)}
-        self.fiber_ids = np.asarray(
-            [base_index[b] for (a, b) in self.rows.tolist()], dtype=np.int64
-        )
+        self.fiber_ids = P.fiber_ids()
         self.base_values = list(P.base)
-        cells = _direction_cells(self.rows, E, self.delta)
-        n = self.rows.shape[0]
+        fid = self.fiber_ids.tolist()
         canonical: dict = {}
-        for di in range(len(E)):
-            col = cells[:, di]
-            order = np.argsort(col, kind="stable")
-            sorted_cells = col[order]
-            start = 0
-            for stop in range(1, n + 1):
-                if stop == n or sorted_cells[stop] != sorted_cells[start]:
-                    group = sorted(order[start:stop].tolist())
-                    k = int(sorted_cells[start])
-                    for ii in range(len(group)):
-                        for jj in range(ii + 1, len(group)):
-                            i, j = group[ii], group[jj]
-                            if self.fiber_ids[i] != self.fiber_ids[j]:
-                                canonical.setdefault((i, j), (di, k))
-                    start = stop
+        for di, (_, runs) in enumerate(_cell_runs(self.rows, E, self.delta)):
+            for k, group in runs:
+                for i, j in combinations(group, 2):
+                    if fid[i] != fid[j]:
+                        canonical.setdefault((i, j), (di, k))
         self.pair_tube = canonical
+        self._by_fibers: dict = {}
+        for (i, j), tube in canonical.items():
+            self._by_fibers.setdefault((fid[i], fid[j]), {})[(i, j)] = tube
 
     def family(self, b1, b2) -> "TubePairFamily":
-        if b1 == b2:
-            return TubePairFamily(b1=b1, b2=b2, pair_to_tube={}, tube_to_pair={})
         for b in (b1, b2):
             if b not in self.product.fibers:
                 raise ValueError(f"{b} is not a base point")
@@ -276,11 +266,8 @@ class PairTubeIndex:
         f2 = self.base_values.index(b2)
         pair_to_tube = {}
         tube_to_pair = {}
-        for (i, j), tube in self.pair_tube.items():
-            fi, fj = self.fiber_ids[i], self.fiber_ids[j]
-            if {fi, fj} != {f1, f2}:
-                continue
-            p, q = (i, j) if fi == f1 else (j, i)
+        for (i, j), tube in self._by_fibers.get((min(f1, f2), max(f1, f2)), {}).items():
+            p, q = (i, j) if f1 < f2 else (j, i)
             pair_to_tube[(p, q)] = tube
             if tube in tube_to_pair:
                 raise ValueError(

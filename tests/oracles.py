@@ -150,6 +150,24 @@ def directions_hitting_pair(thetas, p, q, delta):
     return hits
 
 
+def brute_tube_family(rows, thetas, delta, b1, b2):
+    """Canonical tube (direction index, cell) of every pair of rows (p, q)
+    with p on the fiber y = b1 and q on y = b2: the lowest direction index
+    whose cell floor(pi_e/delta) holds both points.  O(n^2 |E|)."""
+    family = {}
+    for p, (xp, yp) in enumerate(rows):
+        for q, (xq, yq) in enumerate(rows):
+            if yp != b1 or yq != b2:
+                continue
+            for di, th in enumerate(thetas):
+                c, s = math.cos(th), math.sin(th)
+                cell = math.floor((xp * c + yp * s) / delta)
+                if cell == math.floor((xq * c + yq * s) / delta):
+                    family[(p, q)] = (di, cell)
+                    break
+    return family
+
+
 def ap_iterated_sumset_size(length, m, n):
     """|mB - nB| for B an arithmetic progression of `length` terms."""
     if length == 0:

@@ -95,6 +95,19 @@ def test_two_scale_command(tmp_path):
     assert (out_dir / "manifest").exists()
 
 
+def test_random_frostman_rejection_exit_1(tmp_path, monkeypatch, capsys):
+    import projlab.generators as generators_mod
+
+    # every scan ratio is >= 1 (a ball of radius δ holds its center)
+    monkeypatch.setattr(generators_mod, "RANDOM_FROSTMAN_RATIO_BOUND", 0.5)
+    assert run("generate", "--kind", "random_frostman", "--n", "16", "--exponent", "1.0",
+               "--delta", repr(2.0 ** -6), "--output", str(tmp_path / "fr.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: random_frostman: no attempt met the ratio bound 0.5")
+    assert "Traceback" not in err
+    assert not (tmp_path / "fr.csv").exists()
+
+
 def test_product_experiment_command_with_triples(tmp_path):
     base = tmp_path / "base.csv"
     run("generate", "--kind", "ap", "--n", "3", "--step", "0.5", "--output", str(base))

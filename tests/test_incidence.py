@@ -45,6 +45,19 @@ def test_close_pairs_trivial():
     # equal projections count in both orders
     two = PointSet2D([(0.0, 0.0), (0.0, 1.0)])
     assert close_pairs(two, Direction(0.0), d) == 2
+    # a pair counts when fl(v_j - v_i) <= δ, as in both oracles; fl(v_i + δ)
+    # is one ulp too high in the first case and too low in the second
+    far, near = 0.30000000000000004, 0.006235154479937335
+    for pts, delta, want in (
+        ([(0.1, 0.0), (far, 0.0)], 0.2, 0),
+        ([(0.1, 0.0), (far, 0.0), (far, 0.5)], 0.2, 2),
+        ([(-0.0019071029260054688, 0.0), (near, 0.0)], 0.008142257405942804, 2),
+        ([(-0.0019071029260054688, 0.0), (near, 0.0), (near, 0.5)], 0.008142257405942804, 6),
+    ):
+        p = PointSet2D(pts)
+        assert close_pairs(p, Direction(0.0), delta) == want
+        assert close_pairs_bruteforce(p, Direction(0.0), delta) == want
+        assert oracles.brute_close_pairs(p.points.tolist(), 0.0, delta) == want
 
 
 def test_close_pairs_matches_oracle_seeded():

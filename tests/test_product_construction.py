@@ -22,6 +22,8 @@ from projlab.product_construction import (
     tube_pair_family,
 )
 
+import oracles
+
 D10 = 2.0 ** -10
 SQ10 = 2.0 ** -5
 
@@ -172,6 +174,45 @@ def test_tube_pair_family_basics():
         tube_pair_family(p, 0.0, 0.123, e, d)
     # family size at least the related-pair count, exactly (injective map)
     assert len(fam.pair_to_tube) == len(fam.tube_to_pair)
+
+
+def test_family_matches_quadratic_oracle_every_fiber_pair():
+    d = 2.0 ** -8
+    base = ScalarSet([0.0, 0.2, 0.45, 0.7, 0.9])
+    p = gen_planted_collinear(base, slope=0.5, intercept=0.1, jitter=d / 4, seed=5,
+                              delta=d, fiber_size=6, fiber_step=16 * d, validate=False)
+    e = DirectionSet(np.append(np.linspace(-0.6, 0.6, 9), line_direction(0.5)))
+    idx = PairTubeIndex(p, e, d)
+    rows = p.point_rows().tolist()
+    related = 0
+    for b1 in base:
+        for b2 in base:
+            fam = idx.family(b1, b2)
+            want = {} if b1 == b2 else oracles.brute_tube_family(rows, e.thetas.tolist(), d, b1, b2)
+            assert fam.pair_to_tube == want
+            assert fam.tube_to_pair == {tube: pair for pair, tube in want.items()}
+            related += len(want)
+    assert related > 0
+
+
+def test_family_not_injective_names_the_tube():
+    # θ = 0 tubes are vertical strips, and strip 0 holds both points of fiber 0
+    fibers = {0.0: ScalarSet([0.1, 0.15]), 0.5: ScalarSet([0.2])}
+    p = ProductLikeSet(ScalarSet([0.0, 0.5]), fibers, 0.25, 0.5, 0.5)
+    idx = PairTubeIndex(p, DirectionSet([0.0]), 0.25)
+    with pytest.raises(ValueError, match=r"not injective at tube \(0, 0\)"):
+        idx.family(0.0, 0.5)
+
+
+def test_triple_intersections_two_middle_points_names_the_tube():
+    # all three base points share cell 0 at θ = π/2 (direction 1), so tube
+    # (1, 0) holds every point; θ = 0 (direction 0) ties 0.1 to 0.2 and 0.6 to
+    # 0.7 first, which leaves (0.1, 0.6) and (0.2, 0.7) to tube (1, 0)
+    fibers = {0.0: ScalarSet([0.1]), 0.05: ScalarSet([0.2, 0.6]), 0.1: ScalarSet([0.7])}
+    p = ProductLikeSet(ScalarSet([0.0, 0.05, 0.1]), fibers, 0.25, 0.5, 0.5)
+    e = DirectionSet([0.0, math.pi / 2])
+    with pytest.raises(ValueError, match=r"tube \(1, 0\) holds two distinct middle-fiber"):
+        triple_intersections(p, 0.0, 0.05, 0.1, e, 0.25)
 
 
 def test_triple_intersections_planted_line():
