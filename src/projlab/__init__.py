@@ -96,6 +96,7 @@ from .errors import (
     BsgHypothesisError,
     CsvFormatError,
     GeneratorError,
+    InvariantError,
     NonConcentrationError,
     ProjlabError,
     SeparationError,

@@ -3,9 +3,9 @@ experiments, verify the invariant suite, and emit CSV plus plain-text
 reports.
 
 Exit codes: 0 success, 1 I/O or validation errors, 2 invariant-suite
-failure (first failing witness printed).  Reports carry no timestamps, so
-rerunning an unchanged config reproduces them byte for byte; every report
-header echoes the effective configuration.
+failure (first failing witness printed) or a failed `InvariantError`.
+Reports carry no timestamps, so rerunning an unchanged config reproduces
+them byte for byte; every report header echoes the effective configuration.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from . import serialize
 from .additive import PairGraph, bsg_extract, plunnecke_report
 from .delta_core import DirectionSet, as_delta, projection_sweep
-from .errors import ProjlabError
+from .errors import InvariantError, ProjlabError
 from .generators import (
     gen_ap,
     gen_cantor_1d,
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
         return 1
     except ProjlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvariantError) else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

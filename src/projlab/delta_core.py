@@ -418,35 +418,66 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
     )
 
 
+class DyadicCells:
+    """The points of an (n, 2) array bucketed by dyadic cell at levels
+    0..depth from one sort.  A point's level-j cell fine >> (depth - j) is
+    exactly floor(pts · 2^j); `order` sorts the points stably in quadtree
+    order (each level's (cx, cy), coarser levels first), so each level-j
+    cell is one run of `order`, siblings run in (cx, cy) order, and a
+    level-depth cell holds its points in index order."""
+
+    __slots__ = ("depth", "fine", "order")
+
+    def __init__(self, pts, depth):
+        self.depth = depth
+        self.fine = np.floor(pts * 2.0 ** depth).astype(np.int64)
+        self.order = np.lexsort([self.fine[:, k] >> (depth - j)  # the last key is primary
+                                 for j in range(depth, -1, -1) for k in (1, 0)])
+
+    def level(self, j):
+        """(cells, starts, inverse) at level j: one cell per run of `order`,
+        where each run starts in `order`, and each point's run number."""
+        cells = self.fine[self.order] >> (self.depth - j)
+        new = np.ones(cells.shape[0], dtype=bool)
+        new[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+        starts = np.flatnonzero(new)
+        inverse = np.empty(cells.shape[0], dtype=np.int64)
+        inverse[self.order] = np.cumsum(new) - 1
+        return cells[starts], starts, inverse
+
+
+def _dyadic_levels(K, delta, s):
+    """Validated (δ, (n, 2) points, first level with side <= δ)."""
+    d = as_delta(delta)
+    if not 0.0 < s <= 2.0:
+        raise ValueError(f"exponent s must lie in (0, 2], got {s}")
+    pts = _coerce_coords(K)
+    if pts.shape[1] == 1:
+        pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])
+    return d, pts, max(0, math.ceil(math.log2(1.0 / d)))
+
+
 def dyadic_content(K, delta, s) -> float:
     """Greedy dyadic estimate of the s-content of the δ-neighborhood of K.
 
     Bottom-up DP over the dyadic tree: a cell costs min(side^s, sum of its
     occupied children), with occupied δ-level cells costing δ-side^s.
     """
-    d = as_delta(delta)
-    if not 0.0 < s <= 2.0:
-        raise ValueError(f"exponent s must lie in (0, 2], got {s}")
-    pts = _coerce_coords(K)
+    d, pts, levels = _dyadic_levels(K, delta, s)
     if pts.shape[0] == 0:
         return 0.0
-    if pts.shape[1] == 1:
-        pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])
-    levels = max(0, math.ceil(math.log2(1.0 / d)))
-    side = 2.0 ** -levels
-    cells = {tuple(c) for c in np.floor(pts / side).astype(np.int64).tolist()}
-    cost = {c: side ** s for c in cells}
+    tree = DyadicCells(pts, levels)
+    _, starts, _ = tree.level(levels)
+    cost = np.full(starts.size, (2.0 ** -levels) ** s)
     for j in range(levels - 1, -1, -1):
-        parents: dict[tuple[int, int], float] = {}
-        for (kx, ky), c in cost.items():
-            key = (kx // 2, ky // 2)
-            parents[key] = parents.get(key, 0.0) + c
-        cap = (2.0 ** -j) ** s
-        cost = {key: min(cap, val) for key, val in parents.items()}
-    return float(sum(cost.values()))
+        _, parent_starts, inverse = tree.level(j)
+        parent = inverse[tree.order[starts]]
+        cost = np.minimum((2.0 ** -j) ** s, np.bincount(parent, weights=cost))
+        starts = parent_starts
+    return float(sum(cost.tolist()))
 
 
-def extract_delta_s_subset(K, content, delta, s) -> PointSet2D:
+def extract_delta_s_subset(K, delta, s) -> PointSet2D:
     """Extract a δ-separated subset P of K obeying the (δ,s) caps.
 
     Top-down dyadic-tree greedy: at level j each cell keeps at most
@@ -454,59 +485,41 @@ def extract_delta_s_subset(K, content, delta, s) -> PointSet2D:
     with the most occupied δ-cells (ties to the lower cell index).  A final
     greedy pass enforces strict pairwise δ-separation.
 
-    `content` is the caller's s-content estimate κ (None: computed by
-    `dyadic_content`); the output satisfies |P| >= EXTRACTION_CARDINALITY_C
-    * κ * δ^-s and passes check_delta_t(δ, s) with worst_ratio <=
-    EXTRACTION_RATIO_BOUND.
+    With κ = dyadic_content(K, δ, s), the output satisfies
+    |P| >= EXTRACTION_CARDINALITY_C * κ * δ^-s and passes
+    check_delta_t(δ, s) with worst_ratio <= EXTRACTION_RATIO_BOUND.
     """
-    d = as_delta(delta)
-    if not 0.0 < s <= 2.0:
-        raise ValueError(f"exponent s must lie in (0, 2], got {s}")
-    pts = _coerce_coords(K)
-    if pts.shape[1] == 1:
-        pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])
+    d, pts, levels = _dyadic_levels(K, delta, s)
     if pts.shape[0] == 0:
         raise ValueError("cannot extract from an empty set")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    levels = max(0, math.ceil(math.log2(1.0 / d)))
-    side = 2.0 ** -levels
-
-    # one representative (lexicographically least) per δ-level cell
-    fine = np.floor(pts / side).astype(np.int64)
-    _, rep_idx = np.unique(fine, axis=0, return_index=True)
-    rep_idx.sort()
-    reps = pts[rep_idx]
-    rep_cells = fine[rep_idx]
-
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    tree = DyadicCells(pts, levels)
+    # one representative (lexicographically least) per δ-level cell, and
+    # cuts[j]: the δ-cell numbers at which each level-j cell starts
+    _, fine_starts, fine_inverse = tree.level(levels)
+    reps = tree.order[fine_starts]
+    cuts = [fine_inverse[tree.order[tree.level(j)[1]]] for j in range(levels + 1)]
     caps = [math.ceil(((2.0 ** -j) / d) ** s) for j in range(levels + 1)]
 
-    def select(level, idxs):
-        if level == levels or len(idxs) == 1:
-            return list(idxs[: caps[level]]) if level < levels else list(idxs[:1])
-        shift = levels - (level + 1)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i in idxs:
-            key = (int(rep_cells[i, 0] >> shift), int(rep_cells[i, 1] >> shift))
-            groups.setdefault(key, []).append(i)
-        ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    def select(level, lo, hi):  # the level-`level` cell of δ-cells lo..hi-1
+        if hi - lo == 1:
+            return [int(reps[lo])]
+        c = cuts[level + 1]
+        bounds = c[np.searchsorted(c, lo) : np.searchsorted(c, hi)].tolist() + [hi]
+        # most δ-cells first; the stable sort keeps siblings in (cx, cy) order
+        children = sorted(zip(bounds[:-1], bounds[1:]), key=lambda ab: ab[0] - ab[1])
         chosen: list[int] = []
-        for _, child in ordered:
-            chosen.extend(select(level + 1, child))
+        for a, b in children:
+            chosen.extend(select(level + 1, a, b))
             if len(chosen) >= caps[level]:
                 break
         return chosen[: caps[level]]
 
-    roots: dict[tuple[int, int], list[int]] = {}
-    for i in range(len(reps)):
-        key = (int(rep_cells[i, 0] >> levels), int(rep_cells[i, 1] >> levels))
-        roots.setdefault(key, []).append(i)
-    selected: list[int] = []
-    for key in sorted(roots):
-        selected.extend(select(0, roots[key]))
+    roots = cuts[0].tolist() + [reps.size]
+    selected = [i for lo, hi in zip(roots[:-1], roots[1:]) for i in select(0, lo, hi)]
 
     # greedy δ-separation sweep in lexicographic order
-    chosen_pts = reps[sorted(selected)]
+    chosen_pts = pts[sorted(selected)]
     kept: list[int] = []
     buckets: dict[tuple[int, int], list[int]] = {}
     thresh = d * (1.0 - SEPARATION_RTOL)

@@ -32,6 +32,17 @@ class NonConcentrationError(ProjlabError):
         )
 
 
+class InvariantError(ProjlabError):
+    """A guaranteed inequality or identity failed: lhs against rhs, with a
+    witness of where."""
+
+    def __init__(self, message, lhs, rhs, witness=None):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.witness = witness
+        super().__init__(f"{message}: lhs {lhs!r}, rhs {rhs!r}, witness {witness!r}")
+
+
 class BsgHypothesisError(ProjlabError):
     """Pair graph fails the density or restricted-sumset hypothesis."""
 

@@ -26,6 +26,7 @@ from .delta_core import (
     projected_values,
     projection_sweep,
 )
+from .errors import InvariantError
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,7 @@ def cauchy_schwarz_lower_bound(P: PointSet2D, e: Direction, delta) -> CauchySchw
     n = len(P)
     bound = n * n / m - n if m else 0.0
     if actual < bound - 1e-9:
-        raise AssertionError(
-            f"Cauchy-Schwarz violation: actual {actual} < bound {bound:.6g}"
-        )
+        raise InvariantError("Cauchy-Schwarz violation: actual < bound", actual, bound, e.theta)
     return CauchySchwarzBound(bound=bound, actual=actual, tube_count=m)
 
 
@@ -143,9 +142,8 @@ def direction_sum_upper_bound(P: PointSet2D, E: DirectionSet, delta, c=1.0,
         tally=tally,
     )
     if strict and report.lhs > report.rhs:
-        raise AssertionError(
-            f"direction sum {report.lhs} exceeds calibrated bound {report.rhs:.6g}"
-        )
+        raise InvariantError("direction sum exceeds its calibrated bound", report.lhs, report.rhs,
+                             max(tally.per_direction, key=tally.per_direction.get))
     return report
 
 

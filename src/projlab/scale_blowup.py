@@ -20,14 +20,16 @@ import numpy as np
 from .delta_core import (
     Direction,
     DirectionSet,
+    DyadicCells,
     PointSet2D,
     ScalarSet,
+    Scale,
     as_delta,
     check_delta_t,
     covering_number,
     extract_delta_s_subset,
 )
-from .errors import TwoScaleError
+from .errors import InvariantError, TwoScaleError
 from .incidence import Tube
 from .product_construction import ProductLikeSet
 
@@ -60,18 +62,25 @@ class WeightedPointSet:
         return len(self.points)
 
 
-def _level_cells(pts, level):
-    return np.floor(pts * (2.0 ** level)).astype(np.int64)
+def _singleton_level(pts, level):
+    """First level >= `level` (at most 40) at which no two points share a
+    dyadic cell; no cell deeper than the returned level is built."""
+    while level < 40 and DyadicCells(pts, level).level(level)[1].size < pts.shape[0]:
+        level += 1
+    return level
 
 
-def _max_cap_ratio(pts, weights, exponent, levels):
-    worst = 0.0
-    for j in range(levels + 1):
-        cells = _level_cells(pts, j)
-        _, inv = np.unique(cells, axis=0, return_inverse=True)
-        mass = np.bincount(inv, weights=weights)
-        worst = max(worst, float(mass.max()) / (2.0 ** -j) ** exponent)
-    return worst
+def _max_cap_ratio(tree: DyadicCells, weights, exponent):
+    """Largest mass(cell) / side^exponent over the levels 0..tree.depth,
+    with the (level, cell) that attains it."""
+    worst, witness = -1.0, None
+    for j in range(tree.depth + 1):
+        cells, _, inverse = tree.level(j)
+        ratio = np.bincount(inverse, weights=weights) / (2.0 ** -j) ** exponent
+        k = int(np.argmax(ratio))
+        if ratio[k] > worst:
+            worst, witness = float(ratio[k]), (j, tuple(cells[k].tolist()))
+    return worst, witness
 
 
 def frostman_weights(P: PointSet2D, exponent, min_scale=None) -> WeightedPointSet:
@@ -83,33 +92,27 @@ def frostman_weights(P: PointSet2D, exponent, min_scale=None) -> WeightedPointSe
     if not 0.0 < exponent <= 2.0:
         raise ValueError("exponent must lie in (0, 2]")
     pts = P.points if isinstance(P, PointSet2D) else np.asarray(P, float).reshape(-1, 2)
-    n = pts.shape[0]
-    if n == 0:
+    if pts.shape[0] == 0:
         raise ValueError("cannot weight an empty set")
     if min_scale is not None:
         levels = max(0, math.ceil(math.log2(1.0 / as_delta(min_scale))))
     else:
-        levels = 0
-        while levels < 40:
-            if np.unique(_level_cells(pts, levels), axis=0).shape[0] == n:
-                break
-            levels += 1
+        levels = _singleton_level(pts, 0)
+    tree = DyadicCells(pts, levels)
     # start at the finest cap, split evenly inside shared finest cells
-    cells = _level_cells(pts, levels)
-    _, inv, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
-    w = (2.0 ** -levels) ** exponent / counts[inv]
+    _, _, inverse = tree.level(levels)
+    w = (2.0 ** -levels) ** exponent / np.bincount(inverse)[inverse]
     for j in range(levels, -1, -1):
-        cells = _level_cells(pts, j)
-        _, inv = np.unique(cells, axis=0, return_inverse=True)
-        mass = np.bincount(inv, weights=w)
+        _, _, inverse = tree.level(j)
+        mass = np.bincount(inverse, weights=w)
         cap = (2.0 ** -j) ** exponent
         scale = np.ones_like(mass)
         over = mass > cap
         scale[over] = cap / mass[over]
-        w = w * scale[inv]
-    ratio = _max_cap_ratio(pts, w, exponent, levels)
+        w = w * scale[inverse]
+    ratio, witness = _max_cap_ratio(tree, w, exponent)
     if ratio > 1.0 + 1e-9:
-        raise AssertionError(f"cap certificate failed: ratio {ratio}")
+        raise InvariantError("cap certificate failed", ratio, 1.0 + 1e-9, witness)
     return WeightedPointSet(P if isinstance(P, PointSet2D) else PointSet2D(pts),
                             w, exponent=exponent, certificate_ratio=ratio)
 
@@ -133,6 +136,8 @@ def efficient_cover(P: PointSet2D, delta0, floor=None) -> DyadicCover:
     """Dyadic cover with all diameters <= δ0 minimizing Σ diam within the
     dyadic family: bottom-up aggregation merges four children into their
     parent whenever the parent diameter does not exceed the children's sum.
+    Costs are counted exactly, as integers in units of the finest cell's
+    diameter, so ties merge whatever the order of the children.
 
     The finest level considered is `floor` (a scale), else the set's
     declared separation, else the first level at which occupied cells are
@@ -149,52 +154,37 @@ def efficient_cover(P: PointSet2D, delta0, floor=None) -> DyadicCover:
     elif P.separation is not None:
         j_max = max(j_min, math.ceil(math.log2(1.0 / P.separation)))
     else:
-        j_max = j_min
-        while j_max < 40:
-            if np.unique(_level_cells(pts, j_max), axis=0).shape[0] == pts.shape[0]:
-                break
-            j_max += 1
-    diam = {j: math.sqrt(2.0) * 2.0 ** -j for j in range(j_min, j_max + 1)}
-    # cost[cell] = (Σ diam of the best cover below, chosen cells)
-    cells = np.unique(_level_cells(pts, j_max), axis=0)
-    cost = {tuple(c): (diam[j_max], ((j_max, tuple(c)),)) for c in cells.tolist()}
+        j_max = _singleton_level(pts, j_min)
+    tree = DyadicCells(pts, j_max)
+    fine, starts, _ = tree.level(j_max)
+    fine_points = tree.order[starts]  # one point in each finest cell
+    # units[run]: Σ 2^(j_max - j) over the best cover of the run's cell;
+    # top[finest cell]: the level of the cover cell that holds it
+    units = np.ones(starts.size, dtype=np.int64)
+    top = np.full(starts.size, j_max)
     for j in range(j_max - 1, j_min - 1, -1):
-        parents: dict = {}
-        for (kx, ky), (c, chosen) in cost.items():
-            key = (kx // 2, ky // 2)
-            prev = parents.get(key)
-            parents[key] = (c + prev[0], chosen + prev[1]) if prev else (c, chosen)
-        new_cost = {}
-        for key, (child_sum, chosen) in parents.items():
-            if diam[j] <= child_sum:
-                new_cost[key] = (diam[j], ((j, key),))
-            else:
-                new_cost[key] = (child_sum, chosen)
-        cost = new_cost
-    total = 0.0
-    chosen_cells = []
-    for key in sorted(cost):
-        c, chosen = cost[key]
-        total += c
-        chosen_cells.extend(chosen)
-    return DyadicCover(cells=tuple(sorted(chosen_cells)), diam_sum=total)
+        _, parent_starts, inverse = tree.level(j)
+        units = np.add.reduceat(units, np.searchsorted(starts, parent_starts))
+        merge = units >= 1 << (j_max - j)
+        units[merge] = 1 << (j_max - j)
+        top[merge[inverse[fine_points]]] = j
+        starts = parent_starts
+    chosen = {(t, (x >> (j_max - t), y >> (j_max - t))) for t, (x, y) in zip(top.tolist(), fine.tolist())}
+    return DyadicCover(cells=tuple(sorted(chosen)),
+                       diam_sum=math.sqrt(2.0) * 2.0 ** -j_max * int(units.sum()))
 
 
 def cover_cell_masses(cover: DyadicCover, mu: WeightedPointSet):
     """μ-mass of every cover cell, keyed by (level, cell)."""
-    pts = mu.points.points
+    tree = DyadicCells(mu.points.points, max((j for j, _ in cover.cells), default=0))
     masses = {}
-    by_level: dict = {}
-    for j, cell in cover.cells:
-        by_level.setdefault(j, []).append(cell)
-    for j, cells in by_level.items():
-        idx = _level_cells(pts, j)
-        lookup = {}
-        for i, c in enumerate(map(tuple, idx.tolist())):
-            lookup.setdefault(c, []).append(i)
-        for cell in cells:
-            sel = lookup.get(tuple(cell), ())
-            masses[(j, tuple(cell))] = float(mu.weights[list(sel)].sum()) if sel else 0.0
+    for j in dict.fromkeys(j for j, _ in cover.cells):
+        cells, starts, _ = tree.level(j)
+        runs = dict(zip(map(tuple, cells.tolist()), np.split(tree.order, starts[1:])))
+        for level, cell in cover.cells:
+            if level == j:
+                run = runs.get(tuple(cell), ())  # summed in point-index order
+                masses[(j, tuple(cell))] = float(mu.weights[np.sort(run)].sum()) if len(run) else 0.0
     return masses
 
 
@@ -213,13 +203,11 @@ def pick_scale(cover: DyadicCover, mu: WeightedPointSet, delta0):
     for (j, _), m in masses.items():
         per_level[j] = per_level.get(j, 0.0) + m
     j0 = min(per_level)
+    quota = {j: PIGEONHOLE_CONSTANT * total / (j - j0 + 1) ** 2 for j in per_level}
     for j in sorted(per_level):
-        quota = PIGEONHOLE_CONSTANT * total / (j - j0 + 1) ** 2
-        if per_level[j] >= quota * (1.0 - 1e-12):
-            from .delta_core import Scale
-
+        if per_level[j] >= quota[j] * (1.0 - 1e-12):
             return j, Scale(2.0 ** (-2 * j), j=2 * j)
-    raise AssertionError("pigeonhole failure: no level met its quota")
+    raise InvariantError("pigeonhole failure: no level met its quota", per_level, quota)
 
 
 @dataclass(frozen=True)
@@ -254,35 +242,32 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     pts = K.points
     threshold = good_ball_factor * sqrt_d / math.log(1.0 / d) ** log_power
 
-    cells = _level_cells(pts, j)
-    uniq, inv = np.unique(cells, axis=0, return_inverse=True)
-    mass = np.bincount(inv, weights=mu.weights) if len(mu) == len(K) else None
-    if mass is None:
+    if len(mu) != len(K):
         raise ValueError("mu must weight exactly the points of K")
-    good = [(float(mass[i]), tuple(uniq[i])) for i in range(uniq.shape[0]) if mass[i] >= threshold]
+    cells, _, inverse = DyadicCells(pts, j).level(j)
+    mass = np.bincount(inverse, weights=mu.weights)
+    good = [(float(mass[r]), tuple(cells[r].tolist()), r) for r in np.flatnonzero(mass >= threshold)]
     # thin to pairwise non-adjacent cells (Chebyshev index distance >= 2),
     # greedily by descending mass, ties to the lower cell index
     good.sort(key=lambda t: (-t[0], t[1]))
     kept = []
-    for m, cell in good:
-        if all(max(abs(cell[0] - c[0]), abs(cell[1] - c[1])) >= 2 for _, c in kept):
-            kept.append((m, cell))
+    for m, cell, r in good:
+        if all(max(abs(cell[0] - c[0]), abs(cell[1] - c[1])) >= 2 for _, c, _ in kept):
+            kept.append((m, cell, r))
     if len(kept) < 2:
         raise TwoScaleError(
             f"only {len(kept)} good ball(s) at threshold {threshold:.3g}; "
             "use a larger delta or lower the threshold"
         )
-    kept_cells = sorted(cell for _, cell in kept)
-    cell_ids = {c: i for i, c in enumerate(map(tuple, uniq.tolist()))}
-    fine_sets = {}
+    kept.sort(key=lambda t: t[1])
+    fine_sets = {}  # in cell order
     anchors = []
-    for cell in kept_cells:
-        members = pts[inv == cell_ids[cell]]
-        sub = extract_delta_s_subset(PointSet2D(members), None, d, 1.0)
+    for _, cell, r in kept:
+        sub = extract_delta_s_subset(PointSet2D(pts[inverse == r]), d, 1.0)
         fine_sets[cell] = sub
         anchors.append(tuple(sub.points[0]))  # lexicographically least
     anchor_set = PointSet2D(anchors)
-    fine = PointSet2D(np.vstack([fine_sets[c].points for c in kept_cells]))
+    fine = PointSet2D(np.vstack([sub.points for sub in fine_sets.values()]))
 
     reports = {
         "coarse": check_delta_t(anchor_set, sqrt_d, 1.0),
@@ -293,15 +278,15 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
             raise TwoScaleError(
                 f"{name} scan ratio {rep.worst_ratio:.3g} exceeds {max_ratio}"
             )
-    for cell in kept_cells:
-        rep = check_delta_t(fine_sets[cell], d, 1.0)
+    for cell, sub in fine_sets.items():
+        rep = check_delta_t(sub, d, 1.0)
         if rep.worst_ratio > max_ratio:
             raise TwoScaleError(f"ball {cell} scan ratio {rep.worst_ratio:.3g}")
     return TwoScaleStructure(
         delta=d,
         sqrt_delta=sqrt_d,
         level=j,
-        balls=tuple(kept_cells),
+        balls=tuple(fine_sets),
         anchors=anchor_set,
         fine_sets=fine_sets,
         fine=fine,
@@ -391,7 +376,7 @@ def rescaled_projection_identity(f_prime: ProductLikeSet, t, delta=None):
     lhs = covering_number(ScalarSet(rows_f[:, 0] + (factor * t) * rows_f[:, 1]), dilated.delta)
     rhs = covering_number(ScalarSet(rows_fp[:, 0] + t * rows_fp[:, 1]), d)
     if lhs != rhs:
-        raise AssertionError(f"dilation identity violated: {lhs} != {rhs}")
+        raise InvariantError("dilation identity violated", lhs, rhs, t)
     return lhs, rhs
 
 

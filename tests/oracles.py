@@ -150,6 +150,16 @@ def directions_hitting_pair(thetas, p, q, delta):
     return hits
 
 
+def brute_dyadic_masses(points, weights, j):
+    """Summed weight of each occupied level-j dyadic cell, keyed by
+    (floor(x * 2^j), floor(y * 2^j)); weights are added in point order."""
+    masses = {}
+    for (x, y), w in zip(points, weights):
+        key = (math.floor(x * 2 ** j), math.floor(y * 2 ** j))
+        masses[key] = masses.get(key, 0.0) + w
+    return masses
+
+
 def brute_tube_family(rows, thetas, delta, b1, b2):
     """Canonical tube (direction index, cell) of every pair of rows (p, q)
     with p on the fiber y = b1 and q on y = b2: the lowest direction index

@@ -163,6 +163,21 @@ def test_verify_failure_exit_2(tmp_path, monkeypatch, capsys):
     assert "first failure: synthetic" in out
 
 
+def test_failed_invariant_exit_2(tmp_path, monkeypatch, capsys):
+    from projlab import scale_blowup
+
+    pts_file = tmp_path / "fc.csv"
+    run("generate", "--kind", "four_corner", "--depth", "4", "--output", str(pts_file))
+    monkeypatch.setattr(scale_blowup, "_max_cap_ratio", lambda tree, w, e: (2.0, (0, (0, 0))))
+    out = tmp_path / "ts"
+    assert run("two-scale", "--input", str(pts_file), "--delta", repr(2.0 ** -8),
+               "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cap certificate failed: lhs 2.0, rhs 1.000000001")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_idempotent_reports(tmp_path):
     pts_file = tmp_path / "fc.csv"
     run("generate", "--kind", "four_corner", "--depth", "3", "--output", str(pts_file))

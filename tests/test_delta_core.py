@@ -11,6 +11,7 @@ from projlab.delta_core import (
     EXTRACTION_RATIO_BOUND,
     Direction,
     DirectionSet,
+    DyadicCells,
     PointSet2D,
     ScalarSet,
     Scale,
@@ -174,8 +175,39 @@ def test_check_delta_t_matches_oracle_on_seeded_2d(monkeypatch):
     assert check_delta_t(PointSet2D(pts), d, 1.0) == rep
 
 
+def test_dyadic_cells_match_oracle_masses():
+    rng = np.random.default_rng(23)
+    base = rng.uniform(0, 1, size=(40, 2))
+    sets = [
+        rng.uniform(-2.0, 2.0, size=(200, 2)),  # negative coordinates
+        np.repeat(base, 3, axis=0)[rng.permutation(120)],  # each point three times
+        np.empty((0, 2)),
+        np.array([[0.3, -0.7]]),
+    ]
+    depth = 7
+    for pts in sets:
+        w = rng.uniform(0, 1, size=pts.shape[0])
+        tree = DyadicCells(pts, depth)
+        assert sorted(tree.order.tolist()) == list(range(pts.shape[0]))
+        prev = set()
+        for j in range(depth + 1):
+            cells, starts, inverse = tree.level(j)
+            want = oracles.brute_dyadic_masses(pts.tolist(), w.tolist(), j)
+            assert [tuple(c) for c in cells[inverse].tolist()] == [
+                (math.floor(x * 2 ** j), math.floor(y * 2 ** j)) for x, y in pts.tolist()]
+            masses = np.bincount(inverse, weights=w, minlength=starts.size)
+            assert dict(zip(map(tuple, cells.tolist()), masses.tolist())) == want
+            # one run of `order` per occupied cell, nested in the coarser runs
+            assert starts.size == len(want)
+            stops = np.append(starts[1:], pts.shape[0])
+            for r, (a, b) in enumerate(zip(starts, stops)):
+                assert (inverse[tree.order[a:b]] == r).all()
+            assert prev <= set(starts.tolist())
+            prev = set(starts.tolist())
+
+
 def test_extract_single_point():
-    p = extract_delta_s_subset(PointSet2D([(0.25, 0.5)]), None, 2.0 ** -5, 1.0)
+    p = extract_delta_s_subset(PointSet2D([(0.25, 0.5)]), 2.0 ** -5, 1.0)
     assert len(p) == 1
 
 
@@ -183,7 +215,7 @@ def test_extract_full_grid():
     d = 2.0 ** -6
     grid = [(i * d, j * d) for i in range(64) for j in range(64)]
     kappa = dyadic_content(PointSet2D(grid), d, 1.0)
-    p = extract_delta_s_subset(PointSet2D(grid), kappa, d, 1.0)
+    p = extract_delta_s_subset(PointSet2D(grid), d, 1.0)
     assert len(p) >= EXTRACTION_CARDINALITY_C * kappa * (1.0 / d)
     assert len(p) == 64  # frozen regression: root cap binds exactly
     rep = check_delta_t(p, d, 1.0)
@@ -193,7 +225,7 @@ def test_extract_full_grid():
 def test_extract_degenerate_line_at_s2():
     d = 2.0 ** -6
     line = [(k * d, 0.0) for k in range(64)]
-    p = extract_delta_s_subset(PointSet2D(line), None, d, 2.0)
+    p = extract_delta_s_subset(PointSet2D(line), d, 2.0)
     # caps never bind on a line at s = 2; everything survives
     assert len(p) == 64
     assert check_delta_t(p, d, 2.0).worst_ratio <= EXTRACTION_RATIO_BOUND
@@ -201,11 +233,11 @@ def test_extract_degenerate_line_at_s2():
 
 def test_extract_errors():
     with pytest.raises(ValueError):
-        extract_delta_s_subset(PointSet2D(np.empty((0, 2))), None, 0.1, 1.0)
+        extract_delta_s_subset(PointSet2D(np.empty((0, 2))), 0.1, 1.0)
     with pytest.raises(ValueError):
-        extract_delta_s_subset(PointSet2D([(0, 0)]), None, 0.1, 2.5)
+        extract_delta_s_subset(PointSet2D([(0, 0)]), 0.1, 2.5)
     with pytest.raises(ValueError):
-        extract_delta_s_subset(PointSet2D([(0, 0)]), None, 0.1, 0.0)
+        extract_delta_s_subset(PointSet2D([(0, 0)]), 0.1, 0.0)
 
 
 def test_extract_soundness_100_seeds():
@@ -215,7 +247,7 @@ def test_extract_soundness_100_seeds():
         pts = rng.uniform(0, 1, size=(int(rng.integers(1, 300)), 2))
         s = float(rng.choice([0.5, 1.0, 1.5]))
         kappa = dyadic_content(PointSet2D(pts), d, s)
-        out = extract_delta_s_subset(PointSet2D(pts), kappa, d, s)
+        out = extract_delta_s_subset(PointSet2D(pts), d, s)
         rep = check_delta_t(out, d, s)
         assert rep.worst_ratio <= EXTRACTION_RATIO_BOUND
         assert len(out) >= EXTRACTION_CARDINALITY_C * kappa * (1.0 / d) ** s

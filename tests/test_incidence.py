@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projlab.delta_core import Direction, DirectionSet, PointSet2D, covering_number, project
-from projlab.errors import SeparationError
+from projlab.errors import InvariantError, SeparationError
 from projlab.incidence import (
     cauchy_schwarz_lower_bound,
     close_pairs,
@@ -114,9 +114,10 @@ def test_direction_sum_strict_mode():
     d = 2.0 ** -6
     stack = PointSet2D([(0.5, k * d) for k in range(10)])
     e = DirectionSet([0.0])
-    # lhs = 90 ordered pairs; a deliberately tiny c trips the assertion
-    with pytest.raises(AssertionError):
+    # lhs = 90 ordered pairs; a deliberately tiny c trips the invariant
+    with pytest.raises(InvariantError) as info:
         direction_sum_upper_bound(stack, e, d, c=1e-9, strict=True)
+    assert (info.value.lhs, info.value.witness) == (90, 0)
     rep = direction_sum_upper_bound(stack, e, d, c=1.0, strict=True)
     assert rep.lhs == 90
 

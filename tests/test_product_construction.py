@@ -39,9 +39,11 @@ def ap_product(delta=D10, step=None, b_count=None, a_count=None):
 
 
 def test_build_product_like_single_point():
-    p = build_product_like(ScalarSet([0.0]), {0.0: ScalarSet([0.0])}, 0.25, 1.0, 1.0)
+    with pytest.warns(UserWarning, match="degenerate single-point fiber at b = 0.0"):
+        p = build_product_like(ScalarSet([0.0]), {0.0: ScalarSet([0.0])}, 0.25, 1.0, 1.0)
     assert len(p) == 1
-    reports = p.validate()
+    with pytest.warns(UserWarning, match="degenerate single-point fiber at b = 0.0"):
+        reports = p.validate()
     assert all(r.worst_ratio == 1.0 for r in reports.values())
 
 

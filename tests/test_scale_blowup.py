@@ -35,14 +35,8 @@ import oracles
 
 def dyadic_cap_oracle(points, weights, exponent, max_level):
     """Independent exhaustive walk of the dyadic caps."""
-    worst = 0.0
-    for j in range(max_level + 1):
-        masses = {}
-        for (x, y), w in zip(points, weights):
-            key = (math.floor(x * 2 ** j), math.floor(y * 2 ** j))
-            masses[key] = masses.get(key, 0.0) + w
-        worst = max(worst, max(masses.values()) / (2.0 ** -j) ** exponent)
-    return worst
+    return max(max(oracles.brute_dyadic_masses(points, weights, j).values()) / (2.0 ** -j) ** exponent
+               for j in range(max_level + 1))
 
 
 def unit_grid(j):
@@ -76,6 +70,18 @@ def test_frostman_full_grid_mass_one():
     assert w.certificate_ratio == pytest.approx(worst)
 
 
+def test_frostman_default_depth_matches_oracle_caps():
+    rng = np.random.default_rng(44)
+    mu = frostman_weights(PointSet2D(rng.uniform(0, 1, size=(300, 2))), 1.5)
+    pts, w = mu.points.points.tolist(), mu.weights.tolist()
+    # without min_scale the tree goes down to the first level of singletons
+    depth = next(j for j in range(41) if len(oracles.brute_dyadic_masses(pts, w, j)) == len(pts))
+    assert max(w) == (2.0 ** -depth) ** 1.5
+    worst = dyadic_cap_oracle(pts, w, 1.5, depth)
+    assert worst <= 1.0 + 1e-9
+    assert mu.certificate_ratio == worst
+
+
 def test_frostman_errors():
     with pytest.raises(ValueError):
         frostman_weights(PointSet2D(np.empty((0, 2))), 1.0)
@@ -91,6 +97,17 @@ def test_efficient_cover_one_point_and_clusters():
     far = PointSet2D([(0.1, 0.1), (0.9, 0.9)])
     cov = efficient_cover(far, d0)
     assert len(cov) == 2
+
+
+def test_efficient_cover_exact_tie_merges():
+    # the 14 children's diameters sum to exactly the parent's √2·2^-2; as a
+    # float sum they came to one ulp less, and the parent was not taken
+    ks = [(34, 54), (34, 59), (35, 59), (36, 50), (37, 57), (37, 61), (38, 50), (38, 52),
+          (38, 57), (40, 56), (41, 52), (42, 48), (43, 48), (45, 49), (46, 55), (47, 59)]
+    d = 2.0 ** -6
+    cov = efficient_cover(PointSet2D([(a * d, b * d) for a, b in ks]), 0.5, floor=d)
+    assert cov.cells == ((2, (2, 3)),)
+    assert cov.diam_sum == math.sqrt(2.0) * 2.0 ** -2
 
 
 def test_efficient_cover_segment_factor_two():
