@@ -431,8 +431,14 @@ class DyadicCells:
     def __init__(self, pts, depth):
         self.depth = depth
         self.fine = np.floor(pts * 2.0 ** depth).astype(np.int64)
-        self.order = np.lexsort([self.fine[:, k] >> (depth - j)  # the last key is primary
-                                 for j in range(depth, -1, -1) for k in (1, 0)])
+        # within a level-(j - 1) cell, the level-j (cx, cy) order is the
+        # order of the quadrant digit 2·(cx & 1) + (cy & 1); the last key
+        # is primary, so the sort reads level 0's (cx, cy), then one int8
+        # digit per finer level
+        fine = self.fine
+        digits = [(2 * ((fine[:, 0] >> shift) & 1) + ((fine[:, 1] >> shift) & 1)).astype(np.int8)
+                  for shift in range(depth)]
+        self.order = np.lexsort(digits + [fine[:, 1] >> depth, fine[:, 0] >> depth])
 
     def level(self, j):
         """(cells, starts, inverse) at level j: one cell per run of `order`,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projlab import additive, delta_core
 from projlab.additive import (
     GridSet,
     PairGraph,
@@ -56,6 +57,70 @@ def test_sumset_matches_bruteforce_seeded():
     assert got == oracles.brute_sumset(list(a), list(b), +1)
     got = list(sumset(a, b, "-").members)
     assert got == oracles.brute_sumset(list(a), list(b), -1)
+
+
+def _bitmap_side(a, b):
+    """True when sumset(a, b, sign) marks an occupancy bitmap (for either sign)."""
+    span = (int(a.members[-1]) - int(a.members[0])) + (int(b.members[-1]) - int(b.members[0])) + 1
+    return span <= 8 * len(a) * len(b)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2 ** 22])
+def test_sumset_both_paths_match_bruteforce(monkeypatch, chunk):
+    # chunk 7 splits rows of 3 sums into ragged blocks of 2 rows, and rows
+    # of 10 sums into column blocks of 7 and 3
+    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
+    sorts = []
+    distinct = additive._distinct
+    monkeypatch.setattr(additive, "_distinct", lambda v: sorts.append(v.size) or distinct(v))
+    rng = np.random.default_rng(17)
+    dense = [gs(rng.choice(np.arange(-w, w), size=n, replace=False)) for n, w in ((3, 4), (10, 20), (25, 60))]
+    wide = [gs([0, 2 ** 40]), gs([-(2 ** 40), -7, 1, 2]), gs([-5, 0, 3, 2 ** 40, 2 ** 41 + 1])]
+    for sets, bitmap in ((dense, True), (wide, False)):
+        for a in sets:
+            for b in sets:
+                assert _bitmap_side(a, b) == bitmap
+                # every pair sum once, in blocks of at most CHUNK_ELEMENTS
+                blocks = list(additive._pair_sum_blocks(a.members, b.members))
+                assert max(block.size for block in blocks) <= chunk
+                assert sorted(np.concatenate(blocks)) == sorted(np.add.outer(a.members, b.members).ravel())
+                for sign, sgn in (("+", 1), ("-", -1)):
+                    sorts.clear()
+                    got = sumset(a, b, sign).members.tolist()
+                    assert got == oracles.brute_sumset(list(a), list(b), sgn)
+                    # the bitmap path sorts nothing; the sort path sorts blocks
+                    assert bool(sorts) != bitmap
+    for sign in ("+", "-"):
+        assert len(sumset(gs([]), dense[0], sign)) == 0
+        assert len(sumset(dense[0], gs([]), sign)) == 0
+    assert len(iterated_sumset(gs(range(9)), 2, 1)) == oracles.ap_iterated_sumset_size(9, 2, 1)
+
+
+def test_gridset_copies_and_freezes_only_its_own_members():
+    arr = np.array([5, -3, 5, 0, -3, 9], dtype=np.int64)
+    g = gs(arr)
+    assert g.members.tolist() == [-3, 0, 5, 9]
+    assert arr.tolist() == [5, -3, 5, 0, -3, 9] and arr.flags.writeable
+    assert not g.members.flags.writeable
+    done = np.array([-3, 0, 5, 9], dtype=np.int64)  # already sorted and distinct
+    h = gs(done)
+    assert h == g and not np.shares_memory(h.members, done)
+    assert done.flags.writeable and not h.members.flags.writeable
+
+
+def test_pair_graph_dedups_edges_in_lexicographic_order():
+    rng = np.random.default_rng(5)
+    a, b = gs([-4, 0, 7, 11, 30]), gs([2, 3, 50])
+    edges = [tuple(e) for e in rng.integers(0, [5, 3], size=(40, 2)).tolist()]
+    g = PairGraph(a, b, edges)
+    assert [tuple(e) for e in g.edges.tolist()] == sorted(set(edges))
+    assert not g.edges.flags.writeable
+    want = sorted({a.members[i] + b.members[j] for i, j in edges})
+    assert g.restricted_sums().tolist() == want
+    with pytest.raises(ValueError, match="b_index"):
+        PairGraph(a, b, edges + [(0, 3)])
+    with pytest.raises(ValueError, match="a_index"):
+        PairGraph(a, b, [(-1, 0)])
 
 
 def test_sumset_commutes():

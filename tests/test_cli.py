@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from projlab import serialize
 from projlab.cli import main
 from projlab.additive import GridSet, PairGraph
@@ -189,3 +191,35 @@ def test_sweep_idempotent_reports(tmp_path):
     run("project-sweep", "--input", str(pts_file), "--num-directions", "16",
         "--delta", repr(d), "--output", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# one malformed or missing input per subcommand: (argv, files to write)
+BAD_INPUTS = {
+    "generate": (["generate", "--kind", "planted_collinear", "--input", "{d}/missing.csv",
+                  "--slope", "0.5", "--intercept", "0", "--output", "{d}/out.csv"], {}),
+    "project-sweep": (["project-sweep", "--input", "{d}/p.csv", "--num-directions", "4",
+                       "--output", "{d}/out.csv"], {"p.csv": "x,y\n0.1,oops\n"}),
+    "kaufman": (["kaufman", "--input", "{d}/missing.csv", "--num-directions", "4",
+                 "--output", "{d}/out.csv"], {}),
+    "product-experiment": (["product-experiment", "--input", "{d}/prod.csv", "--num-directions", "4",
+                            "--output", "{d}/out.csv"], {"prod.csv": "x,y\n0.1,0.2\n"}),
+    "bsg": (["bsg", "--input-a", "{d}/a.csv", "--input-b", "{d}/a.csv", "--edges", "{d}/e.csv",
+             "--k", "2", "--output", "{d}/out.txt"],
+            {"a.csv": "# delta=0.25\nk\n0\n1\n", "e.csv": "a_index,b_index\n0,0.5\n"}),
+    "plunnecke": (["plunnecke", "--input-a", "{d}/a.csv", "--input-b", "{d}/a.csv",
+                   "--m", "1", "--n", "1", "--output", "{d}/out.txt"], {"a.csv": "k\n0\n1\n"}),
+    "two-scale": (["two-scale", "--input", "{d}/p.csv", "--output", "{d}/ts"],
+                  {"p.csv": "x,y\n0.1,0.2\ninf,0.3\n"}),
+    "verify": (["verify", "--output", "{d}/file/out"], {"file": "not a directory\n"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_INPUTS))
+def test_bad_input_one_error_line_no_traceback(tmp_path, capsys, command):
+    argv, files = BAD_INPUTS[command]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(*(a.format(d=tmp_path) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -206,6 +206,18 @@ def test_dyadic_cells_match_oracle_masses():
             prev = set(starts.tolist())
 
 
+@pytest.mark.parametrize("depth", [0, 1, 9])
+def test_dyadic_cells_order_matches_full_key_lexsort(depth):
+    # reference: every level's full (cx, cy) as int64 keys, coarser first
+    rng = np.random.default_rng(31 + depth)
+    base = rng.uniform(-1.5, 1.5, size=(300, 2))
+    sets = [base, np.repeat(base[:60], 4, axis=0)[rng.permutation(240)]]
+    for pts in sets:
+        fine = np.floor(pts * 2.0 ** depth).astype(np.int64)
+        want = np.lexsort([fine[:, k] >> (depth - j) for j in range(depth, -1, -1) for k in (1, 0)])
+        assert np.array_equal(DyadicCells(pts, depth).order, want)
+
+
 def test_extract_single_point():
     p = extract_delta_s_subset(PointSet2D([(0.25, 0.5)]), 2.0 ** -5, 1.0)
     assert len(p) == 1
