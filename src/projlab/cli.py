@@ -17,17 +17,11 @@ import sys
 
 from . import serialize
 from .additive import PairGraph, bsg_extract, plunnecke_report
-from .delta_core import DirectionSet, as_delta, projection_sweep
+from .delta_core import DirectionSet, PointSet2D, ScalarSet, as_delta, projection_sweep
 from .errors import InvariantError, ProjlabError
-from .generators import (
-    gen_ap,
-    gen_cantor_1d,
-    gen_four_corner,
-    gen_planted_collinear,
-    gen_random_frostman,
-)
+from .generators import GeneratorSpec
 from .incidence import kaufman_witness
-from .product_construction import product_experiment
+from .product_construction import ProductLikeSet, product_experiment
 from .scale_blowup import frostman_weights, two_scale_decomposition
 from .verify import run_verify
 
@@ -42,6 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config(path):
+    """The `key=value` lines of a config file: key -> (line number, value)."""
     cfg = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -51,36 +46,26 @@ def _read_config(path):
             key, sep, value = line.partition("=")
             if not sep:
                 raise CliError(f"{path}:{lineno}: expected key=value")
-            cfg[key.strip().replace("-", "_")] = value.strip()
+            cfg[key.strip().replace("-", "_")] = (lineno, value.strip())
     return cfg
 
 
-def _merge_config(args, keys):
-    """Config-file values fill in flags the user left unset."""
-    if getattr(args, "config", None):
-        cfg = _read_config(args.config)
-        for key, raw in cfg.items():
-            if key not in keys:
-                continue
-            if getattr(args, key, None) is None:
-                caster = keys[key]
-                setattr(args, key, caster(raw))
-    for key, caster in keys.items():
-        if getattr(args, key, None) is None and key in _DEFAULTS:
-            setattr(args, key, _DEFAULTS[key])
-
-
-_DEFAULTS = {
-    "delta": 2.0 ** -8,
-    "s": 0.5,
-    "tau": 0.5,
-    "eps0": 0.05,
-    "seed": 0,
-    "threshold_ratio": 8.0,
-    "threshold_separation": 0.25,
-    "threshold_intersection": 1.0,
-    "threshold_good_ball": 0.25,
-}
+def _apply_config(parser, path):
+    """Make each config value the default of the subcommand flag it names,
+    so a flag given on the command line still wins.  Keys that name no
+    value flag of this subcommand are left for the others; switches come
+    only from the command line."""
+    flags = {a.dest: a for a in parser._actions if a.nargs != 0 and a.dest != "config"}
+    for key, (lineno, raw) in _read_config(path).items():
+        action = flags.get(key)
+        if action is None:
+            continue
+        try:
+            value = action.type(raw)
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: invalid {action.type.__name__} value "
+                           f"for {key}: {raw!r}") from None
+        parser.set_defaults(**{key: value})
 
 
 def _header(fh, command, args, keys):
@@ -96,36 +81,35 @@ def _require(args, *names):
             raise CliError(f"missing required parameter --{name.replace('_', '-')}")
 
 
+# generator kind -> (required flags, optional flags) passed on as its parameters
+_GENERATE_FLAGS = {
+    "ap": (("n", "step"), ("origin",)),
+    "cantor1d": (("contraction", "depth"), ()),
+    "four_corner": (("depth",), ()),
+    "random_frostman": (("n", "exponent"), ("delta",)),
+    "planted_collinear": (("input", "slope", "intercept"),
+                          ("jitter", "delta", "s", "tau", "fiber_size", "fiber_step")),
+}
+# the serialize writer of each generator output type, by name, so a writer
+# rebound on the module is the one called
+_WRITERS = {ScalarSet: "write_scalars", PointSet2D: "write_points",
+            ProductLikeSet: "write_product"}
+
+
 def _cmd_generate(args):
-    _merge_config(args, {"delta": float, "seed": int, "s": float, "tau": float})
     _require(args, "kind", "output")
-    kind = args.kind
-    if kind == "ap":
-        _require(args, "n", "step")
-        out = gen_ap(args.n, args.step, args.origin or 0.0)
-        serialize.write_scalars(args.output, out)
-    elif kind == "cantor1d":
-        _require(args, "contraction", "depth")
-        serialize.write_scalars(args.output, gen_cantor_1d(args.contraction, args.depth))
-    elif kind == "four_corner":
-        _require(args, "depth")
-        serialize.write_points(args.output, gen_four_corner(args.depth))
-    elif kind == "random_frostman":
-        _require(args, "n", "exponent")
-        pts = gen_random_frostman(args.n, args.exponent, args.delta, seed=args.seed)
-        serialize.write_points(args.output, pts)
-    elif kind == "planted_collinear":
-        _require(args, "input", "slope", "intercept")
-        base = serialize.read_scalars(args.input)
-        inst = gen_planted_collinear(
-            base, args.slope, args.intercept, args.jitter or 0.0,
-            seed=args.seed, delta=args.delta, s=args.s, tau=args.tau,
-            fiber_size=args.fiber_size, fiber_step=args.fiber_step,
-            validate=not args.no_validate,
-        )
-        serialize.write_product(args.output, inst)
-    else:
-        raise CliError(f"unknown generator kind {kind!r}")
+    flags = _GENERATE_FLAGS.get(args.kind)
+    if flags is None:
+        GeneratorSpec(args.kind)  # an unknown kind raises here
+        raise CliError(f"generator kind {args.kind!r} takes fibers, which no flag sets")
+    required, optional = flags
+    _require(args, *required)
+    params = {name: getattr(args, name) for name in required + optional}
+    if args.kind == "planted_collinear":
+        params["base"] = serialize.read_scalars(params.pop("input")).values
+        params["validate"] = not args.no_validate
+    out = GeneratorSpec(args.kind, params, args.seed).build()
+    getattr(serialize, _WRITERS[type(out)])(args.output, out)
     print(f"wrote {args.output}")
     return 0
 
@@ -138,9 +122,8 @@ def _load_directions(args):
     raise CliError("provide --directions FILE or --num-directions N")
 
 
-def _sweep_inputs(args, keys):
+def _sweep_inputs(args):
     """The points, the nonempty direction set and δ of a sweep command."""
-    _merge_config(args, keys)
     _require(args, "input", "output")
     pts = serialize.read_points(args.input)
     dirs = _load_directions(args)
@@ -150,7 +133,7 @@ def _sweep_inputs(args, keys):
 
 
 def _cmd_project_sweep(args):
-    pts, dirs, d = _sweep_inputs(args, {"delta": float, "seed": int})
+    pts, dirs, d = _sweep_inputs(args)
     cells, pairs = projection_sweep(pts, dirs, d)
     serialize.write_sweep(args.output, zip(dirs.thetas.tolist(), cells.tolist(), pairs.tolist()))
     summary = os.path.splitext(args.output)[0] + ".summary.txt"
@@ -165,7 +148,7 @@ def _cmd_project_sweep(args):
 
 
 def _cmd_kaufman(args):
-    pts, dirs, d = _sweep_inputs(args, {"delta": float, "s": float})
+    pts, dirs, d = _sweep_inputs(args)
     witness = kaufman_witness(pts, dirs, d, s=args.s)
     serialize.write_profile(args.output, zip(dirs.thetas.tolist(), witness.profile))
     summary = os.path.splitext(args.output)[0] + ".summary.txt"
@@ -180,9 +163,6 @@ def _cmd_kaufman(args):
 
 
 def _cmd_product_experiment(args):
-    keys = {"delta": float, "s": float, "eps0": float,
-            "threshold_separation": float, "threshold_intersection": float}
-    _merge_config(args, keys)
     _require(args, "input", "output")
     inst = serialize.read_product(args.input)
     dirs = _load_directions(args)
@@ -211,7 +191,6 @@ def _cmd_product_experiment(args):
 
 
 def _cmd_bsg(args):
-    _merge_config(args, {"k": float})
     _require(args, "input_a", "input_b", "edges", "k", "output")
     a = serialize.read_gridset(args.input_a)
     b = serialize.read_gridset(args.input_b)
@@ -250,11 +229,6 @@ def _cmd_plunnecke(args):
 
 
 def _cmd_two_scale(args):
-    keys = {"delta": float, "exponent": float, "threshold_good_ball": float,
-            "threshold_ratio": float}
-    _merge_config(args, keys)
-    if getattr(args, "exponent", None) is None:
-        args.exponent = 1.0
     _require(args, "input", "output")
     pts = serialize.read_points(args.input)
     mu = frostman_weights(pts, args.exponent, min_scale=args.delta)
@@ -269,101 +243,76 @@ def _cmd_two_scale(args):
 
 
 def _cmd_verify(args):
-    out = args.output or "verify_out"
-    ok, results = run_verify(out)
+    ok, results = run_verify(args.output)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}")
     if not ok:
         first = next(r for r in results if not r.ok)
         print(f"first failure: {first.name}: {first.lhs} vs {first.rhs} ({first.witness})")
         return 2
-    print(f"all {len(results)} checks passed; report in {out}/")
+    print(f"all {len(results)} checks passed; report in {args.output}/")
     return 0
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="projlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    def common(p):
-        p.add_argument("--config", help="key=value file; flags override it")
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--eps0", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--input", default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--directions", default=None)
-        p.add_argument("--num-directions", dest="num_directions", type=int, default=None)
-        p.add_argument("--threshold-ratio", dest="threshold_ratio", type=float, default=None)
-        p.add_argument("--threshold-separation", dest="threshold_separation", type=float, default=None)
-        p.add_argument("--threshold-intersection", dest="threshold_intersection", type=float, default=None)
-        p.add_argument("--threshold-good-ball", dest="threshold_good_ball", type=float, default=None)
+    def command(name, func, help, **flags):
+        """A subcommand with --config and one value flag per keyword, given
+        as (type, default); the flag of dest `a_b` is `--a-b`."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="key=value file setting any value flag; explicit flags win")
+        for dest, (type_, default) in flags.items():
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=type_, default=default)
+        p.set_defaults(func=func)
+        return p
 
-    g = sub.add_parser("generate", help="build a fixture set")
-    common(g)
-    g.add_argument("--kind", required=True)
-    g.add_argument("--n", type=int, default=None)
-    g.add_argument("--step", type=float, default=None)
-    g.add_argument("--origin", type=float, default=None)
-    g.add_argument("--contraction", type=float, default=None)
-    g.add_argument("--depth", type=int, default=None)
-    g.add_argument("--exponent", type=float, default=None)
-    g.add_argument("--slope", type=float, default=None)
-    g.add_argument("--intercept", type=float, default=None)
-    g.add_argument("--jitter", type=float, default=None)
-    g.add_argument("--fiber-size", dest="fiber_size", type=int, default=None)
-    g.add_argument("--fiber-step", dest="fiber_step", type=float, default=None)
+    text, integer, real = (str, None), (int, None), (float, None)
+    delta, s = (float, 2.0 ** -8), (float, 0.5)
+    sweep = dict(input=text, output=text, directions=text, num_directions=integer, delta=delta)
+
+    g = command("generate", _cmd_generate, "build a fixture set",
+                kind=text, output=text, input=text, seed=(int, 0), delta=delta,
+                n=integer, step=real, origin=(float, 0.0), contraction=real, depth=integer,
+                exponent=real, slope=real, intercept=real, jitter=(float, 0.0), s=s,
+                tau=(float, 0.5), fiber_size=integer, fiber_step=real)
     g.add_argument("--no-validate", dest="no_validate", action="store_true")
-    g.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("project-sweep", help="N and close-pair profile over directions")
-    common(p)
-    p.set_defaults(func=_cmd_project_sweep)
-
-    k = sub.add_parser("kaufman", help="argmax direction of the projection covering number")
-    common(k)
-    k.set_defaults(func=_cmd_kaufman)
-
-    pe = sub.add_parser("product-experiment", help="projection-growth sweep of a product-like set")
-    common(pe)
-    pe.add_argument("--triples-output", dest="triples_output", default=None,
-                    help="also write the good-triple scan CSV here")
-    pe.set_defaults(func=_cmd_product_experiment)
-
-    bs = sub.add_parser("bsg", help="dense-subgraph extraction from a pair graph")
-    common(bs)
-    bs.add_argument("--input-a", dest="input_a", default=None)
-    bs.add_argument("--input-b", dest="input_b", default=None)
-    bs.add_argument("--edges", default=None)
-    bs.add_argument("--k", type=float, default=None)
-    bs.set_defaults(func=_cmd_bsg)
-
-    pl = sub.add_parser("plunnecke", help="doubling-constant iterated-sumset report")
-    common(pl)
-    pl.add_argument("--input-a", dest="input_a", default=None)
-    pl.add_argument("--input-b", dest="input_b", default=None)
-    pl.add_argument("--m", type=int, default=None)
-    pl.add_argument("--n", type=int, default=None)
-    pl.set_defaults(func=_cmd_plunnecke)
-
-    twos = sub.add_parser("two-scale", help="sqrt(delta)/delta decomposition of a point set")
-    common(twos)
-    twos.add_argument("--exponent", type=float, default=None)
-    twos.set_defaults(func=_cmd_two_scale)
-
-    v = sub.add_parser("verify", help="run the invariant suite on shipped fixtures")
-    common(v)
-    v.set_defaults(func=_cmd_verify)
-
+    command("project-sweep", _cmd_project_sweep, "N and close-pair profile over directions",
+            **sweep)
+    command("kaufman", _cmd_kaufman, "argmax direction of the projection covering number",
+            **sweep, s=s)
+    command("product-experiment", _cmd_product_experiment,
+            "projection-growth sweep of a product-like set",
+            **sweep, s=s, eps0=(float, 0.05), threshold_separation=(float, 0.25),
+            threshold_intersection=(float, 1.0), triples_output=text)
+    command("bsg", _cmd_bsg, "dense-subgraph extraction from a pair graph",
+            input_a=text, input_b=text, edges=text, k=real, output=text)
+    command("plunnecke", _cmd_plunnecke, "doubling-constant iterated-sumset report",
+            input_a=text, input_b=text, m=integer, n=integer, output=text)
+    command("two-scale", _cmd_two_scale, "sqrt(delta)/delta decomposition of a point set",
+            input=text, output=text, delta=delta, exponent=(float, 1.0),
+            threshold_good_ball=(float, 0.25), threshold_ratio=(float, 8.0))
+    command("verify", _cmd_verify, "run the invariant suite on shipped fixtures",
+            output=(str, "verify_out"))
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line's arguments; a `--config` file's values stand in
+    for the flags it names that the command line leaves out."""
     parser = build_parser()
-    try:
+    args = parser.parse_args(argv)
+    if args.config:
+        _apply_config(parser.commands[args.command], args.config)
         args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,8 +22,9 @@ def _fmt(x) -> str:
 
 
 def _read_rows(path, expected_header, n_fields):
-    """Data rows as float tuples, the `# key=value` comments, and the
-    1-based line number of each row.  Non-finite values are rejected."""
+    """Data rows as float tuples, the `# key=value` comments as
+    key -> (line number, value), and the 1-based line number of each row.
+    Non-finite values are rejected."""
     rows = []
     linenos = []
     comments = {}
@@ -36,7 +37,7 @@ def _read_rows(path, expected_header, n_fields):
             if line.startswith("#"):
                 key, sep, value = line[1:].strip().partition("=")
                 if sep:
-                    comments[key.strip()] = value.strip()
+                    comments[key.strip()] = (lineno, value.strip())
                 continue
             if not header_seen:
                 if line.strip() != expected_header:
@@ -57,6 +58,32 @@ def _read_rows(path, expected_header, n_fields):
         if not header_seen:
             raise CsvFormatError(path, 1, f"missing header {expected_header!r}")
     return rows, comments, linenos
+
+
+def _comment_float(path, comments, key) -> float:
+    if key not in comments:
+        raise CsvFormatError(path, 1, f"missing '# {key}=' comment header")
+    lineno, value = comments[key]
+    try:
+        x = float(value)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise CsvFormatError(path, lineno, f"'# {key}=' value {value!r} is not a finite number")
+    return x
+
+
+def _int64_rows(path, rows, linenos, n_fields, what) -> np.ndarray:
+    """The rows as an int64 array; the first value that is not an integer
+    inside int64 fails with its row's line."""
+    arr = np.array(rows, dtype=np.float64).reshape(len(rows), n_fields)
+    ok = (arr == np.trunc(arr)) & (arr >= -2.0 ** 63) & (arr < 2.0 ** 63)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        v = rows[i][j]
+        reason = "is not an integer" if v != int(v) else "is outside int64"
+        raise CsvFormatError(path, linenos[i], f"{what} {v} {reason}")
+    return arr.astype(np.int64)
 
 
 def write_scalars(path, s: ScalarSet):
@@ -105,14 +132,8 @@ def write_gridset(path, g: GridSet):
 
 def read_gridset(path) -> GridSet:
     rows, comments, linenos = _read_rows(path, "k", 1)
-    if "delta" not in comments:
-        raise CsvFormatError(path, 1, "missing '# delta=' comment header")
-    members = []
-    for (v,), lineno in zip(rows, linenos):
-        if v != int(v):
-            raise CsvFormatError(path, lineno, f"grid index {v} is not an integer")
-        members.append(int(v))
-    return GridSet(members, float(comments["delta"]))
+    step = _comment_float(path, comments, "delta")
+    return GridSet(_int64_rows(path, rows, linenos, 1, "grid index"), step)
 
 
 def write_pairgraph(path, g: PairGraph):
@@ -124,12 +145,8 @@ def write_pairgraph(path, g: PairGraph):
 
 def read_pairgraph_edges(path):
     rows, _, linenos = _read_rows(path, "a_index,b_index", 2)
-    out = []
-    for (a, b), lineno in zip(rows, linenos):
-        if a != int(a) or b != int(b):
-            raise CsvFormatError(path, lineno, "edge indices must be integers")
-        out.append((int(a), int(b)))
-    return out
+    edges = _int64_rows(path, rows, linenos, 2, "edge index")
+    return list(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
 
 
 def write_product(path, p: ProductLikeSet):
@@ -144,9 +161,7 @@ def write_product(path, p: ProductLikeSet):
 
 def read_product(path) -> ProductLikeSet:
     rows, comments, _ = _read_rows(path, "b,a", 2)
-    for key in ("delta", "s", "tau"):
-        if key not in comments:
-            raise CsvFormatError(path, 1, f"missing '# {key}=' comment header")
+    delta, s, tau = (_comment_float(path, comments, key) for key in ("delta", "s", "tau"))
     fibers: dict = {}
     for b, a in rows:
         fibers.setdefault(b, []).append(a)
@@ -154,9 +169,7 @@ def read_product(path) -> ProductLikeSet:
     return ProductLikeSet(
         base,
         {b: ScalarSet(v) for b, v in fibers.items()},
-        float(comments["delta"]),
-        float(comments["s"]),
-        float(comments["tau"]),
+        delta, s, tau,
     )
 
 

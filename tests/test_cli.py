@@ -1,9 +1,12 @@
 import math
+import os
+import shlex
+from pathlib import Path
 
 import pytest
 
 from projlab import serialize
-from projlab.cli import main
+from projlab.cli import build_parser, main, parse_args
 from projlab.additive import GridSet, PairGraph
 
 
@@ -193,7 +196,8 @@ def test_sweep_idempotent_reports(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# one malformed or missing input per subcommand: (argv, files to write)
+# one malformed or missing input per subcommand, plus an out-of-int64 grid
+# index: (argv, files to write)
 BAD_INPUTS = {
     "generate": (["generate", "--kind", "planted_collinear", "--input", "{d}/missing.csv",
                   "--slope", "0.5", "--intercept", "0", "--output", "{d}/out.csv"], {}),
@@ -208,6 +212,9 @@ BAD_INPUTS = {
             {"a.csv": "# delta=0.25\nk\n0\n1\n", "e.csv": "a_index,b_index\n0,0.5\n"}),
     "plunnecke": (["plunnecke", "--input-a", "{d}/a.csv", "--input-b", "{d}/a.csv",
                    "--m", "1", "--n", "1", "--output", "{d}/out.txt"], {"a.csv": "k\n0\n1\n"}),
+    "plunnecke-int64": (["plunnecke", "--input-a", "{d}/a.csv", "--input-b", "{d}/a.csv",
+                         "--m", "1", "--n", "1", "--output", "{d}/out.txt"],
+                        {"a.csv": "# delta=0.25\nk\n0\n1e20\n"}),
     "two-scale": (["two-scale", "--input", "{d}/p.csv", "--output", "{d}/ts"],
                   {"p.csv": "x,y\n0.1,0.2\ninf,0.3\n"}),
     "verify": (["verify", "--output", "{d}/file/out"], {"file": "not a directory\n"}),
@@ -223,3 +230,164 @@ def test_bad_input_one_error_line_no_traceback(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+D6, D10 = repr(2.0 ** -6), repr(2.0 ** -10)
+PLANTED = {"kind": "planted_collinear", "input": "base.csv", "slope": "0.5", "intercept": "0.1",
+           "delta": D10, "fiber-size": "8", "fiber-step": repr(16 * 2.0 ** -10)}
+
+# one toy run per case: (command, value flags, switches); every value flag of
+# every subcommand appears in at least one case
+CONFIG_CASES = {
+    "generate-ap": ("generate", {"kind": "ap", "n": "5", "step": "0.125", "origin": "0.25",
+                                 "output": "ap.csv"}, []),
+    "generate-cantor1d": ("generate", {"kind": "cantor1d", "contraction": "0.3", "depth": "3",
+                                       "output": "c.csv"}, []),
+    "generate-random_frostman": ("generate", {"kind": "random_frostman", "n": "32", "exponent": "1.0",
+                                              "delta": D6, "seed": "5", "output": "rf2.csv"}, []),
+    "generate-planted_collinear": ("generate", {**PLANTED, "jitter": repr(2.0 ** -12), "seed": "4",
+                                                "s": "0.4", "tau": "0.6", "output": "p2.csv"},
+                                   ["--no-validate"]),
+    "project-sweep": ("project-sweep", {"input": "fc.csv", "num-directions": "16", "delta": "0.015625",
+                                        "output": "sweep.csv"}, []),
+    "project-sweep-directions": ("project-sweep", {"input": "fc.csv", "directions": "dirs.csv",
+                                                   "output": "sweep.csv"}, []),
+    "kaufman": ("kaufman", {"input": "fc.csv", "num-directions": "32", "delta": "0.015625", "s": "0.7",
+                            "output": "profile.csv"}, []),
+    "kaufman-directions": ("kaufman", {"input": "fc.csv", "directions": "dirs.csv", "s": "0.1",
+                                       "output": "profile.csv"}, []),
+    "product-experiment": ("product-experiment",
+                           {"input": "prod.csv", "directions": "dirs.csv", "delta": D10, "s": "0.5",
+                            "eps0": "0", "threshold-separation": "0.125",
+                            "threshold-intersection": "8", "output": "prof.csv",
+                            "triples-output": "triples.csv"}, []),
+    "product-experiment-net": ("product-experiment", {"input": "prod.csv", "num-directions": "8",
+                                                      "output": "prof.csv"}, []),
+    "bsg": ("bsg", {"input-a": "a.csv", "input-b": "a.csv", "edges": "g.csv", "k": "2",
+                    "output": "bsg.txt"}, []),
+    "plunnecke": ("plunnecke", {"input-a": "a.csv", "input-b": "a.csv", "m": "2", "n": "1",
+                                "output": "pr.txt"}, []),
+    "two-scale": ("two-scale", {"input": "rf.csv", "delta": D6, "exponent": "0.9",
+                                "threshold-good-ball": "0.5", "threshold-ratio": "16",
+                                "output": "ts"}, []),
+    "verify": ("verify", {"output": "v"}, []),
+}
+
+
+@pytest.fixture(scope="module")
+def toy_inputs(tmp_path_factory):
+    """The input files of CONFIG_CASES, as {name: bytes}."""
+    d = tmp_path_factory.mktemp("inputs")
+    cwd = os.getcwd()
+    os.chdir(d)
+    try:
+        assert run("generate", "--kind", "four_corner", "--depth", "3", "--output", "fc.csv") == 0
+        assert run("generate", "--kind", "ap", "--n", "3", "--step", "0.5", "--output", "base.csv") == 0
+        argv = [f"--{k}={v}" for k, v in PLANTED.items()]
+        assert run("generate", *argv, "--no-validate", "--output", "prod.csv") == 0
+        assert run("generate", "--kind", "random_frostman", "--n", "64", "--exponent", "1.0",
+                   "--delta", D6, "--seed", "2", "--output", "rf.csv") == 0
+    finally:
+        os.chdir(cwd)
+    (d / "dirs.csv").write_text(f"theta\n{math.atan2(-0.5, 1.0) % (2 * math.pi)!r}\n0.3\n")
+    g = GridSet(range(8), 2.0 ** -8)
+    serialize.write_gridset(d / "a.csv", g)
+    serialize.write_pairgraph(d / "g.csv", PairGraph(g, g, [(i, j) for i in range(8) for j in range(8)]))
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+def _value_flags(command):
+    parser = build_parser().commands[command]
+    return {a.dest for a in parser._actions if a.nargs != 0 and a.dest != "config"}
+
+
+def test_config_cases_cover_every_value_flag():
+    covered = {}
+    for command, values, _ in CONFIG_CASES.values():
+        covered.setdefault(command, set()).update(k.replace("-", "_") for k in values)
+    assert covered == {command: _value_flags(command) for command in build_parser().commands}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_and_flags_write_the_same_bytes(tmp_path, monkeypatch, toy_inputs, case):
+    command, values, switches = CONFIG_CASES[case]
+    parsed, written = [], []
+    for mode in ("flags", "config"):
+        d = tmp_path / mode
+        d.mkdir()
+        for name, data in toy_inputs.items():
+            (d / name).write_bytes(data)
+        monkeypatch.chdir(d)
+        if mode == "flags":
+            argv = [command, *(a for k, v in values.items() for a in (f"--{k}", v)), *switches]
+        else:
+            (tmp_path / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+            argv = [command, "--config", str(tmp_path / "run.cfg"), *switches]
+        parsed.append({k: v for k, v in vars(parse_args(argv)).items() if k != "config"})
+        assert run(*argv) == 0
+        written.append({p.relative_to(d): p.read_bytes() for p in d.rglob("*")
+                        if p.is_file() and p.name not in toy_inputs})
+    assert parsed[0] == parsed[1]
+    assert written[0] and written[0] == written[1]
+
+
+def test_flag_beats_config_value(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    # threshold_ratio is not a generate flag and no-validate is a switch: both ignored
+    cfg.write_text("kind=ap\nn=4\nstep=0.5\nthreshold_ratio=3\nno-validate=true\n"
+                   f"output={tmp_path / 'cfg.csv'}\n")
+    out = tmp_path / "flag.csv"
+    assert run("generate", "--config", str(cfg), "--n", "3", "--output", str(out)) == 0
+    assert len(serialize.read_scalars(out)) == 3
+    assert not (tmp_path / "cfg.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--delta", "0.1"],
+    ["plunnecke", "--seed", "9"],
+    ["project-sweep", "--s", "0.5"],
+    ["bsg", "--input", "a.csv"],
+], ids=lambda argv: " ".join(argv))
+def test_unread_flags_are_rejected(capsys, argv):
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    # bsg's --input is an ambiguous prefix of --input-a and --input-b
+    assert err.startswith(("error: unrecognized arguments: ", "error: ambiguous option: "))
+    assert err.count("\n") == 1
+
+
+def test_bad_config_value_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a toy progression\nkind=ap\n\nn=four\n")
+    assert run("generate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:4: invalid int value for n: 'four'\n"
+    cfg.write_text("delta\n")
+    assert run("kaufman", "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:1: expected key=value\n"
+
+
+def test_generate_kind_errors(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for argv, message in ((["--output", out], "missing required parameter --kind"),
+                          (["--kind", "ap", "--step", "1", "--output", out],
+                           "missing required parameter --n"),
+                          (["--kind", "x", "--output", out], "unknown generator kind 'x'"),
+                          (["--kind", "product", "--output", out],
+                           "generator kind 'product' takes fibers, which no flag sets")):
+        assert run("generate", *argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _readme_cli_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_cli_commands_parse():
+    commands = _readme_cli_commands()
+    assert {argv[1] for argv in commands} == set(build_parser().commands)
+    for argv in commands:
+        assert argv[0] == "projlab"
+        build_parser().parse_args(argv[1:])

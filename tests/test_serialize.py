@@ -151,3 +151,36 @@ def test_pairgraph_non_integer_index_line_number(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         serialize.read_pairgraph_edges(edges)
     assert err.value.line == 4
+
+
+# out-of-int64 indices and non-numeric comment values: (reader, file text,
+# line the error must name)
+BAD_VALUES = {
+    "grid-index-overflow": (serialize.read_gridset, "# delta=0.5\nk\n1\n1e20\n", 4),
+    "edge-index-overflow": (serialize.read_pairgraph_edges, "a_index,b_index\n0,1\n0,1e20\n", 3),
+    "grid-delta-not-a-number": (serialize.read_gridset, "k\n1\n# delta=abc\n2\n", 3),
+    "product-tau-not-a-number": (serialize.read_product,
+                                 "# delta=0.25\n# s=0.5\n# tau=abc\nb,a\n0.0,0.5\n", 3),
+    "grid-delta-infinite": (serialize.read_gridset, "# delta=inf\nk\n1\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_index_or_comment_value_names_its_line(tmp_path, case):
+    reader, text, line = BAD_VALUES[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as err:
+        reader(path)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+def test_int64_bounds_of_grid_indices(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_text(f"# delta=0.5\nk\n{-2 ** 63}\n{2 ** 62}\n")
+    assert list(serialize.read_gridset(path).members) == [-2 ** 63, 2 ** 62]
+    path.write_text(f"# delta=0.5\nk\n{2 ** 63}\n")
+    with pytest.raises(CsvFormatError) as err:
+        serialize.read_gridset(path)
+    assert err.value.line == 3
