@@ -19,7 +19,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +39,19 @@ SEPARATION_RTOL = 1e-9
 EXTRACTION_RATIO_BOUND = 20.0
 EXTRACTION_CARDINALITY_C = 0.01
 
-# values per block in check_delta_t (distance rows) and projection_sweep
-# (projected values): bounds their memory whatever the input size
+# values per block in projection_sweep (projected values) and, divided by
+# 64, in check_delta_t (distances, or cell runs): bounds their memory
+# whatever the input size
 CHUNK_ELEMENTS = 2 ** 22
+
+# check_delta_t's pruning: cells of side r/NC_CELLS_PER_RADIUS bound the
+# ball counts at radius r; the exact counts of the NC_SAMPLE centers with
+# the largest bound ratio give the lower bound that prunes the rest; the
+# centers left are counted on cells of side r/NC_EXACT_CELLS_PER_RADIUS,
+# fine enough that most of a ball is inner cells counted without distances
+NC_CELLS_PER_RADIUS = 8
+NC_EXACT_CELLS_PER_RADIUS = 32
+NC_SAMPLE = 32
 
 
 def as_delta(delta) -> float:
@@ -155,11 +165,19 @@ class PointSet2D:
 
 
 def _closest_violation(pts, r, rtol=SEPARATION_RTOL):
-    """Grid-bucketed scan for a pair closer than r*(1-rtol); None if clean."""
+    """Grid-bucketed scan for a pair closer than r*(1-rtol); None if clean.
+
+    A vectorised screen runs first: `_has_close_pair` looks for a pair
+    within a hair (2^-30) over that threshold, so it flags every pair the
+    loop below can report, whatever the rounding of `math.hypot`.  Only a
+    flagged set reaches the loop, which names the first pair in its bucket
+    order."""
     n = pts.shape[0]
     if n < 2:
         return None
     thresh = r * (1.0 - rtol)
+    if not _has_close_pair(pts, thresh * (1.0 + 2.0 ** -30)):
+        return None
     cells = np.floor(pts / r).astype(np.int64)
     buckets: dict[tuple[int, int], list[int]] = {}
     for i in range(n):
@@ -177,6 +195,21 @@ def _closest_violation(pts, r, rtol=SEPARATION_RTOL):
                 if dist < thresh:
                     return i, j, dist
     return None
+
+
+def _has_close_pair(pts, limit):
+    """Whether two points of the (n, 2) array lie within `limit` of each
+    other: all pairs at once if they fit one block, else each point's
+    `_BallCells` stencil, a block of points at a time."""
+    n = pts.shape[0]
+    if n * n <= _pair_block():
+        return np.count_nonzero(_distance_matrix(pts) <= limit) > n
+    grid = _BallCells(pts, limit, 1)
+    centers = np.arange(n)
+    for a, b in _blocks(np.full(n, grid.offsets.size)):
+        if (grid.ball_counts(pts, centers[a:b])[0] > 1).any():
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -278,6 +311,10 @@ class NonConcentrationReport:
     log_power_used: float
     delta: float
     n_points: int
+    # work counters: centers whose ball counts were computed exactly, and
+    # the center-to-point distances computed for them
+    exact_centers: int = field(default=0, compare=False)
+    distances: int = field(default=0, compare=False)
 
     def threshold(self, c=1.0) -> float:
         if self.log_power_used == 0.0:
@@ -360,6 +397,16 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
     Centers range over P itself and radii over `dyadic_radii(delta)`; balls
     are closed.  Rejects input that is not δ-separated (the condition is
     only meaningful for δ-separated sets) unless validation is disabled.
+
+    Exact and pruned.  A set whose n² distances fit one block is scanned
+    whole.  Otherwise `_BallCells` bounds every center's count at every
+    radius, the exact counts of the NC_SAMPLE centers with the largest
+    bound ratio give a lower bound L on the worst ratio, and only the
+    (center, radius) pairs whose bound ratio reaches L are counted exactly,
+    centers in index order.  Any other pair has a ratio below L, so the
+    report is the one a full scan gives: the first center in index order
+    attaining the worst ratio, and its smallest such radius.  The report
+    counts the centers counted exactly and the distances computed.
     """
     d = as_delta(delta)
     if not 0.0 < t <= 2.0:
@@ -368,6 +415,8 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
     n = pts.shape[0]
     if n == 0:
         raise ValueError("cannot scan an empty set")
+    if not np.isfinite(pts).all():
+        raise ValueError("cannot scan non-finite coordinates")
     if validate_separation:
         if pts.shape[1] == 1:
             vals = pts[:, 0]
@@ -385,37 +434,195 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
 
     radii = np.asarray(dyadic_radii(d))
     powers = (radii / d) ** t
-    worst = -1.0
-    witness = (0, 0.0)
-    # row-chunked distance matrix; rows sorted once, counts via searchsorted
-    chunk = max(1, min(n, CHUNK_ELEMENTS // n))
-    for start in range(0, n, chunk):
-        block = pts[start : start + chunk]
-        if pts.shape[1] == 1:
-            dists = np.abs(block[:, 0][:, None] - pts[:, 0][None, :])
-        else:
-            diff = block[:, None, :] - pts[None, :, :]
-            dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        dists.sort(axis=1)
-        for bi in range(block.shape[0]):
-            counts = np.searchsorted(dists[bi], radii, side="right")
-            ratios = counts / powers
-            k = int(np.argmax(ratios))
-            if ratios[k] > worst:
-                worst = float(ratios[k])
-                witness = (start + bi, float(radii[k]))
-    center = tuple(pts[witness[0]].tolist())
-    if len(center) == 1:
-        center = (center[0],)
+    if n * n <= _pair_block():
+        # the whole scan fits one block: every center at every radius
+        ratios = (_distance_matrix(pts)[:, :, None] <= radii).sum(axis=1) / powers
+        rowmax = ratios.max(axis=1)
+        i = int(np.argmax(rowmax))
+        worst, witness = float(rowmax[i]), (i, float(radii[int(np.argmax(ratios[i]))]))
+        work = (n, n * n)
+    else:
+        worst, witness, work = _pruned_scan(pts, radii, powers)
     return NonConcentrationReport(
         exponent=float(t),
         worst_ratio=worst,
-        witness_center=center,
+        witness_center=tuple(pts[witness[0]].tolist()),
         witness_radius=witness[1],
         log_power_used=float(log_power),
         delta=d,
         n_points=n,
+        exact_centers=work[0],
+        distances=work[1],
     )
+
+
+def _pruned_scan(pts, radii, powers):
+    """check_delta_t's two-phase scan: (worst ratio, (witness index,
+    witness radius), (centers counted exactly, distances computed))."""
+    bound = np.column_stack([_BallCells(pts, r, NC_CELLS_PER_RADIUS).bounds() for r in radii.tolist()])
+    bound_ratio = bound / powers
+    best_bound = bound_ratio.max(axis=1)
+    fine = {}  # the exact phase's finer grids, by radius index
+    exact = np.zeros(pts.shape[0], dtype=bool)
+    distances = 0
+
+    def exact_ratios(centers, live):
+        """Exact ratios of `centers` at their `live` radii, -inf elsewhere."""
+        nonlocal distances
+        counts = np.zeros(live.shape, dtype=np.int64)
+        for k in np.flatnonzero(live.any(axis=0)).tolist():
+            if k not in fine:
+                fine[k] = _BallCells(pts, float(radii[k]), NC_EXACT_CELLS_PER_RADIUS)
+            sel = np.flatnonzero(live[:, k])
+            counts[sel, k], pairs = fine[k].ball_counts(pts, centers[sel])
+            distances += pairs
+        exact[centers] = True
+        ratios = counts / powers
+        ratios[~live] = -np.inf
+        return ratios
+
+    sample = np.argsort(-best_bound, kind="stable")[:NC_SAMPLE]
+    top = np.argmax(bound_ratio[sample], axis=1)
+    low = float(exact_ratios(sample, np.arange(radii.size) == top[:, None]).max())
+    # a (center, radius) whose bound ratio is below `low` cannot attain the
+    # worst ratio; the rest are counted in index order, skipping centers
+    # whose bound cannot beat the worst ratio found so far
+    candidates = np.flatnonzero(best_bound >= low)
+    live = bound_ratio[candidates] >= low
+    worst = -1.0
+    witness = (0, 0.0)
+    for a, b in _blocks(live.sum(axis=1) * (2 * NC_EXACT_CELLS_PER_RADIUS + 1)):
+        keep = a + np.flatnonzero(best_bound[candidates[a:b]] > worst)
+        if keep.size == 0:
+            continue
+        ratios = exact_ratios(candidates[keep], live[keep])
+        rowmax = ratios.max(axis=1)
+        j = int(np.argmax(rowmax))
+        if rowmax[j] > worst:
+            worst = float(rowmax[j])
+            witness = (int(candidates[keep[j]]), float(radii[int(np.argmax(ratios[j]))]))
+    return worst, witness, (int(exact.sum()), distances)
+
+
+def _distance_matrix(pts):
+    """All pairwise distances of the (n, 1) or (n, 2) array: `abs` in 1-D,
+    einsum and sqrt in 2-D."""
+    if pts.shape[1] == 1:
+        return np.abs(pts[:, 0][:, None] - pts[:, 0][None, :])
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _pair_block():
+    """check_delta_t's block: distances, or cell runs, computed at once."""
+    return max(1, CHUNK_ELEMENTS // 64)
+
+
+def _blocks(sizes):
+    """Slices [a, b) of consecutive items whose `sizes` sum to at most
+    _pair_block() (or of one item)."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < ends.size:
+        done = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, done + _pair_block(), side="right")))
+        yield a, b
+        a = b
+
+
+class _BallCells:
+    """The points bucketed for balls of one radius r: cells of side a hair
+    over r/m, packed row-major into int64 keys and sorted once.
+
+    A point at float distance <= r from a center lies in one of the
+    center's stencil cells (dx, dy): |dx|, |dy| <= m and the cell's nearest
+    point within r of the center's cell, max(|dx|-1, 0)² + max(|dy|-1, 0)²
+    <= m².  The hair (2^-20 of the side) absorbs the rounding of the cell
+    indices and of the distance itself, and every excluded cell misses by
+    a factor of at least sqrt(1 + 1/m²).  Every point of an inner cell,
+    (|dx|+1)² + (|dy|+1)² < m² (no dy term in 1-D), lies within
+    r(1 - 1/(3m²)) of the center, so it is in the ball without computing
+    its distance.  Each stencil row is one run of `keys` and its inner
+    cells one run inside it, found by `searchsorted`.  A set too spread
+    for the packed keys gets one cell and no inner cells."""
+
+    __slots__ = ("radius", "order", "keys", "points", "cell_keys", "offsets", "reach", "inner")
+
+    def __init__(self, pts, r, m):
+        self.radius = r
+        side = r / m * (1.0 + 2.0 ** -20)
+        if not np.abs(pts).max() / side <= 2.0 ** 29:
+            side = math.inf  # the packed keys would overflow: one cell
+        cells = np.floor(pts / side).astype(np.int64)
+        cells -= cells.min(axis=0)
+        self.cell_keys = cells[:, 0] + m
+        self.offsets = np.zeros(1, dtype=np.int64)
+        reach, inner = [m], [m - 2]
+        if pts.shape[1] == 2:
+            width = int(cells[:, 0].max()) + 2 * m + 1
+            self.cell_keys += cells[:, 1] * width
+            dy = np.arange(-m, m + 1)
+            self.offsets = dy * width
+            reach = [min(m, 1 + math.isqrt(m * m - max(abs(v) - 1, 0) ** 2)) for v in dy.tolist()]
+            inner = [math.isqrt(max(m * m - 1 - (abs(v) + 1) ** 2, 0)) - 1 for v in dy.tolist()]
+        if side == math.inf:
+            inner = [-1] * len(reach)
+        self.reach = np.array(reach)
+        # a row without inner cells gets the empty run just past its stencil
+        self.inner = np.array([(-w, w) if w >= 0 else (x + 1, x) for w, x in zip(inner, reach)]).T
+        self.order = np.argsort(self.cell_keys, kind="stable")
+        self.keys = self.cell_keys[self.order]
+        self.points = pts[self.order]
+
+    def runs(self, cell_keys, spans):
+        """Per key and stencil row, the run of `order` whose keys lie in
+        key + row offset + [spans[0], spans[1]]: (lo, hi)."""
+        rows = cell_keys[:, None] + self.offsets
+        return (np.searchsorted(self.keys, rows + spans[0], side="left"),
+                np.searchsorted(self.keys, rows + spans[1], side="right"))
+
+    def bounds(self):
+        """Per point: the number of points in its cell's stencil, an upper
+        bound on |P ∩ B(x, r)|, computed once per occupied cell."""
+        new = np.empty(self.keys.size, dtype=bool)
+        new[0] = True
+        np.not_equal(self.keys[1:], self.keys[:-1], out=new[1:])
+        occupied = self.keys[new]
+        per_cell = np.empty(occupied.size, dtype=np.int64)
+        step = max(1, _pair_block() // self.offsets.size)
+        for a in range(0, occupied.size, step):
+            lo, hi = self.runs(occupied[a : a + step], (-self.reach, self.reach))
+            per_cell[a : a + step] = (hi - lo).sum(axis=1)
+        out = np.empty(self.keys.size, dtype=np.int64)
+        out[self.order] = per_cell[np.cumsum(new) - 1]
+        return out
+
+    def ball_counts(self, pts, centers):
+        """(counts, distances): |P ∩ B(x_c, r)| for each center, from its
+        inner cells' run lengths and the distances to the other points of
+        its stencil (`abs` in 1-D, einsum and sqrt in 2-D, `<= r`),
+        gathered at most _pair_block() at a time."""
+        keys = self.cell_keys[centers]
+        lo, hi = self.runs(keys, (-self.reach, self.reach))
+        inner_lo, inner_hi = self.runs(keys, self.inner)
+        counts = (inner_hi - inner_lo).sum(axis=1)
+        # the stencil minus its inner run: [lo, inner_lo) and [inner_hi, hi)
+        starts = np.concatenate([lo, inner_hi], axis=1)
+        lens = np.concatenate([inner_lo - lo, hi - inner_hi], axis=1)
+        sizes = lens.sum(axis=1)
+        for a, b in _blocks(sizes):
+            run = lens[a:b].ravel()
+            pos = np.repeat(starts[a:b].ravel() - (np.cumsum(run) - run), run) + np.arange(run.sum())
+            diff = np.take(self.points, pos, axis=0) - np.repeat(pts[centers[a:b]], sizes[a:b], axis=0)
+            if pts.shape[1] == 1:
+                dists = np.abs(diff[:, 0])
+            else:
+                dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            hits = np.zeros(pos.size + 1, dtype=np.int64)
+            np.cumsum(dists <= self.radius, out=hits[1:])
+            ends = np.cumsum(sizes[a:b])
+            counts[a:b] += hits[ends] - hits[ends - sizes[a:b]]
+        return counts, int(sizes.sum())
 
 
 class DyadicCells:

@@ -60,7 +60,8 @@ def _read_rows(path, expected_header, n_fields):
     return rows, comments, linenos
 
 
-def _comment_float(path, comments, key) -> float:
+def _comment_float(path, comments, key, upper=math.inf) -> float:
+    """The `# key=` comment's value, which must lie in (0, upper]."""
     if key not in comments:
         raise CsvFormatError(path, 1, f"missing '# {key}=' comment header")
     lineno, value = comments[key]
@@ -70,6 +71,9 @@ def _comment_float(path, comments, key) -> float:
         x = math.nan
     if not math.isfinite(x):
         raise CsvFormatError(path, lineno, f"'# {key}=' value {value!r} is not a finite number")
+    if not 0.0 < x <= upper:
+        bounds = "be positive" if upper == math.inf else f"lie in (0, {upper:g}]"
+        raise CsvFormatError(path, lineno, f"'# {key}=' value {value!r} must {bounds}")
     return x
 
 
@@ -161,7 +165,9 @@ def write_product(path, p: ProductLikeSet):
 
 def read_product(path) -> ProductLikeSet:
     rows, comments, _ = _read_rows(path, "b,a", 2)
-    delta, s, tau = (_comment_float(path, comments, key) for key in ("delta", "s", "tau"))
+    # the ranges ProductLikeSet and check_delta_t accept
+    delta = _comment_float(path, comments, "delta", 0.5)
+    s, tau = (_comment_float(path, comments, key, 2.0) for key in ("s", "tau"))
     fibers: dict = {}
     for b, a in rows:
         fibers.setdefault(b, []).append(a)

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately written without importing the package's
-fast paths: plain loops and exhaustive searches, so the two routes stay
-independent.
+fast paths: plain loops and exhaustive searches, or a quadratic numpy twin
+of a pruned kernel, so the two routes stay independent.
 """
 
 import math
+
+import numpy as np
 
 
 def greedy_interval_cover(values, delta):
@@ -73,7 +75,10 @@ def brute_sumset(a_members, b_members, sign=1):
 
 
 def brute_nonconcentration(coords, delta, t):
-    """Max of |P ∩ B(x,r)| / (r/delta)^t over centers in P, dyadic closed balls."""
+    """Max of |P ∩ B(x,r)| / (r/delta)^t over centers in P, dyadic closed balls,
+    and its witness (x, r): the first center, then the smallest radius.
+    Squares are products, each rounded once (`** 2` goes through `pow`,
+    which can round the other way)."""
     pts = [tuple(p) if hasattr(p, "__len__") else (float(p),) for p in coords]
     radii = []
     r = delta
@@ -88,7 +93,7 @@ def brute_nonconcentration(coords, delta, t):
         for r in radii:
             c = 0
             for p in pts:
-                dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, p)))
+                dist = math.sqrt(sum((a - b) * (a - b) for a, b in zip(x, p)))
                 if dist <= r:
                     c += 1
             ratio = c / (r / delta) ** t
@@ -96,6 +101,47 @@ def brute_nonconcentration(coords, delta, t):
                 worst = ratio
                 witness = (x, r)
     return worst, witness
+
+
+def quadratic_nonconcentration(coords, delta, t, chunk_elements=2 ** 22):
+    """The quadratic twin of `check_delta_t`: (worst_ratio, witness_center,
+    witness_radius) from the full distance matrix, in row blocks of at most
+    `chunk_elements` distances, each row sorted once.  Same arithmetic as
+    the scan (abs in 1-D, einsum and sqrt in 2-D, `<= r` by searchsorted,
+    counts / (r/delta)^t), so the reports agree bit for bit; the first
+    center in index order attaining the worst ratio, then its smallest
+    radius, is the witness."""
+    pts = np.asarray(coords, dtype=np.float64)
+    pts = pts.reshape(len(pts), -1)
+    n = pts.shape[0]
+    radii = []
+    r = delta
+    while r <= 1.0:
+        radii.append(r)
+        r *= 2.0
+    if radii[-1] < 1.0:
+        radii.append(1.0)
+    radii = np.asarray(radii)
+    powers = (radii / delta) ** t
+    worst = -1.0
+    witness = (0, 0.0)
+    chunk = max(1, min(n, chunk_elements // n))
+    for start in range(0, n, chunk):
+        block = pts[start : start + chunk]
+        if pts.shape[1] == 1:
+            dists = np.abs(block[:, 0][:, None] - pts[:, 0][None, :])
+        else:
+            diff = block[:, None, :] - pts[None, :, :]
+            dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dists.sort(axis=1)
+        for bi in range(block.shape[0]):
+            counts = np.searchsorted(dists[bi], radii, side="right")
+            ratios = counts / powers
+            k = int(np.argmax(ratios))
+            if ratios[k] > worst:
+                worst = float(ratios[k])
+                witness = (start + bi, float(radii[k]))
+    return worst, tuple(pts[witness[0]].tolist()), witness[1]
 
 
 def cantor_left_endpoints(contraction, depth):

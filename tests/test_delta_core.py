@@ -9,9 +9,11 @@ from projlab import delta_core
 from projlab.delta_core import (
     EXTRACTION_CARDINALITY_C,
     EXTRACTION_RATIO_BOUND,
+    SEPARATION_RTOL,
     Direction,
     DirectionSet,
     DyadicCells,
+    NonConcentrationReport,
     PointSet2D,
     ScalarSet,
     Scale,
@@ -26,6 +28,7 @@ from projlab.delta_core import (
     projection_sweep,
 )
 from projlab.errors import SeparationError
+from projlab.generators import gen_random_frostman
 
 import oracles
 
@@ -173,6 +176,157 @@ def test_check_delta_t_matches_oracle_on_seeded_2d(monkeypatch):
     # rows in chunks of 7 (the last one ragged) give the same report
     monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", 7 * len(pts))
     assert check_delta_t(PointSet2D(pts), d, 1.0) == rep
+
+
+def _twin_report(coords, d, t, log_power=0.0):
+    worst, center, radius = oracles.quadratic_nonconcentration(coords, d, t)
+    return NonConcentrationReport(exponent=float(t), worst_ratio=worst, witness_center=center,
+                                  witness_radius=radius, log_power_used=float(log_power), delta=d,
+                                  n_points=len(coords))
+
+
+@pytest.fixture(scope="module")
+def frostman_sets():
+    # the generator's benchmark-size sets: n = 4,096, t = 1.5, δ = 2^-10
+    return [gen_random_frostman(4096, 1.5, 2.0 ** -10, seed=seed) for seed in range(3)]
+
+
+def test_check_delta_t_matches_quadratic_twin_on_generator_sets(frostman_sets):
+    d = 2.0 ** -10
+    for pts in frostman_sets:
+        rep = check_delta_t(pts, d, 1.5)
+        assert rep == _twin_report(pts.points, d, 1.5)
+
+
+def test_check_delta_t_prunes_most_centers_of_the_generator_set(frostman_sets):
+    # a scan that silently counted every center exactly would be quadratic
+    rep = check_delta_t(frostman_sets[0], 2.0 ** -10, 1.5)
+    assert rep.exact_centers < 0.1 * rep.n_points
+    assert 0 < rep.distances < 0.01 * rep.n_points ** 2
+
+
+def test_check_delta_t_matches_quadratic_twin_on_lattice_ties_and_log_power():
+    # the 64² lattice: many centers tie near the worst ratio
+    d = 2.0 ** -6
+    ticks = np.arange(64) * d
+    lattice = np.array([(x, y) for x in ticks for y in ticks])
+    assert check_delta_t(PointSet2D(lattice), d, 1.0) == _twin_report(lattice, d, 1.0)
+    rep = check_delta_t(PointSet2D(lattice), d, 1.0, log_power=1.0)
+    assert rep == _twin_report(lattice, d, 1.0, log_power=1.0)
+    assert rep.log_power_used == 1.0
+    # two translated copies of one cluster tie center for center at every
+    # radius short of the gap between them: the witness (at r = δ) is the
+    # first copy's, found in index order
+    rng = np.random.default_rng(41)
+    d = 2.0 ** -9
+    cluster = np.unique(rng.integers(0, 40, size=(500, 2)), axis=0) * d
+    twins = PointSet2D(np.vstack([cluster, cluster + [0.5, 0.0]]))
+    rep = check_delta_t(twins, d, 1.5)
+    assert rep == _twin_report(twins.points, d, 1.5)
+    assert rep.witness_center[0] < 0.5
+
+
+def test_check_delta_t_matches_quadratic_twin_on_rounded_and_spread_sets():
+    # multiples of 0.1 put distances a rounding away from the radii 0.1·2^k
+    d = 0.1
+    ticks = np.arange(21) * d
+    rounded = np.array([(x, y) for x in ticks for y in ticks])
+    assert check_delta_t(rounded, d, 1.0) == _twin_report(rounded, d, 1.0)
+    # a far point overflows the packed keys of the finest cells: those radii
+    # fall back to one cell holding every point
+    rng = np.random.default_rng(45)
+    d = 2.0 ** -10
+    spread = np.vstack([np.unique(rng.integers(0, 200, size=(400, 2)), axis=0) * d, [[3e6, 0.0]]])
+    rep = check_delta_t(spread, d, 1.5)
+    assert rep == _twin_report(spread, d, 1.5)
+
+
+def test_check_delta_t_matches_quadratic_twin_on_scalar_fibers():
+    rng = np.random.default_rng(43)
+    d = 2.0 ** -12
+    grid = ScalarSet(np.unique(rng.integers(0, 4096, size=1500)) * d)
+    # off-grid values at gaps of at least δ, and a small fiber (one block)
+    loose = ScalarSet(np.cumsum(d + rng.exponential(3 * d, size=900)))
+    small = ScalarSet(np.unique(rng.integers(0, 64, size=20)) * d)
+    for fiber in (grid, loose, small):
+        for t in (0.5, 1.0):
+            assert check_delta_t(fiber, d, t) == _twin_report(fiber.values, d, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=40, unique=True),
+    delta=st.sampled_from([2.0 ** -3, 2.0 ** -4, 0.1, 0.15]),
+    eighths=st.integers(min_value=1, max_value=16),
+    one_d=st.booleans(),
+    m=st.integers(min_value=1, max_value=3),
+    exact_m=st.integers(min_value=1, max_value=6),
+    sample=st.integers(min_value=1, max_value=4),
+    chunk=st.integers(min_value=1, max_value=3000),
+)
+def test_property_pruned_scan_matches_brute_oracle(cells, delta, eighths, one_d, m, exact_m, sample, chunk):
+    # grid points in index order (not sorted), so ties between centers and
+    # radii sit exactly on ball boundaries; coarse cells, tiny samples and
+    # blocks of at most chunk // 64 distances force the pruned path
+    t = eighths / 8
+    if one_d:
+        coords = [(i * delta,) for i in dict.fromkeys(i for i, _ in cells)]
+    else:
+        coords = [(i * delta, j * delta) for i, j in cells]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delta_core, "NC_CELLS_PER_RADIUS", m)
+        mp.setattr(delta_core, "NC_EXACT_CELLS_PER_RADIUS", exact_m)
+        mp.setattr(delta_core, "NC_SAMPLE", sample)
+        mp.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
+        rep = check_delta_t(np.array(coords), delta, t, validate_separation=False)
+    worst, (center, radius) = oracles.brute_nonconcentration(coords, delta, t)
+    assert (rep.worst_ratio, rep.witness_center, rep.witness_radius) == (worst, center, radius)
+
+
+def test_check_delta_t_cells_a_hair_wider_than_r_over_m(monkeypatch):
+    # the pair is r = 2^-3 apart, and on cells of side exactly r/8 the
+    # rounded quotients put it 9 cells apart: only the hair keeps it in the
+    # stencil (tiny blocks force the pruned path)
+    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", 64)
+    d = 2.0 ** -6
+    xs = [math.nextafter(2.0 ** -6, 0.0), 9 * 2.0 ** -6]
+    for coords, P in (([(x,) for x in xs], ScalarSet(xs)), ([(x, 0.5) for x in xs], PointSet2D([(x, 0.5) for x in xs]))):
+        rep = check_delta_t(P, d, 0.125)
+        worst, (center, radius) = oracles.brute_nonconcentration(coords, d, 0.125)
+        assert (rep.worst_ratio, rep.witness_center, rep.witness_radius) == (worst, center, radius)
+        assert radius == 2.0 ** -3
+
+
+def _brute_violation(pts, r):
+    thresh = r * (1.0 - SEPARATION_RTOL)
+    n = len(pts)
+    return any(math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) < thresh
+               for i in range(n) for j in range(i + 1, n))
+
+
+@pytest.mark.parametrize("chunk", [None, 200])
+def test_closest_violation_matches_brute_pair_search(monkeypatch, chunk):
+    if chunk is not None:  # the cell screen instead of one all-pairs block
+        monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(47)
+    sets = [(rng.uniform(0, 1, size=(150, 2)), r) for r in (0.2, 0.02, 0.004)]
+    sets.append((np.unique(rng.integers(0, 30, size=(200, 2)), axis=0) * 0.1, 0.1))
+    sets.append((rng.uniform(-3, 3, size=(80, 2)), 0.05))
+    # pairs exactly at r·(1 - SEPARATION_RTOL), on an axis and a diagonal,
+    # are clean; an ulp closer they are not
+    r = 2.0 ** -5
+    thresh = r * (1.0 - SEPARATION_RTOL)
+    for gap in (thresh, math.nextafter(thresh, 0.0)):
+        sets.append((np.array([[0.5, 0.5], [0.5 + gap, 0.5], [0.9, 0.9]]), r))
+        sets.append((np.array([[0.1, 0.2], [0.1, 0.2 + gap]]), r))
+        sets.append((np.array([[0.0, 0.0], [gap * 0.6, gap * 0.8]]), r))
+    for pts, r in sets:
+        pts = PointSet2D(pts).points
+        got = delta_core._closest_violation(pts, r)
+        assert (got is not None) == _brute_violation(pts.tolist(), r)
+        if got is not None:
+            i, j, dist = got
+            assert dist == math.hypot(*(pts[i] - pts[j])) < r * (1.0 - SEPARATION_RTOL)
 
 
 def test_dyadic_cells_match_oracle_masses():

@@ -153,8 +153,8 @@ def test_pairgraph_non_integer_index_line_number(tmp_path):
     assert err.value.line == 4
 
 
-# out-of-int64 indices and non-numeric comment values: (reader, file text,
-# line the error must name)
+# out-of-int64 indices and non-numeric or out-of-range comment values:
+# (reader, file text, line the error must name)
 BAD_VALUES = {
     "grid-index-overflow": (serialize.read_gridset, "# delta=0.5\nk\n1\n1e20\n", 4),
     "edge-index-overflow": (serialize.read_pairgraph_edges, "a_index,b_index\n0,1\n0,1e20\n", 3),
@@ -162,6 +162,17 @@ BAD_VALUES = {
     "product-tau-not-a-number": (serialize.read_product,
                                  "# delta=0.25\n# s=0.5\n# tau=abc\nb,a\n0.0,0.5\n", 3),
     "grid-delta-infinite": (serialize.read_gridset, "# delta=inf\nk\n1\n", 1),
+    # finite but outside the range the constructors and scans accept
+    "grid-delta-negative": (serialize.read_gridset, "k\n1\n# delta=-1\n", 3),
+    "grid-delta-zero": (serialize.read_gridset, "# delta=0\nk\n1\n", 1),
+    "product-delta-above-half": (serialize.read_product,
+                                 "# delta=0.75\n# s=0.5\n# tau=0.5\nb,a\n0.0,0.5\n", 1),
+    "product-s-negative": (serialize.read_product,
+                           "# delta=0.25\n# s=-0.5\n# tau=0.5\nb,a\n0.0,0.5\n", 2),
+    "product-tau-above-two": (serialize.read_product,
+                              "b,a\n0.0,0.5\n# delta=0.25\n# s=0.5\n# tau=2.5\n", 5),
+    "product-s-zero": (serialize.read_product,
+                       "# delta=0.25\n# s=0\n# tau=0.5\nb,a\n0.0,0.5\n", 2),
 }
 
 
