@@ -40,18 +40,21 @@ EXTRACTION_RATIO_BOUND = 20.0
 EXTRACTION_CARDINALITY_C = 0.01
 
 # values per block in projection_sweep (projected values) and, divided by
-# 64, in check_delta_t (distances, or cell runs): bounds their memory
+# 64, in check_delta_t (distances, or stencil runs): bounds their memory
 # whatever the input size
 CHUNK_ELEMENTS = 2 ** 22
 
 # check_delta_t's pruning: cells of side r/NC_CELLS_PER_RADIUS bound the
-# ball counts at radius r; the exact counts of the NC_SAMPLE centers with
-# the largest bound ratio give the lower bound that prunes the rest; the
-# centers left are counted on cells of side r/NC_EXACT_CELLS_PER_RADIUS,
-# fine enough that most of a ball is inner cells counted without distances
+# ball counts at radius r and hold the points that are counted exactly; the
+# exact counts of the NC_SAMPLE centers with the largest bound ratio give
+# the lower bound that prunes the rest
 NC_CELLS_PER_RADIUS = 8
-NC_EXACT_CELLS_PER_RADIUS = 32
 NC_SAMPLE = 32
+
+# cells along each axis of a `_BallCells` grid at most: keeps the rounding
+# of its cell indices under the hair, and the packed keys of all the
+# radii a float δ allows (at most 1,076) inside int64
+MAX_CELLS = 2 ** 25
 
 
 def as_delta(delta) -> float:
@@ -171,12 +174,14 @@ def _closest_violation(pts, r, rtol=SEPARATION_RTOL):
     within a hair (2^-30) over that threshold, so it flags every pair the
     loop below can report, whatever the rounding of `math.hypot`.  Only a
     flagged set reaches the loop, which names the first pair in its bucket
-    order."""
+    order.  A set spanning more than MAX_CELLS times the threshold would get
+    coarser cells than the loop's, so it skips the screen."""
     n = pts.shape[0]
     if n < 2:
         return None
     thresh = r * (1.0 - rtol)
-    if not _has_close_pair(pts, thresh * (1.0 + 2.0 ** -30)):
+    limit = thresh * (1.0 + 2.0 ** -30)
+    if np.ptp(pts, axis=0).max() <= MAX_CELLS * limit and not _has_close_pair(pts, limit):
         return None
     cells = np.floor(pts / r).astype(np.int64)
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -199,17 +204,10 @@ def _closest_violation(pts, r, rtol=SEPARATION_RTOL):
 
 def _has_close_pair(pts, limit):
     """Whether two points of the (n, 2) array lie within `limit` of each
-    other: all pairs at once if they fit one block, else each point's
-    `_BallCells` stencil, a block of points at a time."""
+    other: some point's ball of radius `limit` holds another."""
     n = pts.shape[0]
-    if n * n <= _pair_block():
-        return np.count_nonzero(_distance_matrix(pts) <= limit) > n
-    grid = _BallCells(pts, limit, 1)
-    centers = np.arange(n)
-    for a, b in _blocks(np.full(n, grid.offsets.size)):
-        if (grid.ball_counts(pts, centers[a:b])[0] > 1).any():
-            return True
-    return False
+    grid = _BallCells(pts, np.array([limit]), 1)
+    return bool((grid.ball_counts(pts, np.arange(n), np.zeros(n, dtype=np.int64))[0] > 1).any())
 
 
 @dataclass(frozen=True)
@@ -398,15 +396,16 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
     are closed.  Rejects input that is not δ-separated (the condition is
     only meaningful for δ-separated sets) unless validation is disabled.
 
-    Exact and pruned.  A set whose n² distances fit one block is scanned
-    whole.  Otherwise `_BallCells` bounds every center's count at every
-    radius, the exact counts of the NC_SAMPLE centers with the largest
-    bound ratio give a lower bound L on the worst ratio, and only the
-    (center, radius) pairs whose bound ratio reaches L are counted exactly,
-    centers in index order.  Any other pair has a ratio below L, so the
-    report is the one a full scan gives: the first center in index order
-    attaining the worst ratio, and its smallest such radius.  The report
-    counts the centers counted exactly and the distances computed.
+    Exact and pruned.  `_BallCells` bounds every center's count at every
+    radius.  The NC_SAMPLE centers with the largest bound ratio are counted
+    exactly; their worst ratio L, first attained by the sampled center f,
+    is a lower bound on the worst ratio.  Any other center is counted, in
+    index order and only at the radii whose bound ratio reaches L, if its
+    bound ratio exceeds L, or equals it before f.  A pair left out has a
+    ratio below L, or cannot beat f, so the report is the one a full scan
+    gives: the first center in index order attaining the worst ratio, and
+    its smallest such radius.  The report counts the centers counted
+    exactly and the distances computed.
     """
     d = as_delta(delta)
     if not 0.0 < t <= 2.0:
@@ -434,15 +433,10 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
 
     radii = np.asarray(dyadic_radii(d))
     powers = (radii / d) ** t
-    if n * n <= _pair_block():
-        # the whole scan fits one block: every center at every radius
-        ratios = (_distance_matrix(pts)[:, :, None] <= radii).sum(axis=1) / powers
-        rowmax = ratios.max(axis=1)
-        i = int(np.argmax(rowmax))
-        worst, witness = float(rowmax[i]), (i, float(radii[int(np.argmax(ratios[i]))]))
-        work = (n, n * n)
-    else:
-        worst, witness, work = _pruned_scan(pts, radii, powers)
+    # every center's ratio at r = δ is at least 1, and one at a radius
+    # with (r/δ)^t > n is below 1: such radii cannot attain the worst ratio
+    scanned = powers <= n
+    worst, witness, work = _pruned_scan(pts, radii[scanned], powers[scanned])
     return NonConcentrationReport(
         exponent=float(t),
         worst_ratio=worst,
@@ -459,62 +453,55 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
 def _pruned_scan(pts, radii, powers):
     """check_delta_t's two-phase scan: (worst ratio, (witness index,
     witness radius), (centers counted exactly, distances computed))."""
-    bound = np.column_stack([_BallCells(pts, r, NC_CELLS_PER_RADIUS).bounds() for r in radii.tolist()])
-    bound_ratio = bound / powers
+    n = pts.shape[0]
+    grid = _BallCells(pts, radii, NC_CELLS_PER_RADIUS)
+    bound_ratio = grid.bounds() / powers
     best_bound = bound_ratio.max(axis=1)
-    fine = {}  # the exact phase's finer grids, by radius index
-    exact = np.zeros(pts.shape[0], dtype=bool)
+    exact = np.zeros(n, dtype=bool)
     distances = 0
+    worst, witness = -1.0, (n, 0.0)
 
-    def exact_ratios(centers, live):
-        """Exact ratios of `centers` at their `live` radii, -inf elsewhere."""
-        nonlocal distances
+    def count(centers, live):
+        """Count the increasing `centers` exactly at their `live` radii; the
+        first of them attaining their worst ratio becomes the witness if
+        that ratio is larger than the worst so far, or equal at a smaller
+        index."""
+        nonlocal distances, worst, witness
+        row, k = np.nonzero(live)
         counts = np.zeros(live.shape, dtype=np.int64)
-        for k in np.flatnonzero(live.any(axis=0)).tolist():
-            if k not in fine:
-                fine[k] = _BallCells(pts, float(radii[k]), NC_EXACT_CELLS_PER_RADIUS)
-            sel = np.flatnonzero(live[:, k])
-            counts[sel, k], pairs = fine[k].ball_counts(pts, centers[sel])
-            distances += pairs
+        counts[row, k], pairs = grid.ball_counts(pts, centers[row], k)
+        distances += pairs
         exact[centers] = True
         ratios = counts / powers
         ratios[~live] = -np.inf
-        return ratios
-
-    sample = np.argsort(-best_bound, kind="stable")[:NC_SAMPLE]
-    top = np.argmax(bound_ratio[sample], axis=1)
-    low = float(exact_ratios(sample, np.arange(radii.size) == top[:, None]).max())
-    # a (center, radius) whose bound ratio is below `low` cannot attain the
-    # worst ratio; the rest are counted in index order, skipping centers
-    # whose bound cannot beat the worst ratio found so far
-    candidates = np.flatnonzero(best_bound >= low)
-    live = bound_ratio[candidates] >= low
-    worst = -1.0
-    witness = (0, 0.0)
-    for a, b in _blocks(live.sum(axis=1) * (2 * NC_EXACT_CELLS_PER_RADIUS + 1)):
-        keep = a + np.flatnonzero(best_bound[candidates[a:b]] > worst)
-        if keep.size == 0:
-            continue
-        ratios = exact_ratios(candidates[keep], live[keep])
         rowmax = ratios.max(axis=1)
         j = int(np.argmax(rowmax))
-        if rowmax[j] > worst:
-            worst = float(rowmax[j])
-            witness = (int(candidates[keep[j]]), float(radii[int(np.argmax(ratios[j]))]))
+        if rowmax[j] > worst or (rowmax[j] == worst and centers[j] < witness[0]):
+            worst, witness = float(rowmax[j]), (int(centers[j]), float(radii[int(np.argmax(ratios[j]))]))
+
+    # the exact rows of the sample: every center's ratio at r = δ is at
+    # least 1, so a radius whose bound ratio is below 1 cannot hold a worst
+    sample = np.sort(np.argsort(-best_bound, kind="stable")[:NC_SAMPLE])
+    count(sample, bound_ratio[sample] >= 1.0)
+    # any other center can be the witness only with a bound ratio above the
+    # sample's worst, or equal to it at a smaller index, and only at the
+    # radii whose bound ratio reaches it; those are counted in index order,
+    # skipping centers whose bound cannot beat the witness found so far
+    rest = np.ones(n, dtype=bool)
+    rest[sample] = False
+    index = np.arange(n)
+    candidates = index[rest & ((best_bound > worst) | ((best_bound == worst) & (index < witness[0])))]
+    live = bound_ratio[candidates] >= worst
+    for a, b in _blocks(live.sum(axis=1) * grid.offsets.shape[1]):
+        block = candidates[a:b]
+        keep = (best_bound[block] > worst) | ((best_bound[block] == worst) & (block < witness[0]))
+        if keep.any():
+            count(block[keep], live[a:b][keep])
     return worst, witness, (int(exact.sum()), distances)
 
 
-def _distance_matrix(pts):
-    """All pairwise distances of the (n, 1) or (n, 2) array: `abs` in 1-D,
-    einsum and sqrt in 2-D."""
-    if pts.shape[1] == 1:
-        return np.abs(pts[:, 0][:, None] - pts[:, 0][None, :])
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def _pair_block():
-    """check_delta_t's block: distances, or cell runs, computed at once."""
+    """check_delta_t's block: distances, or stencil runs, computed at once."""
     return max(1, CHUNK_ELEMENTS // 64)
 
 
@@ -531,97 +518,91 @@ def _blocks(sizes):
 
 
 class _BallCells:
-    """The points bucketed for balls of one radius r: cells of side a hair
-    over r/m, packed row-major into int64 keys and sorted once.
+    """The points bucketed for balls of each radius r in `radii`: cells of
+    side a hair over r/m, packed row-major into int64 keys, each radius's
+    keys in a range of their own, all sorted once.
 
     A point at float distance <= r from a center lies in one of the
     center's stencil cells (dx, dy): |dx|, |dy| <= m and the cell's nearest
     point within r of the center's cell, max(|dx|-1, 0)² + max(|dy|-1, 0)²
-    <= m².  The hair (2^-20 of the side) absorbs the rounding of the cell
-    indices and of the distance itself, and every excluded cell misses by
-    a factor of at least sqrt(1 + 1/m²).  Every point of an inner cell,
-    (|dx|+1)² + (|dy|+1)² < m² (no dy term in 1-D), lies within
-    r(1 - 1/(3m²)) of the center, so it is in the ball without computing
-    its distance.  Each stencil row is one run of `keys` and its inner
-    cells one run inside it, found by `searchsorted`.  A set too spread
-    for the packed keys gets one cell and no inner cells."""
+    <= m² (no dy in 1-D).  The hair (2^-20 of the side) absorbs the
+    rounding of the cell indices and of the distance itself, and every
+    excluded cell misses by a factor of at least sqrt(1 + 1/m²).  Each
+    stencil row is one run of `keys`, found by `searchsorted`.  Cells are
+    counted from the set's least coordinates, at most MAX_CELLS along each
+    axis: a radius below MAX_CELLS·m/span gets cells of side span/MAX_CELLS,
+    wider than r/m, which the same stencil still covers."""
 
-    __slots__ = ("radius", "order", "keys", "points", "cell_keys", "offsets", "reach", "inner")
+    __slots__ = ("radii", "order", "keys", "points", "cell_keys", "offsets", "reach")
 
-    def __init__(self, pts, r, m):
-        self.radius = r
-        side = r / m * (1.0 + 2.0 ** -20)
-        if not np.abs(pts).max() / side <= 2.0 ** 29:
-            side = math.inf  # the packed keys would overflow: one cell
-        cells = np.floor(pts / side).astype(np.int64)
-        cells -= cells.min(axis=0)
-        self.cell_keys = cells[:, 0] + m
-        self.offsets = np.zeros(1, dtype=np.int64)
-        reach, inner = [m], [m - 2]
+    def __init__(self, pts, radii, m):
+        self.radii = radii
+        lo = pts.min(axis=0)
+        span = float((pts.max(axis=0) - lo).max())
+        sides = np.maximum(radii / m, span / MAX_CELLS) * (1.0 + 2.0 ** -20)
+        # cell indices shifted by m, so every stencil cell's is >= 0
+        cells = np.floor((pts - lo) / sides[:, None, None]).astype(np.int64) + m
+        extent = cells.max(axis=1) + m + 1  # per radius and axis
+        keys = cells[:, :, 0]
+        self.offsets = np.zeros((radii.size, 1), dtype=np.int64)
+        self.reach = np.array([m])
         if pts.shape[1] == 2:
-            width = int(cells[:, 0].max()) + 2 * m + 1
-            self.cell_keys += cells[:, 1] * width
-            dy = np.arange(-m, m + 1)
-            self.offsets = dy * width
-            reach = [min(m, 1 + math.isqrt(m * m - max(abs(v) - 1, 0) ** 2)) for v in dy.tolist()]
-            inner = [math.isqrt(max(m * m - 1 - (abs(v) + 1) ** 2, 0)) - 1 for v in dy.tolist()]
-        if side == math.inf:
-            inner = [-1] * len(reach)
-        self.reach = np.array(reach)
-        # a row without inner cells gets the empty run just past its stencil
-        self.inner = np.array([(-w, w) if w >= 0 else (x + 1, x) for w, x in zip(inner, reach)]).T
-        self.order = np.argsort(self.cell_keys, kind="stable")
-        self.keys = self.cell_keys[self.order]
-        self.points = pts[self.order]
+            keys = keys + cells[:, :, 1] * extent[:, :1]
+            dy = range(-m, m + 1)
+            self.offsets = np.array(dy) * extent[:, :1]
+            self.reach = np.array([min(m, 1 + math.isqrt(m * m - max(abs(v) - 1, 0) ** 2)) for v in dy])
+        size = extent.prod(axis=1)
+        self.cell_keys = keys + (np.cumsum(size) - size)[:, None]
+        self.order = np.argsort(self.cell_keys, axis=None, kind="stable")
+        self.keys = self.cell_keys.ravel()[self.order]
+        self.points = pts[self.order % pts.shape[0]]
 
-    def runs(self, cell_keys, spans):
-        """Per key and stencil row, the run of `order` whose keys lie in
-        key + row offset + [spans[0], spans[1]]: (lo, hi)."""
-        rows = cell_keys[:, None] + self.offsets
-        return (np.searchsorted(self.keys, rows + spans[0], side="left"),
-                np.searchsorted(self.keys, rows + spans[1], side="right"))
+    def runs(self, cell_keys, radius):
+        """Per key and stencil row of the radius index, the run of `order`
+        whose keys lie in key + row offset + [-reach, reach]: (lo, hi)."""
+        rows = cell_keys[:, None] + self.offsets[radius]
+        return (np.searchsorted(self.keys, rows - self.reach, side="left"),
+                np.searchsorted(self.keys, rows + self.reach, side="right"))
 
     def bounds(self):
-        """Per point: the number of points in its cell's stencil, an upper
-        bound on |P ∩ B(x, r)|, computed once per occupied cell."""
+        """(n, radii) array: the number of points in each point's stencil at
+        each radius, an upper bound on |P ∩ B(x, r)|, computed once per
+        occupied cell."""
         new = np.empty(self.keys.size, dtype=bool)
         new[0] = True
         np.not_equal(self.keys[1:], self.keys[:-1], out=new[1:])
         occupied = self.keys[new]
+        radius = self.order[new] // self.cell_keys.shape[1]
         per_cell = np.empty(occupied.size, dtype=np.int64)
-        step = max(1, _pair_block() // self.offsets.size)
+        step = max(1, _pair_block() // self.offsets.shape[1])
         for a in range(0, occupied.size, step):
-            lo, hi = self.runs(occupied[a : a + step], (-self.reach, self.reach))
+            lo, hi = self.runs(occupied[a : a + step], radius[a : a + step])
             per_cell[a : a + step] = (hi - lo).sum(axis=1)
         out = np.empty(self.keys.size, dtype=np.int64)
         out[self.order] = per_cell[np.cumsum(new) - 1]
-        return out
+        return out.reshape(self.cell_keys.shape).T
 
-    def ball_counts(self, pts, centers):
-        """(counts, distances): |P ∩ B(x_c, r)| for each center, from its
-        inner cells' run lengths and the distances to the other points of
-        its stencil (`abs` in 1-D, einsum and sqrt in 2-D, `<= r`),
-        gathered at most _pair_block() at a time."""
-        keys = self.cell_keys[centers]
-        lo, hi = self.runs(keys, (-self.reach, self.reach))
-        inner_lo, inner_hi = self.runs(keys, self.inner)
-        counts = (inner_hi - inner_lo).sum(axis=1)
-        # the stencil minus its inner run: [lo, inner_lo) and [inner_hi, hi)
-        starts = np.concatenate([lo, inner_hi], axis=1)
-        lens = np.concatenate([inner_lo - lo, hi - inner_hi], axis=1)
+    def ball_counts(self, pts, centers, radius):
+        """(counts, distances): |P ∩ B(x_c, r)| for each center and radius
+        index, from the distances to the points of its stencil (`abs` in
+        1-D, einsum and sqrt in 2-D, `<= r`), gathered at most _pair_block()
+        at a time."""
+        lo, hi = self.runs(self.cell_keys[radius, centers], radius)
+        lens = hi - lo
         sizes = lens.sum(axis=1)
+        counts = np.empty(centers.size, dtype=np.int64)
         for a, b in _blocks(sizes):
             run = lens[a:b].ravel()
-            pos = np.repeat(starts[a:b].ravel() - (np.cumsum(run) - run), run) + np.arange(run.sum())
+            pos = np.repeat(lo[a:b].ravel() - (np.cumsum(run) - run), run) + np.arange(run.sum())
             diff = np.take(self.points, pos, axis=0) - np.repeat(pts[centers[a:b]], sizes[a:b], axis=0)
             if pts.shape[1] == 1:
                 dists = np.abs(diff[:, 0])
             else:
                 dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             hits = np.zeros(pos.size + 1, dtype=np.int64)
-            np.cumsum(dists <= self.radius, out=hits[1:])
+            np.cumsum(dists <= np.repeat(self.radii[radius[a:b]], sizes[a:b]), out=hits[1:])
             ends = np.cumsum(sizes[a:b])
-            counts[a:b] += hits[ends] - hits[ends - sizes[a:b]]
+            counts[a:b] = hits[ends] - hits[ends - sizes[a:b]]
         return counts, int(sizes.sum())
 
 

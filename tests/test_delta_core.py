@@ -205,6 +205,21 @@ def test_check_delta_t_prunes_most_centers_of_the_generator_set(frostman_sets):
     assert 0 < rep.distances < 0.01 * rep.n_points ** 2
 
 
+def test_check_delta_t_prunes_at_a_tiny_delta(frostman_sets):
+    # at δ = 2^-30 the unit square spans more than MAX_CELLS cells of the
+    # finest radii; their coarser cells still bound each ball by the center
+    # alone, every center ties at ratio 1 at r = δ, and only the sample is
+    # counted exactly
+    d = 2.0 ** -30
+    pts = frostman_sets[0]
+    rep = check_delta_t(pts, d, 1.5)
+    assert (rep.worst_ratio, rep.witness_center, rep.witness_radius) == (1.0, tuple(pts.points[0]), d)
+    assert rep.exact_centers < 0.1 * rep.n_points
+    assert rep.distances < 0.01 * rep.n_points ** 2
+    head = pts.points[:512]
+    assert check_delta_t(head, d, 1.5) == _twin_report(head, d, 1.5)
+
+
 def test_check_delta_t_matches_quadratic_twin_on_lattice_ties_and_log_power():
     # the 64² lattice: many centers tie near the worst ratio
     d = 2.0 ** -6
@@ -232,8 +247,8 @@ def test_check_delta_t_matches_quadratic_twin_on_rounded_and_spread_sets():
     ticks = np.arange(21) * d
     rounded = np.array([(x, y) for x in ticks for y in ticks])
     assert check_delta_t(rounded, d, 1.0) == _twin_report(rounded, d, 1.0)
-    # a far point overflows the packed keys of the finest cells: those radii
-    # fall back to one cell holding every point
+    # a far point spans more than MAX_CELLS cells of the finest radii: those
+    # radii get coarser cells, wider than r
     rng = np.random.default_rng(45)
     d = 2.0 ** -10
     spread = np.vstack([np.unique(rng.integers(0, 200, size=(400, 2)), axis=0) * d, [[3e6, 0.0]]])
@@ -245,7 +260,7 @@ def test_check_delta_t_matches_quadratic_twin_on_scalar_fibers():
     rng = np.random.default_rng(43)
     d = 2.0 ** -12
     grid = ScalarSet(np.unique(rng.integers(0, 4096, size=1500)) * d)
-    # off-grid values at gaps of at least δ, and a small fiber (one block)
+    # off-grid values at gaps of at least δ, and a small fiber
     loose = ScalarSet(np.cumsum(d + rng.exponential(3 * d, size=900)))
     small = ScalarSet(np.unique(rng.integers(0, 64, size=20)) * d)
     for fiber in (grid, loose, small):
@@ -260,14 +275,15 @@ def test_check_delta_t_matches_quadratic_twin_on_scalar_fibers():
     eighths=st.integers(min_value=1, max_value=16),
     one_d=st.booleans(),
     m=st.integers(min_value=1, max_value=3),
-    exact_m=st.integers(min_value=1, max_value=6),
+    max_cells=st.sampled_from([1, 3, 16, 2 ** 25]),
     sample=st.integers(min_value=1, max_value=4),
     chunk=st.integers(min_value=1, max_value=3000),
 )
-def test_property_pruned_scan_matches_brute_oracle(cells, delta, eighths, one_d, m, exact_m, sample, chunk):
+def test_property_pruned_scan_matches_brute_oracle(cells, delta, eighths, one_d, m, max_cells, sample, chunk):
     # grid points in index order (not sorted), so ties between centers and
-    # radii sit exactly on ball boundaries; coarse cells, tiny samples and
-    # blocks of at most chunk // 64 distances force the pruned path
+    # radii sit exactly on ball boundaries; coarse cells (few per axis, as
+    # for a set spanning more than MAX_CELLS cells), tiny samples and blocks
+    # of at most chunk // 64 distances
     t = eighths / 8
     if one_d:
         coords = [(i * delta,) for i in dict.fromkeys(i for i, _ in cells)]
@@ -275,7 +291,7 @@ def test_property_pruned_scan_matches_brute_oracle(cells, delta, eighths, one_d,
         coords = [(i * delta, j * delta) for i, j in cells]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delta_core, "NC_CELLS_PER_RADIUS", m)
-        mp.setattr(delta_core, "NC_EXACT_CELLS_PER_RADIUS", exact_m)
+        mp.setattr(delta_core, "MAX_CELLS", max_cells)
         mp.setattr(delta_core, "NC_SAMPLE", sample)
         mp.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
         rep = check_delta_t(np.array(coords), delta, t, validate_separation=False)
@@ -284,12 +300,13 @@ def test_property_pruned_scan_matches_brute_oracle(cells, delta, eighths, one_d,
 
 
 def test_check_delta_t_cells_a_hair_wider_than_r_over_m(monkeypatch):
-    # the pair is r = 2^-3 apart, and on cells of side exactly r/8 the
-    # rounded quotients put it 9 cells apart: only the hair keeps it in the
-    # stencil (tiny blocks force the pruned path)
+    # the last two points are r = 2^-3 apart, and on cells of side exactly
+    # r/8 counted from the least point, 0, the rounded quotients put them 9
+    # cells apart: only the hair keeps the pair in the stencil (in tiny
+    # blocks)
     monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", 64)
-    d = 2.0 ** -6
-    xs = [math.nextafter(2.0 ** -6, 0.0), 9 * 2.0 ** -6]
+    d = 2.0 ** -7
+    xs = [0.0, math.nextafter(2.0 ** -6, 0.0), 9 * 2.0 ** -6]
     for coords, P in (([(x,) for x in xs], ScalarSet(xs)), ([(x, 0.5) for x in xs], PointSet2D([(x, 0.5) for x in xs]))):
         rep = check_delta_t(P, d, 0.125)
         worst, (center, radius) = oracles.brute_nonconcentration(coords, d, 0.125)
@@ -306,12 +323,16 @@ def _brute_violation(pts, r):
 
 @pytest.mark.parametrize("chunk", [None, 200])
 def test_closest_violation_matches_brute_pair_search(monkeypatch, chunk):
-    if chunk is not None:  # the cell screen instead of one all-pairs block
+    if chunk is not None:  # the cell screen's distances a few at a time
         monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
     rng = np.random.default_rng(47)
     sets = [(rng.uniform(0, 1, size=(150, 2)), r) for r in (0.2, 0.02, 0.004)]
     sets.append((np.unique(rng.integers(0, 30, size=(200, 2)), axis=0) * 0.1, 0.1))
     sets.append((rng.uniform(-3, 3, size=(80, 2)), 0.05))
+    # a threshold below span / MAX_CELLS skips the screen: the loop alone
+    tiny = 2.0 ** -31
+    sets.append((rng.uniform(0, 1, size=(150, 2)), tiny))
+    sets.append((np.array([[0.25, 0.5], [0.25 + tiny / 2, 0.5], [0.75, 0.5]]), tiny))
     # pairs exactly at r·(1 - SEPARATION_RTOL), on an axis and a diagonal,
     # are clean; an ulp closer they are not
     r = 2.0 ** -5
