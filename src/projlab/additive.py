@@ -240,7 +240,8 @@ def bsg_extract(graph: PairGraph, k: float) -> BsgResult:
     thr_b = _median_threshold(deg_b)
     b1 = deg_b >= thr_b
 
-    restricted = adj[:, b1].astype(np.int64)
+    # float64 so the product runs in BLAS; codegrees are at most |B| < 2**53, so exact
+    restricted = adj[:, b1].astype(np.float64)
     codeg = restricted @ restricted.T
     np.fill_diagonal(codeg, 0)
     thr_link = _median_threshold(codeg[np.triu_indices(n_a, 1)]) if n_a > 1 else None

@@ -38,8 +38,10 @@ class _Parser(argparse.ArgumentParser):
 def _read_config(path):
     """The `key=value` lines of a config file: key -> (line number, value)."""
     cfg = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if bad := serialize._not_utf8(raw):
+                raise CliError(f"{path}:{lineno}: {bad}")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -68,11 +70,12 @@ def _apply_config(parser, path):
         parser.set_defaults(**{key: value})
 
 
-def _header(fh, command, args, keys):
-    fh.write("# projlab report\n")
-    fh.write(f"# command={command}\n")
-    for key in sorted(keys):
-        fh.write(f"# {key}={getattr(args, key)}\n")
+def _write_summary(args, keys, items):
+    """Write the report of a command with a data output next to it, as
+    `<output stem>.summary.txt`, echoing `keys` of `args`; returns its path."""
+    path = os.path.splitext(args.output)[0] + ".summary.txt"
+    serialize.write_report(path, items, args.command, args, keys)
+    return path
 
 
 def _require(args, *names):
@@ -136,13 +139,9 @@ def _cmd_project_sweep(args):
     pts, dirs, d = _sweep_inputs(args)
     cells, pairs = projection_sweep(pts, dirs, d)
     serialize.write_sweep(args.output, zip(dirs.thetas.tolist(), cells.tolist(), pairs.tolist()))
-    summary = os.path.splitext(args.output)[0] + ".summary.txt"
-    with open(summary, "w", encoding="utf-8") as fh:
-        _header(fh, "project-sweep", args, ["delta", "input", "output"])
-        fh.write(f"directions={len(dirs)}\n")
-        fh.write(f"points={len(pts)}\n")
-        fh.write(f"max_N={cells.max()}\n")
-        fh.write(f"total_close_pairs={pairs.sum()}\n")
+    summary = _write_summary(args, ["delta", "input", "output"], {
+        "directions": len(dirs), "points": len(pts),
+        "max_N": cells.max(), "total_close_pairs": pairs.sum()})
     print(f"wrote {args.output} and {summary}")
     return 0
 
@@ -151,13 +150,9 @@ def _cmd_kaufman(args):
     pts, dirs, d = _sweep_inputs(args)
     witness = kaufman_witness(pts, dirs, d, s=args.s)
     serialize.write_profile(args.output, zip(dirs.thetas.tolist(), witness.profile))
-    summary = os.path.splitext(args.output)[0] + ".summary.txt"
-    with open(summary, "w", encoding="utf-8") as fh:
-        _header(fh, "kaufman", args, ["delta", "s", "input", "output"])
-        fh.write(f"witness_theta={witness.direction.theta!r}\n")
-        fh.write(f"witness_index={witness.index}\n")
-        fh.write(f"witness_N={witness.n}\n")
-        fh.write(f"benchmark_delta_pow_minus_s={d ** -args.s!r}\n")
+    _write_summary(args, ["delta", "s", "input", "output"], {
+        "witness_theta": witness.direction.theta, "witness_index": witness.index,
+        "witness_N": witness.n, "benchmark_delta_pow_minus_s": d ** -args.s})
     print(f"witness theta={witness.direction.theta:.6g} N={witness.n}")
     return 0
 
@@ -175,17 +170,10 @@ def _cmd_product_experiment(args):
                                 separation_min=args.threshold_separation,
                                 threshold=args.threshold_intersection)
         serialize.write_triples(args.triples_output, scan.triples)
-    summary = os.path.splitext(args.output)[0] + ".summary.txt"
-    with open(summary, "w", encoding="utf-8") as fh:
-        _header(fh, "product-experiment", args,
-                ["delta", "s", "eps0", "input", "output",
-                 "threshold_separation", "threshold_intersection"])
-        fh.write(f"max_N={res.max_n}\n")
-        fh.write(f"target={res.target!r}\n")
-        if res.witness is None:
-            fh.write("witness=none\n")
-        else:
-            fh.write(f"witness_theta={res.witness.theta!r}\n")
+    witness = {"witness": "none"} if res.witness is None else {"witness_theta": res.witness.theta}
+    _write_summary(args, ["delta", "s", "eps0", "input", "output",
+                          "threshold_separation", "threshold_intersection"],
+                   {"max_N": res.max_n, "target": res.target, **witness})
     print(f"max_N={res.max_n} witness={'none' if res.witness is None else res.witness.theta}")
     return 0
 
@@ -199,15 +187,12 @@ def _cmd_bsg(args):
     base = os.path.splitext(args.output)[0]
     serialize.write_gridset(base + ".a_sub.csv", res.a_sub)
     serialize.write_gridset(base + ".b_sub.csv", res.b_sub)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        _header(fh, "bsg", args, ["k", "input_a", "input_b", "edges", "output"])
-        fh.write(f"a_sub={len(res.a_sub)}\n")
-        fh.write(f"b_sub={len(res.b_sub)}\n")
-        fh.write(f"achieved_density={res.achieved_density!r}\n")
-        fh.write(f"achieved_sumset={res.achieved_sumset}\n")
-        fh.write(f"achieved_edge_fraction={res.achieved_edge_fraction!r}\n")
-        fh.write(f"edges_in_block={res.edges_in_block}\n")
-        fh.write(f"measured_exponent={res.measured_exponent!r}\n")
+    serialize.write_report(args.output, {
+        "a_sub": len(res.a_sub), "b_sub": len(res.b_sub),
+        "achieved_density": res.achieved_density, "achieved_sumset": res.achieved_sumset,
+        "achieved_edge_fraction": res.achieved_edge_fraction,
+        "edges_in_block": res.edges_in_block, "measured_exponent": res.measured_exponent,
+    }, args.command, args, ["k", "input_a", "input_b", "edges", "output"])
     print(f"extracted |A'|={len(res.a_sub)} |B'|={len(res.b_sub)} "
           f"sumset={res.achieved_sumset}")
     return 0
@@ -218,12 +203,9 @@ def _cmd_plunnecke(args):
     a = serialize.read_gridset(args.input_a)
     b = serialize.read_gridset(args.input_b)
     rep = plunnecke_report(a, b, args.m, args.n)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        _header(fh, "plunnecke", args, ["input_a", "input_b", "m", "n", "output"])
-        fh.write(f"C={rep.c}\n")
-        fh.write(f"lhs={rep.lhs}\n")
-        fh.write(f"rhs={rep.rhs}\n")
-        fh.write(f"holds={rep.holds}\n")
+    serialize.write_report(args.output, {"C": rep.c, "lhs": rep.lhs, "rhs": rep.rhs,
+                                         "holds": rep.holds},
+                           args.command, args, ["input_a", "input_b", "m", "n", "output"])
     print(f"C={rep.c} lhs={rep.lhs} rhs={rep.rhs} holds={rep.holds}")
     return 0 if rep.holds else 2
 

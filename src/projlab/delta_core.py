@@ -217,7 +217,9 @@ class Direction:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
+        theta = float(self.theta) % TWO_PI
+        # x % TWO_PI rounds up to TWO_PI itself for x a hair below 0
+        object.__setattr__(self, "theta", theta if theta < TWO_PI else 0.0)
 
     @classmethod
     def from_vector(cls, x, y) -> "Direction":
@@ -243,8 +245,9 @@ class DirectionSet:
     __slots__ = ("thetas",)
 
     def __init__(self, thetas):
-        arr = np.unique(np.asarray(thetas, dtype=np.float64).ravel() % TWO_PI)
-        self.thetas = arr
+        arr = np.asarray(thetas, dtype=np.float64).ravel() % TWO_PI
+        arr[arr == TWO_PI] = 0.0  # as in Direction
+        self.thetas = np.unique(arr)
         self.thetas.setflags(write=False)
 
     @classmethod

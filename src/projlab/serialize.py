@@ -1,13 +1,20 @@
-"""CSV formats for every domain type.
+"""The on-disk formats: a CSV for every domain type, and plain-text
+reports.  Every CSV is written by `_write_csv` and every report by
+`write_report`.
 
 Floats are written with repr (shortest round-trip form, 17 significant
 digits when needed), so write → read → write is byte-stable.  Parse
-failures raise CsvFormatError with the 1-based line number.
+failures, a byte that is not UTF-8 included, raise CsvFormatError with the
+1-based line number.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from decimal import Decimal
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -21,16 +28,28 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _not_utf8(line):
+    """The first byte of a line read with errors="surrogateescape" that is
+    not UTF-8 (it reads as a lone surrogate), as a message; None if none."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"byte {ord(line[exc.start]) - 0xDC00:#04x} is not UTF-8"
+    return None
+
+
 def _read_rows(path, expected_header, n_fields):
-    """Data rows as float tuples, the `# key=value` comments as
-    key -> (line number, value), and the 1-based line number of each row.
-    Non-finite values are rejected."""
+    """Data rows as an (n, n_fields) float64 array, the `# key=value`
+    comments as key -> (line number, value), and the 1-based line number of
+    each row.  Non-finite values are rejected."""
     rows = []
     linenos = []
     comments = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header_seen = False
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii() and (bad := _not_utf8(raw)):  # ASCII first, for speed
+                raise CsvFormatError(path, lineno, bad)
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
@@ -57,7 +76,29 @@ def _read_rows(path, expected_header, n_fields):
             linenos.append(lineno)
         if not header_seen:
             raise CsvFormatError(path, 1, f"missing header {expected_header!r}")
-    return rows, comments, linenos
+    arr = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * n_fields)
+    return arr.reshape(-1, n_fields), comments, linenos
+
+
+def _write_csv(path, header, rows, comments=()):
+    """`# key=value` lines for the (key, value) comments, the header, then
+    each row's pre-formatted fields joined by commas, with no quoting."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in comments)
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_report(path, items, command=None, args=None, keys=()):
+    """A plain-text report.  Given a command, it opens with the
+    `# projlab report` header: the command, then `# key=value` for each of
+    `keys` (sorted) read from the namespace `args`.  Then one `key=value`
+    line per entry of the dict `items`, in its order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if command is not None:
+            fh.write(f"# projlab report\n# command={command}\n")
+            fh.writelines(f"# {key}={getattr(args, key)}\n" for key in sorted(keys))
+        fh.writelines(f"{key}={value}\n" for key, value in items.items())
 
 
 def _comment_float(path, comments, key, upper=math.inf) -> float:
@@ -77,36 +118,36 @@ def _comment_float(path, comments, key, upper=math.inf) -> float:
     return x
 
 
-def _int64_rows(path, rows, linenos, n_fields, what) -> np.ndarray:
+def _int64_rows(path, arr, linenos, what) -> np.ndarray:
     """The rows as an int64 array; the first value that is not an integer
-    inside int64 fails with its row's line."""
-    arr = np.array(rows, dtype=np.float64).reshape(len(rows), n_fields)
-    ok = (arr == np.trunc(arr)) & (arr >= -2.0 ** 63) & (arr < 2.0 ** 63)
-    if not ok.all():
-        i, j = np.argwhere(~ok)[0]
-        v = rows[i][j]
-        reason = "is not an integer" if v != int(v) else "is outside int64"
-        raise CsvFormatError(path, linenos[i], f"{what} {v} {reason}")
-    return arr.astype(np.int64)
+    inside int64 fails with its row's line.  float64 rounds integers past
+    2**53, so those, like the bad values, are parsed again from their text."""
+    ok = (arr == np.trunc(arr)) & (np.abs(arr) < 2.0 ** 53)
+    out = (arr * ok).astype(np.int64)  # zero where not ok: those are set below
+    lines = None
+    for i, j in np.argwhere(~ok).tolist():
+        lines = lines or Path(path).read_text(encoding="utf-8").split("\n")
+        text = lines[linenos[i] - 1].split(",")[j].strip()
+        v = Decimal(text)
+        if v != v.to_integral_value():
+            raise CsvFormatError(path, linenos[i], f"{what} {text} is not an integer")
+        if not -2 ** 63 <= v < 2 ** 63:
+            raise CsvFormatError(path, linenos[i], f"{what} {text} is outside int64")
+        out[i, j] = int(v)
+    return out
 
 
 def write_scalars(path, s: ScalarSet):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("v\n")
-        for v in s:
-            fh.write(_fmt(v) + "\n")
+    _write_csv(path, "v", ([_fmt(v)] for v in s))
 
 
 def read_scalars(path) -> ScalarSet:
     rows, _, _ = _read_rows(path, "v", 1)
-    return ScalarSet([r[0] for r in rows])
+    return ScalarSet(rows[:, 0])
 
 
 def write_points(path, p: PointSet2D):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y\n")
-        for x, y in p.points:
-            fh.write(f"{_fmt(x)},{_fmt(y)}\n")
+    _write_csv(path, "x,y", ([_fmt(x), _fmt(y)] for x, y in p.points.tolist()))
 
 
 def read_points(path, separation=None) -> PointSet2D:
@@ -115,52 +156,37 @@ def read_points(path, separation=None) -> PointSet2D:
 
 
 def write_directions(path, e: DirectionSet):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta\n")
-        for t in e.thetas:
-            fh.write(_fmt(t) + "\n")
+    _write_csv(path, "theta", ([_fmt(t)] for t in e.thetas.tolist()))
 
 
 def read_directions(path) -> DirectionSet:
     rows, _, _ = _read_rows(path, "theta", 1)
-    return DirectionSet([r[0] for r in rows])
+    return DirectionSet(rows[:, 0])
 
 
 def write_gridset(path, g: GridSet):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# delta={_fmt(g.step)}\n")
-        fh.write("k\n")
-        for k in g.members:
-            fh.write(f"{int(k)}\n")
+    _write_csv(path, "k", ([str(k)] for k in g), comments=[("delta", _fmt(g.step))])
 
 
 def read_gridset(path) -> GridSet:
     rows, comments, linenos = _read_rows(path, "k", 1)
     step = _comment_float(path, comments, "delta")
-    return GridSet(_int64_rows(path, rows, linenos, 1, "grid index"), step)
+    return GridSet(_int64_rows(path, rows, linenos, "grid index"), step)
 
 
 def write_pairgraph(path, g: PairGraph):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("a_index,b_index\n")
-        for a, b in g.edges:
-            fh.write(f"{int(a)},{int(b)}\n")
+    _write_csv(path, "a_index,b_index", ([str(a), str(b)] for a, b in g.edges.tolist()))
 
 
 def read_pairgraph_edges(path):
     rows, _, linenos = _read_rows(path, "a_index,b_index", 2)
-    edges = _int64_rows(path, rows, linenos, 2, "edge index")
+    edges = _int64_rows(path, rows, linenos, "edge index")
     return list(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
 
 
 def write_product(path, p: ProductLikeSet):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# delta={_fmt(p.delta)}\n")
-        fh.write(f"# s={_fmt(p.s)}\n")
-        fh.write(f"# tau={_fmt(p.tau)}\n")
-        fh.write("b,a\n")
-        for a, b in p.point_rows():
-            fh.write(f"{_fmt(b)},{_fmt(a)}\n")
+    _write_csv(path, "b,a", ([_fmt(b), _fmt(a)] for a, b in p.point_rows().tolist()),
+               comments=[(key, _fmt(getattr(p, key))) for key in ("delta", "s", "tau")])
 
 
 def read_product(path) -> ProductLikeSet:
@@ -169,7 +195,7 @@ def read_product(path) -> ProductLikeSet:
     delta = _comment_float(path, comments, "delta", 0.5)
     s, tau = (_comment_float(path, comments, key, 2.0) for key in ("s", "tau"))
     fibers: dict = {}
-    for b, a in rows:
+    for b, a in rows.tolist():
         fibers.setdefault(b, []).append(a)
     base = ScalarSet(sorted(fibers))
     return ProductLikeSet(
@@ -180,61 +206,47 @@ def read_product(path) -> ProductLikeSet:
 
 
 def write_weighted(path, points: PointSet2D, weights):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,w\n")
-        for (x, y), w in zip(points.points, weights):
-            fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(w)}\n")
+    _write_csv(path, "x,y,w", ([_fmt(x), _fmt(y), _fmt(w)]
+                               for (x, y), w in zip(points.points.tolist(), weights)))
 
 
 def read_weighted(path):
     rows, _, _ = _read_rows(path, "x,y,w", 3)
-    pts = PointSet2D([(x, y) for x, y, _ in rows])
-    # realign weights with the sorted point order
-    order = sorted(range(len(rows)), key=lambda i: (rows[i][0], rows[i][1]))
-    weights = [rows[i][2] for i in order]
-    return pts, np.asarray(weights)
+    pts = PointSet2D(rows[:, :2])
+    # realign weights with the sorted point order (lexsort is stable)
+    return pts, rows[np.lexsort((rows[:, 1], rows[:, 0])), 2]
 
 
 def write_sweep(path, rows):
     """Rows of (theta, n_projection, close_pairs)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,N_projection,close_pairs\n")
-        for theta, n, cp in rows:
-            fh.write(f"{_fmt(theta)},{int(n)},{int(cp)}\n")
+    _write_csv(path, "theta,N_projection,close_pairs",
+               ([_fmt(theta), str(int(n)), str(int(cp))] for theta, n, cp in rows))
 
 
 def write_profile(path, rows):
     """Rows of (theta, N)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,N\n")
-        for theta, n in rows:
-            fh.write(f"{_fmt(theta)},{int(n)}\n")
+    _write_csv(path, "theta,N", ([_fmt(theta), str(int(n))] for theta, n in rows))
 
 
 def write_triples(path, rows):
     """Rows of (b1, b2, b3, intersection_size)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("b1,b2,b3,intersection_size\n")
-        for b1, b2, b3, size in rows:
-            fh.write(f"{_fmt(b1)},{_fmt(b2)},{_fmt(b3)},{int(size)}\n")
+    _write_csv(path, "b1,b2,b3,intersection_size",
+               ([_fmt(b1), _fmt(b2), _fmt(b3), str(int(size))] for b1, b2, b3, size in rows))
 
 
 def write_two_scale(dirpath, ts):
     """TwoScaleStructure as a directory: anchors.csv, fine.csv, balls.csv,
     and a plain-text manifest with the scales and check ratios."""
-    import os
-
     os.makedirs(dirpath, exist_ok=True)
     write_points(os.path.join(dirpath, "anchors.csv"), ts.anchors)
     write_points(os.path.join(dirpath, "fine.csv"), ts.fine)
-    with open(os.path.join(dirpath, "balls.csv"), "w", encoding="utf-8") as fh:
-        fh.write("level,kx,ky\n")
-        for kx, ky in ts.balls:
-            fh.write(f"{ts.level},{kx},{ky}\n")
-    with open(os.path.join(dirpath, "manifest"), "w", encoding="utf-8") as fh:
-        fh.write(f"delta={_fmt(ts.delta)}\n")
-        fh.write(f"sqrt_delta={_fmt(ts.sqrt_delta)}\n")
-        fh.write(f"balls={len(ts.balls)}\n")
-        fh.write(f"fine_points={len(ts.fine)}\n")
-        fh.write(f"coarse_ratio={_fmt(ts.reports['coarse'].worst_ratio)}\n")
-        fh.write(f"fine_ratio={_fmt(ts.reports['fine'].worst_ratio)}\n")
+    _write_csv(os.path.join(dirpath, "balls.csv"), "level,kx,ky",
+               ([str(ts.level), str(kx), str(ky)] for kx, ky in ts.balls))
+    write_report(os.path.join(dirpath, "manifest"), {
+        "delta": _fmt(ts.delta),
+        "sqrt_delta": _fmt(ts.sqrt_delta),
+        "balls": len(ts.balls),
+        "fine_points": len(ts.fine),
+        "coarse_ratio": _fmt(ts.reports["coarse"].worst_ratio),
+        "fine_ratio": _fmt(ts.reports["fine"].worst_ratio),
+    })

@@ -218,18 +218,43 @@ BAD_INPUTS = {
     "two-scale": (["two-scale", "--input", "{d}/p.csv", "--output", "{d}/ts"],
                   {"p.csv": "x,y\n0.1,0.2\ninf,0.3\n"}),
     "verify": (["verify", "--output", "{d}/file/out"], {"file": "not a directory\n"}),
+    # a byte that is not UTF-8: in a data row, in a row past the first 8 KiB
+    # (text-mode reads decode ahead in chunks of that size), in a grid set's
+    # `# delta=` comment, and in a config file
+    "project-sweep-utf8": (["project-sweep", "--input", "{d}/p.csv", "--num-directions", "4",
+                            "--output", "{d}/out.csv"], {"p.csv": b"x,y\n0.1,0.2\n0.3,\xff0.4\n"}),
+    "project-sweep-utf8-past-8k": (["project-sweep", "--input", "{d}/p.csv", "--num-directions", "4",
+                                    "--output", "{d}/out.csv"],
+                                   {"p.csv": b"x,y\n" + b"".join(b"0.%06d,0.5\n" % i if i != 1499
+                                                                  else b"0.1,0.\xff5\n"
+                                                                  for i in range(1, 2000))}),
+    "plunnecke-utf8-comment": (["plunnecke", "--input-a", "{d}/a.csv", "--input-b", "{d}/a.csv",
+                                "--m", "1", "--n", "1", "--output", "{d}/out.txt"],
+                               {"a.csv": b"k\n0\n# delta=0.25\xff\n1\n"}),
+    "generate-utf8-config": (["generate", "--config", "{d}/run.cfg", "--output", "{d}/out.csv"],
+                             {"run.cfg": b"kind=ap\nn=4\xff\nstep=0.5\n"}),
+}
+# the cases whose whole error is fixed: case -> (file, line, message)
+BAD_INPUT_ERRORS = {
+    "project-sweep-utf8": ("p.csv", 3, "byte 0xff is not UTF-8"),
+    "project-sweep-utf8-past-8k": ("p.csv", 1500, "byte 0xff is not UTF-8"),
+    "plunnecke-utf8-comment": ("a.csv", 3, "byte 0xff is not UTF-8"),
+    "generate-utf8-config": ("run.cfg", 2, "byte 0xff is not UTF-8"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(BAD_INPUTS))
 def test_bad_input_one_error_line_no_traceback(tmp_path, capsys, command):
     argv, files = BAD_INPUTS[command]
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
     assert run(*(a.format(d=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if command in BAD_INPUT_ERRORS:
+        name, line, message = BAD_INPUT_ERRORS[command]
+        assert err == f"error: {tmp_path / name}:{line}: {message}\n"
 
 
 D6, D10 = repr(2.0 ** -6), repr(2.0 ** -10)
@@ -391,3 +416,58 @@ def test_readme_cli_commands_parse():
     for argv in commands:
         assert argv[0] == "projlab"
         build_parser().parse_args(argv[1:])
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# toy grid sets for bsg and plunnecke, as text so that no writer under test
+# builds its own input
+TOY_GRIDS = {
+    "a.csv": "# delta=0.00390625\nk\n" + "".join(f"{k}\n" for k in range(10)),
+    "b.csv": "# delta=0.00390625\nk\n0\n2\n3\n7\n11\n",
+    "g.csv": "a_index,b_index\n" + "".join(f"{i},{j}\n" for i in range(10) for j in range(5)
+                                           if (i + j) % 3),
+}
+# run from one directory with relative paths, because report headers echo them
+GOLDEN_RUNS = (
+    "project-sweep --input points_300.csv --directions directions_8.csv --output sweep.csv",
+    "kaufman --input points_300.csv --num-directions 64 --s 0.7 --output profile.csv",
+    "product-experiment --input product_8.csv --directions directions_8.csv --output witness.csv",
+    "product-experiment --input product_8.csv --num-directions 4 --s 0.9 --eps0 0.1 "
+    "--output none.csv",
+    "bsg --input-a a.csv --input-b b.csv --edges g.csv --k 4 --output bsg.txt",
+    "plunnecke --input-a a.csv --input-b a.csv --m 2 --n 1 --output plunnecke.txt",
+    "two-scale --input points_300.csv --delta 0.015625 --output ts",
+    "verify --output verify",
+)
+GOLDEN_FILES = ("sweep.summary.txt", "profile.summary.txt", "witness.summary.txt",
+                "none.summary.txt", "bsg.txt", "plunnecke.txt", "ts/manifest", "ts/balls.csv",
+                "verify/verify_report.csv", "verify/summary.txt")
+
+
+def golden_outputs(directory):
+    """Run GOLDEN_RUNS in `directory` on the shipped fixtures and the toy
+    grid sets; returns {name in GOLDEN_FILES: bytes written}."""
+    from projlab.verify import fixtures_path
+
+    for p in Path(fixtures_path()).glob("*.csv"):
+        (directory / p.name).write_bytes(p.read_bytes())
+    for name, text in TOY_GRIDS.items():
+        (directory / name).write_text(text)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for line in GOLDEN_RUNS:
+            assert run(*line.split()) == 0, line
+    finally:
+        os.chdir(cwd)
+    return {name: (directory / name).read_bytes() for name in GOLDEN_FILES}
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    return golden_outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_reports_match_golden_bytes(golden_run, name):
+    assert golden_run[name] == (GOLDEN / name).read_bytes()

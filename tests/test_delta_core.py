@@ -514,6 +514,15 @@ def test_direction_unit_norm():
         Direction.from_vector(0.0, 0.0)
 
 
+def test_tiny_negative_angles_wrap_to_zero():
+    # x % TWO_PI rounds up to TWO_PI itself for these x, which must not be
+    # kept: the angles lie in [0, TWO_PI), and reading one back must not move it
+    for theta in (-5e-324, -1e-17, -4.4e-16):
+        assert Direction(theta).theta == 0.0
+        assert DirectionSet([theta, 1.0]).thetas.tolist() == [0.0, 1.0]
+    assert Direction(-1e-15).theta == math.nextafter(2 * math.pi, 0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=40),

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlab import serialize
 from projlab.additive import GridSet, PairGraph
@@ -195,3 +199,130 @@ def test_int64_bounds_of_grid_indices(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         serialize.read_gridset(path)
     assert err.value.line == 3
+    # float64 rounds these; they are read exactly from their text
+    path.write_text(f"# delta=0.5\nk\n{2 ** 53 + 1}\n{2 ** 63 - 1}\n")
+    assert list(serialize.read_gridset(path).members) == [2 ** 53 + 1, 2 ** 63 - 1]
+    path.write_text(f"a_index,b_index\n{2 ** 53 + 1}.0,0\n")
+    assert serialize.read_pairgraph_edges(path) == [(2 ** 53 + 1, 0)]
+    path.write_text(f"# delta=0.5\nk\n{2 ** 53 + 1}.5\n")
+    with pytest.raises(CsvFormatError, match=f":3: grid index {2 ** 53 + 1}.5 is not an integer"):
+        serialize.read_gridset(path)
+
+
+# adversarial floats: anything finite (subnormals included), signed zeros and
+# the extremes, values one ulp either side of a cell edge kδ, and magnitudes
+# near 1e300
+CELL_EDGE_ULP = st.builds(lambda k, j, side: math.nextafter(k * 2.0 ** -j, side),
+                          st.integers(-2 ** 20, 2 ** 20), st.integers(0, 40),
+                          st.sampled_from([-math.inf, math.inf]))
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                     1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(min_value=1e299, max_value=1e301).flatmap(lambda x: st.sampled_from([x, -x])),
+    CELL_EDGE_ULP,
+)
+POSITIVE = FLOATS.map(abs).filter(lambda x: x > 0)
+# a product's delta must lie in (0, 1/2], its s and tau in (0, 2]
+HALF = st.one_of(POSITIVE.filter(lambda x: x <= 0.5), st.just(0.5), st.just(math.nextafter(0.5, 0)))
+TWO = st.one_of(POSITIVE.filter(lambda x: x <= 2.0), st.just(2.0), st.just(math.nextafter(2.0, 0)))
+ROUNDTRIP = settings(max_examples=60, deadline=None)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _roundtrip(directory, write, read, args, rewrite=lambda back: (back,)):
+    """What `read` returns for the file `write(path, *args)` wrote; asserts
+    that writing that again (`rewrite` makes it write's args) gives the same
+    bytes."""
+    first, second = directory / "first.csv", directory / "second.csv"
+    write(first, *args)
+    back = read(first)
+    write(second, *rewrite(back))
+    assert second.read_bytes() == first.read_bytes()
+    return back
+
+
+@ROUNDTRIP
+@given(values=st.lists(FLOATS, max_size=20))
+def test_property_scalar_roundtrip(tmp_path_factory, values):
+    s = ScalarSet(values)
+    back = _roundtrip(tmp_path_factory.mktemp("rt"), serialize.write_scalars, serialize.read_scalars,
+                      (s,))
+    assert _bits(back.values) == _bits(s.values)
+
+
+@ROUNDTRIP
+@given(points=st.lists(st.tuples(FLOATS, FLOATS), max_size=20))
+def test_property_points_roundtrip(tmp_path_factory, points):
+    p = PointSet2D(np.array(points).reshape(-1, 2))
+    back = _roundtrip(tmp_path_factory.mktemp("rt"), serialize.write_points, serialize.read_points,
+                      (p,))
+    assert _bits(back.points) == _bits(p.points)
+
+
+@ROUNDTRIP
+@given(thetas=st.lists(FLOATS, max_size=20))
+def test_property_directions_roundtrip(tmp_path_factory, thetas):
+    e = DirectionSet(thetas)
+    back = _roundtrip(tmp_path_factory.mktemp("rt"), serialize.write_directions,
+                      serialize.read_directions, (e,))
+    assert _bits(back.thetas) == _bits(e.thetas)
+
+
+INDICES = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@ROUNDTRIP
+@given(members=st.lists(INDICES, max_size=20), step=POSITIVE)
+def test_property_gridset_roundtrip(tmp_path_factory, members, step):
+    g = GridSet(members, step)
+    back = _roundtrip(tmp_path_factory.mktemp("rt"), serialize.write_gridset, serialize.read_gridset,
+                      (g,))
+    assert back.members.tolist() == g.members.tolist()
+    assert _bits(back.step) == _bits(g.step)
+
+
+@ROUNDTRIP
+@given(data=st.data(), n_a=st.integers(1, 6), n_b=st.integers(1, 6))
+def test_property_pairgraph_roundtrip(tmp_path_factory, data, n_a, n_b):
+    a = GridSet(data.draw(st.lists(INDICES, min_size=n_a, max_size=n_a, unique=True)), 0.25)
+    b = GridSet(data.draw(st.lists(INDICES, min_size=n_b, max_size=n_b, unique=True)), 0.5)
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n_a - 1), st.integers(0, n_b - 1))))
+    g = PairGraph(a, b, edges)
+    back = _roundtrip(tmp_path_factory.mktemp("rt"), serialize.write_pairgraph,
+                      serialize.read_pairgraph_edges, (g,), lambda edges: (PairGraph(a, b, edges),))
+    assert back == [tuple(e) for e in g.edges.tolist()]
+
+
+@ROUNDTRIP
+@given(fibers=st.dictionaries(FLOATS, st.lists(FLOATS, min_size=1, max_size=5), min_size=1,
+                              max_size=5),
+       delta=HALF, s=TWO, tau=TWO)
+def test_property_product_roundtrip(tmp_path_factory, fibers, delta, s, tau):
+    base = ScalarSet(list(fibers))
+    p = ProductLikeSet(base, {b: ScalarSet(fibers[b]) for b in base}, delta, s, tau)
+    back = _roundtrip(tmp_path_factory.mktemp("rt"), serialize.write_product, serialize.read_product,
+                      (p,))
+    assert _bits([back.delta, back.s, back.tau]) == _bits([p.delta, p.s, p.tau])
+    assert _bits(back.base.values) == _bits(p.base.values)
+    assert [_bits(f.values) for f in back.fibers.values()] == \
+        [_bits(f.values) for f in p.fibers.values()]
+
+
+@ROUNDTRIP
+@given(pool=st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=4),
+       picks=st.lists(st.tuples(st.integers(0, 3), FLOATS), min_size=1, max_size=12))
+def test_property_weighted_roundtrip_keeps_weights_with_points(tmp_path_factory, pool, picks):
+    # rows in drawn order, points repeated, so the reader has to realign
+    rows = [(*pool[i % len(pool)], w) for i, w in picks]
+    directory = tmp_path_factory.mktemp("rt")
+    raw = directory / "raw.csv"
+    raw.write_text("x,y,w\n" + "".join(f"{x!r},{y!r},{w!r}\n" for x, y, w in rows))
+    pts, weights = serialize.read_weighted(raw)
+    back = sorted(zip(*(_bits(c) for c in (pts.xs, pts.ys, weights))))
+    assert back == sorted(tuple(_bits(row)) for row in rows)
+    _roundtrip(directory, serialize.write_weighted, serialize.read_weighted, (pts, weights),
+               lambda back: back)
