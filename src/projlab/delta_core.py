@@ -146,11 +146,8 @@ class PointSet2D:
                 violation = _closest_violation(self.points, self.separation)
                 if violation is not None:
                     i, j, dist = violation
-                    raise SeparationError(
-                        self.separation,
-                        (tuple(self.points[i]), tuple(self.points[j])),
-                        dist,
-                    )
+                    pair = (tuple(self.points[i].tolist()), tuple(self.points[j].tolist()))
+                    raise SeparationError(self.separation, pair, dist)
 
     def __len__(self):
         return int(self.points.shape[0])
@@ -167,47 +164,38 @@ class PointSet2D:
         return self.points[:, 1]
 
 
-def _closest_violation(pts, r, rtol=SEPARATION_RTOL):
-    """Grid-bucketed scan for a pair closer than r*(1-rtol); None if clean.
+def _closest_violation(pts, r):
+    """The closest pair i < j of the (n, 1) or (n, 2) array closer than
+    r*(1-SEPARATION_RTOL), ties to the lowest (i, j), as (i, j, distance);
+    None if clean."""
+    return min(_close_pairs(pts, r), key=lambda p: (p[2], p[0], p[1]), default=None)
 
-    A vectorised screen runs first: `_has_close_pair` looks for a pair
-    within a hair (2^-30) over that threshold, so it flags every pair the
-    loop below can report, whatever the rounding of `math.hypot`.  Only a
-    flagged set reaches the loop, which names the first pair in its bucket
-    order.  A set spanning more than MAX_CELLS times the threshold would get
-    coarser cells than the loop's, so it skips the screen."""
+
+def _close_pairs(pts, r):
+    """Every pair i < j of the (n, 1) or (n, 2) array whose `math.hypot`
+    distance is below r*(1-SEPARATION_RTOL), as (i, j, distance) in (i, j)
+    order.  The candidates are the pairs within a hair (2^-30) over that
+    threshold on one `_BallCells` grid, which holds every such pair whatever
+    the rounding of `math.hypot`."""
     n = pts.shape[0]
-    if n < 2:
-        return None
-    thresh = r * (1.0 - rtol)
+    if n < 2:  # nothing to pair, and _BallCells needs a point
+        return []
+    thresh = r * (1.0 - SEPARATION_RTOL)
     limit = thresh * (1.0 + 2.0 ** -30)
-    if np.ptp(pts, axis=0).max() <= MAX_CELLS * limit and not _has_close_pair(pts, limit):
-        return None
-    cells = np.floor(pts / r).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        buckets.setdefault((int(cells[i, 0]), int(cells[i, 1])), []).append(i)
-    for (cx, cy), idxs in buckets.items():
-        cand = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand.extend(buckets.get((cx + dx, cy + dy), ()))
-        for i in idxs:
-            for j in cand:
-                if j <= i:
-                    continue
-                dist = math.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
-                if dist < thresh:
-                    return i, j, dist
-    return None
-
-
-def _has_close_pair(pts, limit):
-    """Whether two points of the (n, 2) array lie within `limit` of each
-    other: some point's ball of radius `limit` holds another."""
-    n = pts.shape[0]
     grid = _BallCells(pts, np.array([limit]), 1)
-    return bool((grid.ball_counts(pts, np.arange(n), np.zeros(n, dtype=np.int64))[0] > 1).any())
+    centers = np.arange(n)
+    near_i, near_j = [], []
+    for a, b, sizes, pos, dists in grid.stencil_distances(pts, centers, np.zeros(n, dtype=np.int64)):
+        i = np.repeat(centers[a:b], sizes)
+        j = grid.order[pos]
+        near = (i < j) & (dists <= limit)
+        near_i.append(i[near])
+        near_j.append(j[near])
+    i, j = np.concatenate(near_i), np.concatenate(near_j)
+    first = np.lexsort((j, i))
+    i, j = i[first].tolist(), j[first].tolist()
+    dists = [math.hypot(*diff) for diff in (pts[i] - pts[j]).tolist()]
+    return [pair for pair in zip(i, j, dists) if pair[2] < thresh]
 
 
 @dataclass(frozen=True)
@@ -419,20 +407,9 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
         raise ValueError("cannot scan an empty set")
     if not np.isfinite(pts).all():
         raise ValueError("cannot scan non-finite coordinates")
-    if validate_separation:
-        if pts.shape[1] == 1:
-            vals = pts[:, 0]
-            if n > 1:
-                gaps = np.diff(np.sort(vals))
-                k = int(np.argmin(gaps))
-                if gaps[k] < d * (1.0 - SEPARATION_RTOL):
-                    sv = np.sort(vals)
-                    raise SeparationError(d, ((float(sv[k]),), (float(sv[k + 1]),)), float(gaps[k]))
-        else:
-            violation = _closest_violation(pts, d)
-            if violation is not None:
-                i, j, dist = violation
-                raise SeparationError(d, (tuple(pts[i]), tuple(pts[j])), dist)
+    if validate_separation and (violation := _closest_violation(pts, d)) is not None:
+        i, j, dist = violation
+        raise SeparationError(d, (tuple(pts[i].tolist()), tuple(pts[j].tolist())), dist)
 
     radii = np.asarray(dyadic_radii(d))
     powers = (radii / d) ** t
@@ -585,15 +562,15 @@ class _BallCells:
         out[self.order] = per_cell[np.cumsum(new) - 1]
         return out.reshape(self.cell_keys.shape).T
 
-    def ball_counts(self, pts, centers, radius):
-        """(counts, distances): |P ∩ B(x_c, r)| for each center and radius
-        index, from the distances to the points of its stencil (`abs` in
-        1-D, einsum and sqrt in 2-D, `<= r`), gathered at most _pair_block()
-        at a time."""
+    def stencil_distances(self, pts, centers, radius):
+        """Per block [a, b) of centers, at most _pair_block() distances:
+        (a, b, sizes, pos, dists), the number of points in each center's
+        stencil at its radius index, their positions in `order` (center by
+        center) and their distances to the center (`abs` in 1-D, einsum and
+        sqrt in 2-D)."""
         lo, hi = self.runs(self.cell_keys[radius, centers], radius)
         lens = hi - lo
         sizes = lens.sum(axis=1)
-        counts = np.empty(centers.size, dtype=np.int64)
         for a, b in _blocks(sizes):
             run = lens[a:b].ravel()
             pos = np.repeat(lo[a:b].ravel() - (np.cumsum(run) - run), run) + np.arange(run.sum())
@@ -602,11 +579,20 @@ class _BallCells:
                 dists = np.abs(diff[:, 0])
             else:
                 dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            yield a, b, sizes[a:b], pos, dists
+
+    def ball_counts(self, pts, centers, radius):
+        """(counts, distances): |P ∩ B(x_c, r)| for each center and radius
+        index, from the distances to the points of its stencil (`<= r`)."""
+        counts = np.empty(centers.size, dtype=np.int64)
+        total = 0
+        for a, b, sizes, pos, dists in self.stencil_distances(pts, centers, radius):
             hits = np.zeros(pos.size + 1, dtype=np.int64)
-            np.cumsum(dists <= np.repeat(self.radii[radius[a:b]], sizes[a:b]), out=hits[1:])
-            ends = np.cumsum(sizes[a:b])
-            counts[a:b] = hits[ends] - hits[ends - sizes[a:b]]
-        return counts, int(sizes.sum())
+            np.cumsum(dists <= np.repeat(self.radii[radius[a:b]], sizes), out=hits[1:])
+            ends = np.cumsum(sizes)
+            counts[a:b] = hits[ends] - hits[ends - sizes]
+            total += pos.size
+        return counts, total
 
 
 class DyadicCells:
@@ -680,7 +666,9 @@ def extract_delta_s_subset(K, delta, s) -> PointSet2D:
     Top-down dyadic-tree greedy: at level j each cell keeps at most
     ceil((2^-j / δ)^s) of the points selected below it, preferring children
     with the most occupied δ-cells (ties to the lower cell index).  A final
-    greedy pass enforces strict pairwise δ-separation.
+    greedy sweep over the picks in lexicographic order keeps a point unless
+    an earlier kept point is closer than δ(1 - SEPARATION_RTOL), reading
+    the pairs from `_close_pairs`.
 
     With κ = dyadic_content(K, δ, s), the output satisfies
     |P| >= EXTRACTION_CARDINALITY_C * κ * δ^-s and passes
@@ -715,28 +703,15 @@ def extract_delta_s_subset(K, delta, s) -> PointSet2D:
     roots = cuts[0].tolist() + [reps.size]
     selected = [i for lo, hi in zip(roots[:-1], roots[1:]) for i in select(0, lo, hi)]
 
-    # greedy δ-separation sweep in lexicographic order
+    # greedy δ-separation sweep in lexicographic order: a point is kept
+    # unless an earlier kept point is closer than δ(1 - SEPARATION_RTOL);
+    # pairs come in (i, j) order, so i's fate is settled before its pairs
     chosen_pts = pts[sorted(selected)]
-    kept: list[int] = []
-    buckets: dict[tuple[int, int], list[int]] = {}
-    thresh = d * (1.0 - SEPARATION_RTOL)
-    for i in range(chosen_pts.shape[0]):
-        cx, cy = int(math.floor(chosen_pts[i, 0] / d)), int(math.floor(chosen_pts[i, 1] / d))
-        ok = True
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in buckets.get((cx + dx, cy + dy), ()):
-                    if math.hypot(*(chosen_pts[i] - chosen_pts[j])) < thresh:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            kept.append(i)
-            buckets.setdefault((cx, cy), []).append(i)
-    return PointSet2D(chosen_pts[kept], separation=d, check=False)
+    keep = np.ones(chosen_pts.shape[0], dtype=bool)
+    for i, j, _ in _close_pairs(chosen_pts, d):
+        if keep[i]:
+            keep[j] = False
+    return PointSet2D(chosen_pts[keep], separation=d, check=False)
 
 
 def projected_values(pts, thetas):

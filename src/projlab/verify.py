@@ -185,11 +185,8 @@ def run_verify(output_dir=None):
     all_ok = all(r.ok for r in results)
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
-        with open(os.path.join(output_dir, "verify_report.csv"), "w", encoding="utf-8") as fh:
-            fh.write("check,status,lhs,rhs,witness\n")
-            for r in results:
-                status = "PASS" if r.ok else "FAIL"
-                fh.write(f"{r.name},{status},{r.lhs},{r.rhs},{r.witness}\n")
+        serialize._write_csv(os.path.join(output_dir, "verify_report.csv"), "check,status,lhs,rhs,witness",
+                             ([r.name, "PASS" if r.ok else "FAIL", r.lhs, r.rhs, r.witness] for r in results))
         with open(os.path.join(output_dir, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write("# projlab verify report\n")
             fh.write(f"# checks={len(results)}\n")

@@ -70,6 +70,17 @@ def brute_close_pairs(points, theta, delta):
     return count
 
 
+def greedy_separated(points, thresh):
+    """The points (coordinate lists, in their given order) that a greedy
+    pass keeps: a point is kept unless an earlier kept point lies at
+    `math.hypot` distance below `thresh`."""
+    kept = []
+    for p in points:
+        if all(math.hypot(*(a - b for a, b in zip(p, q))) >= thresh for q in kept):
+            kept.append(p)
+    return kept
+
+
 def brute_sumset(a_members, b_members, sign=1):
     return sorted({a + sign * b for a in a_members for b in b_members})
 

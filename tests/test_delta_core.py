@@ -166,6 +166,22 @@ def test_check_delta_t_rejects_crowded_input():
     assert "distance" in str(err.value)
 
 
+def test_separation_error_names_the_closest_pair_as_plain_floats():
+    d = 2.0 ** -4
+    want = ("separation violation: points (0.0, 0.0) and (0.015625, 0.0) are at "
+            "distance 0.015625 < required 0.0625")
+    with pytest.raises(SeparationError) as err:
+        check_delta_t(PointSet2D([(0, 0), (2 ** -6, 0)]), d, 1.0)
+    assert str(err.value) == want
+    with pytest.raises(SeparationError) as err:
+        PointSet2D([(0, 0), (2 ** -6, 0)], separation=d)
+    assert str(err.value) == want
+    # of several violations, the closest pair is named
+    with pytest.raises(SeparationError) as err:
+        check_delta_t(PointSet2D([(0, 0), (0.04, 0), (0.5, 0), (0.5 + 2 ** -6, 0)]), d, 1.0)
+    assert str(err.value) == want.replace("(0.0, 0.0) and (0.015625, 0.0)", "(0.5, 0.0) and (0.515625, 0.0)")
+
+
 def test_check_delta_t_matches_oracle_on_seeded_2d(monkeypatch):
     rng = np.random.default_rng(15)
     d = 2.0 ** -5
@@ -314,11 +330,45 @@ def test_check_delta_t_cells_a_hair_wider_than_r_over_m(monkeypatch):
         assert radius == 2.0 ** -3
 
 
-def _brute_violation(pts, r):
+def _brute_close_pairs(pts, r):
+    """Every pair i < j of the coordinate lists at `math.hypot` distance
+    below r*(1 - SEPARATION_RTOL), as (i, j, distance) in (i, j) order."""
     thresh = r * (1.0 - SEPARATION_RTOL)
     n = len(pts)
-    return any(math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) < thresh
-               for i in range(n) for j in range(i + 1, n))
+    pairs = [(i, j, math.hypot(*(a - b for a, b in zip(pts[i], pts[j])))) for i in range(n) for j in range(i + 1, n)]
+    return [pair for pair in pairs if pair[2] < thresh]
+
+
+def _brute_violation(pts, r):
+    """The closest such pair, (i, j, distance) with the least (distance, i,
+    j); None if there is none."""
+    return min(_brute_close_pairs(pts, r), key=lambda p: (p[2], p[0], p[1]), default=None)
+
+
+@pytest.mark.parametrize("chunk, max_cells", [(None, None), (200, 3), (64, 1)])
+def test_close_pairs_match_all_pairs_loop(monkeypatch, chunk, max_cells):
+    # blocks of chunk // 64 distances (the last one ragged) and cells of
+    # side span / max_cells, far wider than the threshold
+    if chunk is not None:
+        monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(delta_core, "MAX_CELLS", max_cells)
+    rng = np.random.default_rng(59)
+    plane = rng.uniform(-1, 1, size=(150, 2))
+    line = rng.uniform(-1, 1, size=(120, 1))
+    sets = [(plane, 0.05), (np.vstack([plane, plane[:5]]), 0.02), (line, 0.01), (np.vstack([line, line[:5]]), 0.002),
+            (np.unique(rng.integers(0, 20, size=(150, 2)), axis=0) * 0.1, 0.1)]
+    # pairs exactly at r·(1 - SEPARATION_RTOL) are left out, on an axis and
+    # a diagonal and in 1-D; an ulp closer they are listed
+    r = 2.0 ** -5
+    thresh = r * (1.0 - SEPARATION_RTOL)
+    for gap, listed in ((thresh, False), (math.nextafter(thresh, 0.0), True)):
+        for pts, pairs in ((np.array([[0.0, 0.0], [gap, 0.0], [0.9, 0.9], [0.0, -gap]]), [(0, 1), (0, 3)]),
+                           (np.array([[0.0, 0.0], [gap * 0.6, gap * 0.8]]), [(0, 1)]),
+                           (np.array([[0.5], [0.0], [gap]]), [(1, 2)])):
+            assert [p[:2] for p in _brute_close_pairs(pts.tolist(), r)] == (pairs if listed else [])
+            sets.append((pts, r))
+    for pts, r in sets:
+        assert delta_core._close_pairs(pts, r) == _brute_close_pairs(pts.tolist(), r)
 
 
 @pytest.mark.parametrize("chunk", [None, 200])
@@ -329,7 +379,7 @@ def test_closest_violation_matches_brute_pair_search(monkeypatch, chunk):
     sets = [(rng.uniform(0, 1, size=(150, 2)), r) for r in (0.2, 0.02, 0.004)]
     sets.append((np.unique(rng.integers(0, 30, size=(200, 2)), axis=0) * 0.1, 0.1))
     sets.append((rng.uniform(-3, 3, size=(80, 2)), 0.05))
-    # a threshold below span / MAX_CELLS skips the screen: the loop alone
+    # a threshold below span / MAX_CELLS: cells far wider than the threshold
     tiny = 2.0 ** -31
     sets.append((rng.uniform(0, 1, size=(150, 2)), tiny))
     sets.append((np.array([[0.25, 0.5], [0.25 + tiny / 2, 0.5], [0.75, 0.5]]), tiny))
@@ -344,7 +394,7 @@ def test_closest_violation_matches_brute_pair_search(monkeypatch, chunk):
     for pts, r in sets:
         pts = PointSet2D(pts).points
         got = delta_core._closest_violation(pts, r)
-        assert (got is not None) == _brute_violation(pts.tolist(), r)
+        assert got == _brute_violation(pts.tolist(), r)
         if got is not None:
             i, j, dist = got
             assert dist == math.hypot(*(pts[i] - pts[j])) < r * (1.0 - SEPARATION_RTOL)
@@ -438,6 +488,34 @@ def test_extract_soundness_100_seeds():
         rep = check_delta_t(out, d, s)
         assert rep.worst_ratio <= EXTRACTION_RATIO_BOUND
         assert len(out) >= EXTRACTION_CARDINALITY_C * kappa * (1.0 / d) ** s
+
+
+def test_extract_sweep_matches_greedy_oracle(monkeypatch):
+    # the final sweep keeps exactly what a plain greedy loop over its input
+    # (the lexicographically sorted picks) keeps
+    swept = []
+    close_pairs = delta_core._close_pairs
+
+    def spy(pts, r):
+        swept.append(pts.tolist())
+        return close_pairs(pts, r)
+
+    monkeypatch.setattr(delta_core, "_close_pairs", spy)
+    rng = np.random.default_rng(53)
+    dropped = 0
+    for k in range(60):
+        pts = rng.uniform(-1.5, 1.5, size=(int(rng.integers(2, 300)), 2))
+        if k % 2:
+            pts = np.round(pts * 64) / 64  # on the 2^-6 grid: pairs exactly δ apart
+        d = (2.0 ** -6, 0.37 * 2.0 ** -4, 0.1)[k % 3]
+        s = float(rng.choice([0.5, 1.0, 2.0]))
+        swept.clear()
+        out = extract_delta_s_subset(PointSet2D(pts), d, s)
+        (picks,) = swept
+        want = oracles.greedy_separated(picks, d * (1.0 - SEPARATION_RTOL))
+        assert out.points.tolist() == want
+        dropped += len(picks) - len(want)
+    assert dropped > 0
 
 
 def test_project_axes_and_diagonal():
