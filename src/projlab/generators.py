@@ -2,8 +2,12 @@
 use: arithmetic progressions, Cantor-type sets, self-similar corner sets,
 capped random branching sets, and planted collinear product instances.
 
-All randomness flows through numpy SeedSequences keyed by (seed, path),
-so parallel subtree generation stays bitwise reproducible.
+All randomness flows through numpy SeedSequences keyed by (seed, path):
+the branching generator's cell with path (c_1, ..., c_j) in attempt a draws
+from exactly PCG64(SeedSequence(entropy=seed, spawn_key=(a, c_1, ..., c_j))),
+whose state is derived from its parent's level by level instead of through
+a SeedSequence per cell; a planted fiber i draws from
+SeedSequence(entropy=seed, spawn_key=(i,)).
 """
 
 from __future__ import annotations
@@ -115,7 +119,86 @@ def gen_four_corner(depth: int) -> PointSet2D:
     return PointSet2D(pts, separation=4.0 ** -depth)
 
 
+# numpy's SeedSequence pool hash (pool size 4) and PCG64 seeding, which
+# _branching_points replays on arrays; tests/test_generators.py pins them
+# against numpy's own SeedSequence and PCG64
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# multivariate_hypergeometric's default method needs sum(colors) below this
+_SAMPLER_COLOR_LIMIT = 10 ** 9
+_CHILDREN = np.arange(4)
+
+
+def _uint32_words(value) -> int:
+    """How many uint32 words SeedSequence splits a nonnegative int into."""
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+def _pool_hash_calls(entropy, spawn_key) -> int:
+    """Hash calls behind the pool of SeedSequence(entropy, spawn_key) for a
+    nonempty spawn key: 16 to fill and mix the 4-word pool, then 4 per
+    assembled entropy word past the fourth (the entropy is padded to 4)."""
+    words = max(4, _uint32_words(entropy)) + sum(_uint32_words(w) for w in spawn_key)
+    return 16 + 4 * (words - 4)
+
+
+def _hashmix(value: int, calls: int) -> int:
+    """SeedSequence's hash of one word as the pool hash's call `calls`
+    (from 0); its constant depends only on how many calls came before."""
+    const = _HASH_INIT_A * pow(_HASH_MULT_A, calls, 1 << 32) & _MASK32
+    value = (value ^ const) * (const * _HASH_MULT_A & _MASK32) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _child_pools(pools, calls):
+    """Pools of the four children of each pool row, (m, 4) -> (m, 4, 4).
+
+    A spawn word past the first four assembled entropy words is hashed once
+    per pool word (calls `calls` to `calls + 3`) and mixed into that word,
+    so child c's pool is its parent's with the word c mixed in. Values are
+    32-bit words held in uint64, masked after every product."""
+    hashed = np.array([[_hashmix(c, calls + i) for i in range(4)] for c in range(4)],
+                      dtype=np.uint64)
+    mixed = (_MIX_MULT_L * pools[:, None, :] - _MIX_MULT_R * hashed) & _MASK32
+    return mixed ^ (mixed >> 16)
+
+
+def _pcg64_states(pools):
+    """(state, inc) of PCG64(ss), as ints, for the SeedSequence of each pool
+    row: ss.generate_state(4, np.uint64) hashes the pool cycled to 8 words,
+    then PCG64 seeds with two steps of its 128-bit LCG."""
+    const = _HASH_INIT_B
+    words = []
+    for i in range(8):
+        x = pools[:, i % 4] ^ const
+        const = const * _HASH_MULT_B & _MASK32
+        x = x * const & _MASK32
+        words.append(x ^ (x >> 16))
+    seed_hi, seed_lo, seq_hi, seq_lo = ((words[2 * k] | words[2 * k + 1] << 32).tolist()
+                                        for k in range(4))
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
 def _branching_points(n, exponent, delta, seed, attempt):
+    """One attempt of the capped dyadic branching process: every cell holding
+    a count splits it among its four children with
+    multivariate_hypergeometric([cap] * 4, count), cap = ceil((2^-j/δ)^exponent)
+    at the children's level j, down to one point per occupied δ-cell.
+
+    The cell with path (c_1, ..., c_j) draws from exactly
+    PCG64(SeedSequence(entropy=seed, spawn_key=(attempt, c_1, ..., c_j))).
+    Only the root's SeedSequence is built: the tree is walked one level at a
+    time, each level's pools and PCG64 states are derived from the level
+    above, and every draw goes through one reused PCG64 and Generator. Cells
+    stay in lexicographic path order, so the points come out in the order of
+    a depth-first walk.
+    """
     d = as_delta(delta)
     levels = round(math.log2(1.0 / d))
     if 2.0 ** -levels != d:
@@ -123,30 +206,35 @@ def _branching_points(n, exponent, delta, seed, attempt):
     root_cap = math.ceil(d ** -exponent)
     if n > root_cap:
         raise ValueError(f"infeasible count: n = {n} exceeds the level-0 cap {root_cap}")
+    child_caps = [math.ceil(((2.0 ** -level) / d) ** exponent) for level in range(1, levels + 1)]
+    # the caps shrink with depth, so the root's draw has the largest total
+    if 4 * child_caps[0] >= _SAMPLER_COLOR_LIMIT:
+        raise ValueError(f"level 0 splits among 4 children of cap {child_caps[0]}, a cell total of "
+                         f"{4 * child_caps[0]}; the sampler needs a total below {_SAMPLER_COLOR_LIMIT}")
 
-    out = []
-
-    def caps_at(level):
-        return math.ceil(((2.0 ** -level) / d) ** exponent)
-
-    def distribute(level, kx, ky, count, path):
-        if count == 0:
-            return
-        if level == levels:
-            out.append((kx * d, ky * d))
-            return
-        child_cap = caps_at(level + 1)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(attempt, *path))
-        )
-        alloc = rng.multivariate_hypergeometric([child_cap] * 4, count)
-        for child in range(4):
-            cx = 2 * kx + (child & 1)
-            cy = 2 * ky + (child >> 1)
-            distribute(level + 1, cx, cy, int(alloc[child]), path + (child,))
-
-    distribute(0, 0, 0, n, ())
-    return PointSet2D(out, separation=d, check=False)
+    root = np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
+    calls = _pool_hash_calls(root.entropy, root.spawn_key)
+    bitgen = np.random.PCG64(root)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    pools = root.pool.astype(np.uint64)[None, :]
+    counts = [n]
+    kx = ky = np.zeros(1, dtype=np.int64)
+    for cap in child_caps:
+        colors = [cap] * 4
+        alloc = np.empty((len(counts), 4), dtype=np.int64)
+        for row, (count, (pcg_state, inc)) in enumerate(zip(counts, _pcg64_states(pools))):
+            state["state"] = {"state": pcg_state, "inc": inc}
+            bitgen.state = state
+            alloc[row] = gen.multivariate_hypergeometric(colors, count)
+        alloc = alloc.ravel()
+        keep = np.flatnonzero(alloc)
+        counts = alloc[keep].tolist()
+        kx = (2 * kx[:, None] + (_CHILDREN & 1)).ravel()[keep]
+        ky = (2 * ky[:, None] + (_CHILDREN >> 1)).ravel()[keep]
+        pools = _child_pools(pools, calls).reshape(-1, 4)[keep]
+        calls += 4
+    return PointSet2D(np.column_stack((kx * d, ky * d)), separation=d, check=False)
 
 
 def gen_random_frostman(n: int, exponent: float, delta, seed: int = 0) -> PointSet2D:

@@ -81,6 +81,44 @@ def greedy_separated(points, thresh):
     return kept
 
 
+def branching_points_recursive(n, exponent, delta, seed, attempt):
+    """The branching generator's points as a depth-first recursion that
+    builds each cell's Generator from its own SeedSequence, keyed by
+    (seed, (attempt, *path)); returns the unsorted (n, 2) array in
+    depth-first order."""
+    d = float(delta)
+    levels = round(math.log2(1.0 / d))
+    if 2.0 ** -levels != d:
+        raise ValueError("branching generator needs an exactly dyadic delta")
+    root_cap = math.ceil(d ** -exponent)
+    if n > root_cap:
+        raise ValueError(f"infeasible count: n = {n} exceeds the level-0 cap {root_cap}")
+
+    out = []
+
+    def caps_at(level):
+        return math.ceil(((2.0 ** -level) / d) ** exponent)
+
+    def distribute(level, kx, ky, count, path):
+        if count == 0:
+            return
+        if level == levels:
+            out.append((kx * d, ky * d))
+            return
+        child_cap = caps_at(level + 1)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(attempt, *path))
+        )
+        alloc = rng.multivariate_hypergeometric([child_cap] * 4, count)
+        for child in range(4):
+            cx = 2 * kx + (child & 1)
+            cy = 2 * ky + (child >> 1)
+            distribute(level + 1, cx, cy, int(alloc[child]), path + (child,))
+
+    distribute(0, 0, 0, n, ())
+    return np.array(out, dtype=np.float64).reshape(-1, 2)
+
+
 def brute_sumset(a_members, b_members, sign=1):
     return sorted({a + sign * b for a in a_members for b in b_members})
 

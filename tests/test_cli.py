@@ -233,6 +233,10 @@ BAD_INPUTS = {
                                {"a.csv": b"k\n0\n# delta=0.25\xff\n1\n"}),
     "generate-utf8-config": (["generate", "--config", "{d}/run.cfg", "--output", "{d}/out.csv"],
                              {"run.cfg": b"kind=ap\nn=4\xff\nstep=0.5\n"}),
+    # the root cell's draw totals 4 * 2^30, past the sampler's limit of 10^9
+    "generate-sampler-limit": (["generate", "--kind", "random_frostman", "--n", "10",
+                                "--exponent", "2", "--delta", "1.52587890625e-05",
+                                "--output", "{d}/out.csv"], {}),
 }
 # the cases whose whole error is fixed: case -> (file, line, message)
 BAD_INPUT_ERRORS = {
@@ -438,10 +442,12 @@ GOLDEN_RUNS = (
     "plunnecke --input-a a.csv --input-b a.csv --m 2 --n 1 --output plunnecke.txt",
     "two-scale --input points_300.csv --delta 0.015625 --output ts",
     "verify --output verify",
+    "generate --kind random_frostman --n 256 --exponent 1.0 --delta 0.00390625 --seed 1 "
+    "--output random_frostman.csv",
 )
 GOLDEN_FILES = ("sweep.summary.txt", "profile.summary.txt", "witness.summary.txt",
                 "none.summary.txt", "bsg.txt", "plunnecke.txt", "ts/manifest", "ts/balls.csv",
-                "verify/verify_report.csv", "verify/summary.txt")
+                "verify/verify_report.csv", "verify/summary.txt", "random_frostman.csv")
 
 
 def golden_outputs(directory):

@@ -12,6 +12,10 @@ from projlab.generators import (
     gen_four_corner,
     gen_planted_collinear,
     gen_random_frostman,
+    _branching_points,
+    _child_pools,
+    _pcg64_states,
+    _pool_hash_calls,
 )
 
 import oracles
@@ -89,6 +93,56 @@ def test_random_frostman_full_grid_at_exponent_two():
 def test_random_frostman_infeasible():
     with pytest.raises(ValueError):
         gen_random_frostman(10 ** 6, 1.0, 2.0 ** -6, seed=0)
+
+
+BRANCHING_CASES = (
+    [(4096, 1.5, 2.0 ** -10, seed, 0) for seed in range(10)]
+    + [(256, 1.0, 2.0 ** -8, 1, attempt) for attempt in (1, 3)]
+    + [(1, 1.0, 2.0 ** -5, 0, 1),
+       (64, 2.0, 2.0 ** -3, 3, 0),      # every cell full
+       (200, 2.0, 2.0 ** -4, 4, 2),     # the root draws more than half its total
+       (2000, 1.2, 2.0 ** -14, 0, 0),
+       (300, 1.0, 2.0 ** -9, 2 ** 40 + 7, 2)]  # two entropy words
+)
+
+
+@pytest.mark.parametrize("case", BRANCHING_CASES, ids=lambda c: "n{}-s{}-d{}-seed{}-a{}".format(
+    c[0], c[1], round(-math.log2(c[2])), c[3], c[4]))
+def test_branching_points_match_recursive_oracle(case):
+    want = oracles.branching_points_recursive(*case)
+    got = _branching_points(*case).points
+    assert np.array_equal(got, want[np.lexsort((want[:, 1], want[:, 0]))])
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7, 2 ** 127 + 3])
+def test_derived_pools_and_pcg64_states_match_numpy(seed):
+    rng = np.random.default_rng(seed % 1000)
+    for _ in range(25):
+        attempt = int(rng.integers(0, 2 ** 33))
+        path = [int(c) for c in rng.integers(0, 4, int(rng.integers(0, 16)))]
+        root = np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
+        pools = root.pool.astype(np.uint64)[None, :]
+        calls = _pool_hash_calls(seed, (attempt,))
+        for child in path:
+            pools = _child_pools(pools, calls)[:, child]
+            calls += 4
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(attempt, *path))
+        assert pools[0].tolist() == ss.pool.tolist()
+        state = np.random.PCG64(ss).state["state"]
+        assert list(_pcg64_states(pools)) == [(state["state"], state["inc"])]
+
+
+def test_random_frostman_sampler_limit():
+    # at δ = 2^-16 the root's children are capped at ceil((2^15)^exponent)
+    limit = "; the sampler needs a total below 1000000000$"
+    with pytest.raises(ValueError, match="^level 0 splits among 4 children of cap 1073741824, "
+                                         "a cell total of 4294967296" + limit):
+        gen_random_frostman(10, 2.0, 2.0 ** -16, seed=0)
+    with pytest.raises(ValueError, match="^level 0 splits among 4 children of cap 250000000, "
+                                         "a cell total of 1000000000" + limit):
+        gen_random_frostman(1, 1.8598235232143656, 2.0 ** -16, seed=0)
+    # one cap lower, a total of 999,999,996, which the sampler takes
+    assert len(gen_random_frostman(1, 1.859823522829647, 2.0 ** -16, seed=0)) == 1
 
 
 def test_planted_collinear_exact_identity():
