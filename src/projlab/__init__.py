@@ -15,12 +15,10 @@ from .delta_core import (
     Scale,
     check_delta_t,
     covering_number,
-    covering_number_2d,
     dyadic_content,
     extract_delta_s_subset,
     optimal_interval_cover,
     project,
-    project_param,
     projection_sweep,
 )
 from .additive import (
@@ -36,7 +34,6 @@ from .additive import (
 )
 from .incidence import (
     CauchySchwarzBound,
-    DirectionSumReport,
     IncidenceTally,
     KaufmanWitness,
     Tube,
@@ -44,7 +41,6 @@ from .incidence import (
     cauchy_schwarz_lower_bound,
     close_pairs,
     close_pairs_bruteforce,
-    direction_sum_upper_bound,
     kaufman_witness,
     tally_close_pairs,
     tube_cover,
@@ -53,35 +49,24 @@ from .product_construction import (
     PairTubeIndex,
     ProductExperiment,
     ProductLikeSet,
-    RelationGraph,
     TriplePairData,
     TubePairFamily,
-    affine_renormalize,
     build_product_like,
     compression_check,
     good_triple_scan,
     product_experiment,
-    relation_graph,
-    renormalized_directions,
     roughly_horizontal_filter,
     triple_intersections,
     triple_projection,
-    tube_pair_family,
 )
 from .scale_blowup import (
     DyadicCover,
     TwoScaleStructure,
     WeightedPointSet,
-    directional_energy,
-    efficient_cover,
-    energy,
     frostman_weights,
     horizontal_dilate,
-    neighborhood_sum_measure,
     pick_scale,
-    reparam_directions,
     rescaled_projection_identity,
-    restrict_to_tube,
     two_scale_decomposition,
 )
 from .generators import (

@@ -2,8 +2,10 @@
 experiments, verify the invariant suite, and emit CSV plus plain-text
 reports.
 
-Exit codes: 0 success, 1 I/O or validation errors, 2 invariant-suite
-failure (first failing witness printed) or a failed `InvariantError`.
+Exit codes: 0 success, 1 I/O or validation errors or an input too large
+to allocate (`MemoryError`), 2 invariant-suite failure (first failing
+witness printed), a failed `InvariantError`, or a `plunnecke` report
+whose inequality fails.
 Reports carry no timestamps, so rerunning an unchanged config reproduces
 them byte for byte; every report header echoes the effective configuration.
 """
@@ -21,7 +23,7 @@ from .delta_core import DirectionSet, PointSet2D, ScalarSet, as_delta, projectio
 from .errors import InvariantError, ProjlabError
 from .generators import GeneratorSpec
 from .incidence import kaufman_witness
-from .product_construction import ProductLikeSet, product_experiment
+from .product_construction import ProductLikeSet, good_triple_scan, product_experiment
 from .scale_blowup import frostman_weights, two_scale_decomposition
 from .verify import run_verify
 
@@ -164,8 +166,6 @@ def _cmd_product_experiment(args):
     res = product_experiment(inst, dirs, args.delta, s=args.s, epsilon=args.eps0)
     serialize.write_profile(args.output, res.profile)
     if args.triples_output:
-        from .product_construction import good_triple_scan
-
         scan = good_triple_scan(inst, dirs, args.delta,
                                 separation_min=args.threshold_separation,
                                 threshold=args.threshold_intersection)
@@ -304,6 +304,9 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, InvariantError) else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

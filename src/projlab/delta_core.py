@@ -239,18 +239,11 @@ class DirectionSet:
         self.thetas.setflags(write=False)
 
     @classmethod
-    def net(cls, count, anchor=0.0, span=TWO_PI, jitter=0.0, seed=None):
-        """Uniformly spaced net of `count` directions anchored at `anchor`.
-
-        Optional seeded jitter displaces each angle by at most `jitter`.
-        """
+    def net(cls, count, span=TWO_PI):
+        """Uniformly spaced net of `count` directions over [0, span)."""
         if count < 1:
             raise ValueError("net needs at least one direction")
-        thetas = anchor + span * np.arange(count) / count
-        if jitter:
-            rng = np.random.default_rng(seed)
-            thetas = thetas + jitter * rng.uniform(-1.0, 1.0, size=count)
-        return cls(thetas)
+        return cls(span * np.arange(count) / count)
 
     def __len__(self):
         return int(self.thetas.size)
@@ -260,9 +253,6 @@ class DirectionSet:
 
     def __getitem__(self, i) -> Direction:
         return Direction(float(self.thetas[i]))
-
-    def vectors(self):
-        return np.column_stack([np.cos(self.thetas), np.sin(self.thetas)])
 
     def min_angular_gap(self) -> float:
         if len(self) < 2:
@@ -289,29 +279,20 @@ class NonConcentrationReport:
     """Result of a (δ,t) non-concentration scan.
 
     worst_ratio = max over scanned (x, r) of |P ∩ B(x,r)| / (r/δ)^t, with
-    the witness ball attaining it.  Thresholds are the caller's business;
-    `passes` compares against c * log(1/δ)^log_power_used.
+    the witness ball attaining it.  Thresholds are the caller's business:
+    each caller compares worst_ratio against its own bound.
     """
 
     exponent: float
     worst_ratio: float
     witness_center: tuple
     witness_radius: float
-    log_power_used: float
     delta: float
     n_points: int
     # work counters: centers whose ball counts were computed exactly, and
     # the center-to-point distances computed for them
     exact_centers: int = field(default=0, compare=False)
     distances: int = field(default=0, compare=False)
-
-    def threshold(self, c=1.0) -> float:
-        if self.log_power_used == 0.0:
-            return c
-        return c * math.log(1.0 / self.delta) ** self.log_power_used
-
-    def passes(self, c=1.0) -> bool:
-        return self.worst_ratio <= self.threshold(c)
 
 
 def _coerce_coords(obj):
@@ -331,16 +312,6 @@ def _coerce_coords(obj):
 def covering_number(S, delta) -> int:
     """Number of nonempty half-open δ-grid cells meeting the 1-D set S."""
     return int(grid_cells_1d(S, delta).size)
-
-
-def covering_number_2d(P, delta) -> int:
-    """Number of nonempty δ×δ half-open grid cells meeting the planar set P."""
-    d = as_delta(delta)
-    pts = P.points if isinstance(P, PointSet2D) else np.asarray(P, dtype=np.float64).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        return 0
-    cells = np.floor(pts / d).astype(np.int64)
-    return int(np.unique(cells, axis=0).shape[0])
 
 
 def grid_cells_1d(S, delta):
@@ -380,7 +351,7 @@ def dyadic_radii(delta):
     return radii
 
 
-def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> NonConcentrationReport:
+def check_delta_t(P, delta, t, *, validate_separation=True) -> NonConcentrationReport:
     """Scan the (δ,t) non-concentration condition over P.
 
     Centers range over P itself and radii over `dyadic_radii(delta)`; balls
@@ -422,7 +393,6 @@ def check_delta_t(P, delta, t, *, log_power=0.0, validate_separation=True) -> No
         worst_ratio=worst,
         witness_center=tuple(pts[witness[0]].tolist()),
         witness_radius=witness[1],
-        log_power_used=float(log_power),
         delta=d,
         n_points=n,
         exact_centers=work[0],
@@ -769,9 +739,3 @@ def projection_sweep(P: PointSet2D, E: DirectionSet, delta):
         cells[start : start + block.shape[0]] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
     return cells, 2 * pairs
 
-
-def project_param(P, t: float) -> ScalarSet:
-    """Parametrized projection (x, y) ↦ x + t·y, as a ScalarSet."""
-    pts = P.points if isinstance(P, PointSet2D) else np.asarray(P, dtype=np.float64).reshape(-1, 2)
-    vals = pts[:, 0] + float(t) * pts[:, 1]
-    return ScalarSet(vals)

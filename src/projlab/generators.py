@@ -24,6 +24,9 @@ from .product_construction import ProductLikeSet, build_product_like
 
 RANDOM_FROSTMAN_RATIO_BOUND = 8.0
 _MAX_REJECTION_ATTEMPTS = 100
+# most points gen_cantor_1d (2^depth) and gen_four_corner (4^depth) build:
+# cantor1d depth 22, four_corner depth 11
+MAX_GENERATED_POINTS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,21 @@ def gen_ap(n: int, step: float, origin: float = 0.0) -> ScalarSet:
     return ScalarSet(origin + step * np.arange(n))
 
 
+def _check_budget(depth, bits):
+    """Reject a depth whose (2^bits)^depth points exceed MAX_GENERATED_POINTS
+    before anything is built."""
+    if bits * depth > math.log2(MAX_GENERATED_POINTS):
+        raise ValueError(f"depth {depth} builds 2^{bits * depth} points, over the "
+                         f"budget of {MAX_GENERATED_POINTS}")
+
+
 def gen_cantor_1d(contraction: float, depth: int) -> ScalarSet:
     """Left endpoints of the depth-th middle-Cantor iterate on [0, 1]."""
     if not 0.0 < contraction < 0.5:
         raise ValueError("contraction must lie in (0, 1/2)")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    _check_budget(depth, 1)
     pts = [0.0]
     for _ in range(depth):
         pts = [contraction * x for x in pts] + [1.0 - contraction + contraction * x for x in pts]
@@ -114,6 +126,7 @@ def gen_cantor_1d(contraction: float, depth: int) -> ScalarSet:
 def gen_four_corner(depth: int) -> PointSet2D:
     """Corner grid of the depth-th four-corner iterate: the product of two
     contraction-1/4 Cantor sets, 4^depth points, 4^-depth separated."""
+    _check_budget(depth, 2)
     c = gen_cantor_1d(0.25, depth) if depth > 0 else ScalarSet([0.0])
     pts = [(x, y) for x in c for y in c]
     return PointSet2D(pts, separation=4.0 ** -depth)

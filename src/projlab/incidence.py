@@ -10,7 +10,6 @@ sort-and-sweep counting.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -70,14 +69,6 @@ class CauchySchwarzBound:
 
 
 @dataclass(frozen=True)
-class DirectionSumReport:
-    lhs: int
-    rhs: float
-    implied_c: float
-    tally: IncidenceTally
-
-
-@dataclass(frozen=True)
 class KaufmanWitness:
     direction: Direction
     n: int
@@ -123,28 +114,6 @@ def cauchy_schwarz_lower_bound(P: PointSet2D, e: Direction, delta) -> CauchySchw
 def tally_close_pairs(P: PointSet2D, E: DirectionSet, delta) -> IncidenceTally:
     per = dict(enumerate(projection_sweep(P, E, delta)[1].tolist()))
     return IncidenceTally(per_direction=per, total=sum(per.values()))
-
-
-def direction_sum_upper_bound(P: PointSet2D, E: DirectionSet, delta, c=1.0,
-                              strict=False) -> DirectionSumReport:
-    """Sum of close-pair counts over a δ-separated direction set against
-    the c · log²(1/δ) · δ^-2 benchmark; the implied constant (lhs divided
-    by the benchmark with c = 1) is reported alongside.  With strict=True
-    (c calibrated beforehand), lhs > rhs raises instead of reporting."""
-    d = as_delta(delta)
-    E.require_separated(d)
-    tally = tally_close_pairs(P, E, d)
-    benchmark = math.log(1.0 / d) ** 2 * d ** -2
-    report = DirectionSumReport(
-        lhs=tally.total,
-        rhs=c * benchmark,
-        implied_c=tally.total / benchmark,
-        tally=tally,
-    )
-    if strict and report.lhs > report.rhs:
-        raise InvariantError("direction sum exceeds its calibrated bound", report.lhs, report.rhs,
-                             max(tally.per_direction, key=tally.per_direction.get))
-    return report
 
 
 def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None) -> KaufmanWitness:

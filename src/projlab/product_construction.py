@@ -1,7 +1,8 @@
-"""Product-like sets (an s-dimensional fiber over each base point), the
-tube relation p ~ q, per-pair canonical tubes, triple intersections with
-their endpoint-pair extraction, the projection-like maps (x, y) ↦
-x + c·y, and the exhaustive projection-growth sweep.
+"""Product-like sets (an s-dimensional fiber over each base point),
+roughly-horizontal filtering, per-pair canonical tubes, triple
+intersections with their endpoint-pair extraction, the projection-like
+maps (x, y) ↦ x + c·y, good-triple scans, and the exhaustive
+projection-growth sweep.
 
 Tube identity is discrete: two tubes are equal iff they carry the same
 direction index and the same grid offset.  Tie-breaking is deterministic
@@ -104,26 +105,6 @@ def build_product_like(base, fibers, delta, s, tau, max_ratio=8.0) -> ProductLik
     return p
 
 
-def affine_renormalize(P: ProductLikeSet, e0: Direction) -> ProductLikeSet:
-    """Shear the fibers (A_b -> e0_x·A_b + e0_y·b) so that projecting the
-    result onto (1, 0) reproduces the e0-projection of the input; covering
-    numbers transfer up to grid-boundary rounding, at most a factor 2."""
-    if abs(e0.ex) < 1e-12:
-        raise ValueError("renormalization needs a direction with nonzero horizontal part")
-    fibers = {b: ScalarSet(e0.ex * f.values + e0.ey * b) for b, f in P.fibers.items()}
-    return ProductLikeSet(P.base, fibers, P.delta, P.s, P.tau)
-
-
-def renormalized_directions(E: DirectionSet, e0: Direction):
-    """The (generally non-unit) direction vectors that act on a
-    renormalized set the way E acts on the original:
-    (ex/e0_x, ey - ex·e0_y/e0_x), one row per direction."""
-    if abs(e0.ex) < 1e-12:
-        raise ValueError("renormalization needs a direction with nonzero horizontal part")
-    vecs = E.vectors()
-    return np.column_stack([vecs[:, 0] / e0.ex, vecs[:, 1] - vecs[:, 0] * e0.ey / e0.ex])
-
-
 @dataclass(frozen=True)
 class FilterResult:
     product: ProductLikeSet
@@ -162,32 +143,10 @@ def roughly_horizontal_filter(P: ProductLikeSet, E: DirectionSet, cos_min=0.5) -
     return FilterResult(product=thinned, directions=DirectionSet(kept_thetas), degenerate=degenerate)
 
 
-@dataclass(frozen=True)
-class RelationGraph:
-    """Per-direction same-tube pair sets and their union Q.
-
-    Edges are stored unordered (i < j); ordered counts double them.
-    cs_bounds carries the per-direction |P|²/M - |P| diagnostic and
-    q_ratio the measured ordered |Q| / |P|².
-    """
-
-    rows: np.ndarray
-    fiber_ids: np.ndarray
-    per_direction: dict
-    union_edges: frozenset
-    cs_bounds: dict
-    q_ratio: float
-    same_fiber_edges: int
-
-    def ordered_union_count(self) -> int:
-        return 2 * len(self.union_edges)
-
-
 def _cell_runs(rows, E: DirectionSet, delta):
-    """For each direction of E in order: the number of occupied cells
-    floor(π_e/δ), π_e from `projected_values`, and the cells holding two or
-    more points as (cell, ascending point indices) in cell order, read off
-    the runs of one stable argsort."""
+    """For each direction of E in order: the cells floor(π_e/δ) holding two
+    or more points, π_e from `projected_values`, as (cell, ascending point
+    indices) in cell order, read off the runs of one stable argsort."""
     cells = np.floor(projected_values(rows, E.thetas) / as_delta(delta)).astype(np.int64)
     for col in cells:
         order = np.argsort(col, kind="stable")
@@ -195,39 +154,8 @@ def _cell_runs(rows, E: DirectionSet, delta):
         # runs start where the sorted cell changes; prepending cell - 1 starts one at 0
         starts = np.flatnonzero(np.diff(sorted_cells, prepend=sorted_cells[:1] - 1))
         stops = np.append(starts[1:], col.size)
-        yield starts.size, [(int(sorted_cells[a]), order[a:b].tolist())
-                            for a, b in zip(starts, stops) if b - a > 1]
-
-
-def relation_graph(P: ProductLikeSet, E: DirectionSet, delta=None) -> RelationGraph:
-    d = as_delta(delta) if delta is not None else P.delta
-    rows = P.point_rows()
-    fiber_ids = P.fiber_ids()
-    fid = fiber_ids.tolist()
-    n = rows.shape[0]
-    per_direction = {}
-    cs_bounds = {}
-    union: set = set()
-    same_fiber = 0
-    for di, (m, runs) in enumerate(_cell_runs(rows, E, d)):
-        edges = set()
-        for _, group in runs:
-            for i, j in combinations(group, 2):
-                edges.add((i, j))
-                same_fiber += fid[i] == fid[j]
-        per_direction[di] = frozenset(edges)
-        union.update(edges)
-        cs_bounds[di] = n * n / m - n if m else 0.0
-    q_ratio = (2 * len(union)) / (n * n) if n else 0.0
-    return RelationGraph(
-        rows=rows,
-        fiber_ids=fiber_ids,
-        per_direction=per_direction,
-        union_edges=frozenset(union),
-        cs_bounds=cs_bounds,
-        q_ratio=q_ratio,
-        same_fiber_edges=same_fiber,
-    )
+        yield [(int(sorted_cells[a]), order[a:b].tolist())
+               for a, b in zip(starts, stops) if b - a > 1]
 
 
 class PairTubeIndex:
@@ -248,7 +176,7 @@ class PairTubeIndex:
         self.base_values = list(P.base)
         fid = self.fiber_ids.tolist()
         canonical: dict = {}
-        for di, (_, runs) in enumerate(_cell_runs(self.rows, E, self.delta)):
+        for di, runs in enumerate(_cell_runs(self.rows, E, self.delta)):
             for k, group in runs:
                 for i, j in combinations(group, 2):
                     if fid[i] != fid[j]:
@@ -291,10 +219,6 @@ class TubePairFamily:
 
     def __len__(self):
         return len(self.tube_to_pair)
-
-
-def tube_pair_family(P: ProductLikeSet, b1, b2, E: DirectionSet, delta=None) -> TubePairFamily:
-    return PairTubeIndex(P, E, delta).family(b1, b2)
 
 
 @dataclass(frozen=True)

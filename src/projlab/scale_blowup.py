@@ -1,12 +1,12 @@
-"""Two-scale machinery: mass distributions with dyadic caps, efficient
-dyadic covers, scale pigeonholing, the √δ/δ decomposition, energy sums,
-tube restriction, horizontal dilation, and direction reparametrization.
+"""Two-scale machinery: mass distributions with dyadic caps, the dyadic
+cover masses behind scale pigeonholing, the √δ/δ decomposition, and
+horizontal dilation with its rescaled projection identity.
 
 The pigeonhole constant is fixed at 6/π² so that scale selection is total
 (the quotas over all levels sum to exactly the available mass, so some
 level must meet its quota).  The good-ball mass threshold is
-factor · √δ / log^power(1/δ) with natural log, factor 1/4 and power 2 by
-default; both are tunable.
+factor · √δ / log²(1/δ) with natural log; the factor is 1/4 by default
+and tunable, the log power is fixed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delta_core import (
-    Direction,
-    DirectionSet,
     DyadicCells,
     PointSet2D,
     ScalarSet,
@@ -30,7 +28,6 @@ from .delta_core import (
     extract_delta_s_subset,
 )
 from .errors import InvariantError, TwoScaleError
-from .incidence import Tube
 from .product_construction import ProductLikeSet
 
 GOOD_BALL_FACTOR = 0.25
@@ -62,9 +59,10 @@ class WeightedPointSet:
         return len(self.points)
 
 
-def _singleton_level(pts, level):
-    """First level >= `level` (at most 40) at which no two points share a
-    dyadic cell; no cell deeper than the returned level is built."""
+def _singleton_level(pts):
+    """First level (at most 40) at which no two points share a dyadic cell;
+    no cell deeper than the returned level is built."""
+    level = 0
     while level < 40 and DyadicCells(pts, level).level(level)[1].size < pts.shape[0]:
         level += 1
     return level
@@ -97,7 +95,7 @@ def frostman_weights(P: PointSet2D, exponent, min_scale=None) -> WeightedPointSe
     if min_scale is not None:
         levels = max(0, math.ceil(math.log2(1.0 / as_delta(min_scale))))
     else:
-        levels = _singleton_level(pts, 0)
+        levels = _singleton_level(pts)
     tree = DyadicCells(pts, levels)
     # start at the finest cap, split evenly inside shared finest cells
     _, _, inverse = tree.level(levels)
@@ -127,51 +125,6 @@ class DyadicCover:
 
     def __len__(self):
         return len(self.cells)
-
-    def levels(self):
-        return sorted({j for j, _ in self.cells})
-
-
-def efficient_cover(P: PointSet2D, delta0, floor=None) -> DyadicCover:
-    """Dyadic cover with all diameters <= δ0 minimizing Σ diam within the
-    dyadic family: bottom-up aggregation merges four children into their
-    parent whenever the parent diameter does not exceed the children's sum.
-    Costs are counted exactly, as integers in units of the finest cell's
-    diameter, so ties merge whatever the order of the children.
-
-    The finest level considered is `floor` (a scale), else the set's
-    declared separation, else the first level at which occupied cells are
-    singletons."""
-    pts = P.points
-    if pts.shape[0] == 0:
-        return DyadicCover(cells=(), diam_sum=0.0)
-    d0 = float(delta0)
-    if d0 <= 0:
-        raise ValueError("delta0 must be positive")
-    j_min = max(0, math.ceil(math.log2(math.sqrt(2.0) / d0)))
-    if floor is not None:
-        j_max = max(j_min, math.ceil(math.log2(1.0 / as_delta(floor))))
-    elif P.separation is not None:
-        j_max = max(j_min, math.ceil(math.log2(1.0 / P.separation)))
-    else:
-        j_max = _singleton_level(pts, j_min)
-    tree = DyadicCells(pts, j_max)
-    fine, starts, _ = tree.level(j_max)
-    fine_points = tree.order[starts]  # one point in each finest cell
-    # units[run]: Σ 2^(j_max - j) over the best cover of the run's cell;
-    # top[finest cell]: the level of the cover cell that holds it
-    units = np.ones(starts.size, dtype=np.int64)
-    top = np.full(starts.size, j_max)
-    for j in range(j_max - 1, j_min - 1, -1):
-        _, parent_starts, inverse = tree.level(j)
-        units = np.add.reduceat(units, np.searchsorted(starts, parent_starts))
-        merge = units >= 1 << (j_max - j)
-        units[merge] = 1 << (j_max - j)
-        top[merge[inverse[fine_points]]] = j
-        starts = parent_starts
-    chosen = {(t, (x >> (j_max - t), y >> (j_max - t))) for t, (x, y) in zip(top.tolist(), fine.tolist())}
-    return DyadicCover(cells=tuple(sorted(chosen)),
-                       diam_sum=math.sqrt(2.0) * 2.0 ** -j_max * int(units.sum()))
 
 
 def cover_cell_masses(cover: DyadicCover, mu: WeightedPointSet):
@@ -227,9 +180,8 @@ class TwoScaleStructure:
 
 def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
                             good_ball_factor=GOOD_BALL_FACTOR,
-                            log_power=GOOD_BALL_LOG_POWER,
                             max_ratio=TWO_SCALE_RATIO_BOUND) -> TwoScaleStructure:
-    """Select good √δ-cells (mass >= factor·√δ/log^power(1/δ)), thin them
+    """Select good √δ-cells (mass >= factor·√δ/log²(1/δ)), thin them
     to pairwise ball separation >= √δ, extract a (δ,1)-set inside each,
     anchor at the lexicographically least point, and verify the output
     invariants (both scans within max_ratio) before returning."""
@@ -240,7 +192,7 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     j = j2 // 2
     sqrt_d = 2.0 ** -j
     pts = K.points
-    threshold = good_ball_factor * sqrt_d / math.log(1.0 / d) ** log_power
+    threshold = good_ball_factor * sqrt_d / math.log(1.0 / d) ** GOOD_BALL_LOG_POWER
 
     if len(mu) != len(K):
         raise ValueError("mu must weight exactly the points of K")
@@ -294,40 +246,6 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     )
 
 
-def energy(P, alpha) -> float:
-    """Riesz-type sum Σ_{p≠q} |p-q|^-alpha over ordered pairs."""
-    if isinstance(P, ScalarSet):
-        coords = P.values.reshape(-1, 1)
-    elif isinstance(P, PointSet2D):
-        coords = P.points
-    else:
-        coords = np.asarray(P, float)
-        coords = coords.reshape(-1, 1) if coords.ndim == 1 else coords
-    n = coords.shape[0]
-    if n < 2:
-        return 0.0
-    diff = coords[:, None, :] - coords[None, :, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    off = ~np.eye(n, dtype=bool)
-    if float(dists[off].min()) == 0.0:
-        raise ValueError("energy undefined: coincident points")
-    return float((dists[off] ** -float(alpha)).sum())
-
-
-def restrict_to_tube(ts: TwoScaleStructure, tube: Tube) -> PointSet2D:
-    """Union of the fine sets of the balls whose anchor lies in the tube."""
-    if abs(tube.width - ts.sqrt_delta) > 1e-12 * ts.sqrt_delta:
-        raise ValueError(f"tube width {tube.width} must equal sqrt(delta) = {ts.sqrt_delta}")
-    picked = []
-    for cell, anchor in zip(ts.balls, ts.anchors.points):
-        if tube.contains(anchor[0], anchor[1]):
-            picked.append(ts.fine_sets[cell].points)
-    if not picked:
-        warnings.warn("tube contains no anchors; empty restriction", stacklevel=2)
-        return PointSet2D(np.empty((0, 2)))
-    return PointSet2D(np.vstack(picked))
-
-
 def horizontal_dilate(f_prime: ProductLikeSet, delta=None) -> ProductLikeSet:
     """Scale fiber values by δ^-1/2 (the base is untouched); the result
     lives at scale √δ with the same fiber exponent."""
@@ -342,22 +260,6 @@ def horizontal_dilate(f_prime: ProductLikeSet, delta=None) -> ProductLikeSet:
             warnings.warn(f"fiber at b = {b} is wider than 4·sqrt(delta)", stacklevel=2)
     fibers = {b: ScalarSet(f.values * factor) for b, f in f_prime.fibers.items()}
     return ProductLikeSet(f_prime.base, fibers, sqrt_d, f_prime.s, f_prime.tau)
-
-
-def reparam_directions(E: DirectionSet, center: Direction, window) -> ScalarSet:
-    """Slopes {tan(θ - θ_center)} of directions within `window` of the
-    center; directions outside the window (or with cos(θ-θ_center) < 1/2)
-    are rejected."""
-    w = float(window)
-    out = []
-    for t in E.thetas.tolist():
-        diff = (t - center.theta + math.pi) % (2 * math.pi) - math.pi
-        if abs(diff) > w:
-            raise ValueError(f"direction theta={t:.6g} lies outside the window {w:.6g}")
-        if math.cos(diff) < 0.5:
-            raise ValueError(f"direction theta={t:.6g} is not roughly parallel to the center")
-        out.append(math.tan(diff))
-    return ScalarSet(out)
 
 
 def rescaled_projection_identity(f_prime: ProductLikeSet, t, delta=None):
@@ -378,43 +280,3 @@ def rescaled_projection_identity(f_prime: ProductLikeSet, t, delta=None):
     if lhs != rhs:
         raise InvariantError("dilation identity violated", lhs, rhs, t)
     return lhs, rhs
-
-
-def neighborhood_sum_measure(d2: ScalarSet, c, c_b, delta) -> float:
-    """Lebesgue measure of the δ-neighborhood of c·D² + c_b·D², computed
-    as δ times the grid covering number of the dilated sumset."""
-    if c == 0 or c_b == 0:
-        raise ValueError("both dilation coefficients must be nonzero")
-    d = as_delta(delta)
-    vals = np.add.outer(float(c) * d2.values, float(c_b) * d2.values).ravel()
-    if vals.size == 0:
-        return 0.0
-    return d * covering_number(ScalarSet(vals), d)
-
-
-def directional_energy(mu: WeightedPointSet, directions: DirectionSet, dir_weights,
-                       s, delta) -> float:
-    """Σ_e ν(e) Σ_{x≠y} μ(x)μ(y) / max(|π_e(x) - π_e(y)|, δ)^s, the
-    δ-floored discretization of the projected s-energy average."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0, 1)")
-    d = as_delta(delta)
-    nu = np.asarray(dir_weights, dtype=np.float64).ravel()
-    if nu.size != len(directions):
-        raise ValueError("one weight per direction required")
-    pts = mu.points.points
-    n = pts.shape[0]
-    if n < 2:
-        return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    if float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[~np.eye(n, dtype=bool)].min()) == 0.0:
-        raise ValueError("directional energy undefined: coincident points")
-    ww = np.outer(mu.weights, mu.weights)
-    off = ~np.eye(n, dtype=bool)
-    total = 0.0
-    for k in range(len(directions)):
-        e = directions[k]
-        gaps = np.abs(diff[:, :, 0] * e.ex + diff[:, :, 1] * e.ey)
-        floored = np.maximum(gaps, d)
-        total += float(nu[k]) * float((ww[off] / floored[off] ** float(s)).sum())
-    return total

@@ -205,18 +205,6 @@ def read_product(path) -> ProductLikeSet:
     )
 
 
-def write_weighted(path, points: PointSet2D, weights):
-    _write_csv(path, "x,y,w", ([_fmt(x), _fmt(y), _fmt(w)]
-                               for (x, y), w in zip(points.points.tolist(), weights)))
-
-
-def read_weighted(path):
-    rows, _, _ = _read_rows(path, "x,y,w", 3)
-    pts = PointSet2D(rows[:, :2])
-    # realign weights with the sorted point order (lexsort is stable)
-    return pts, rows[np.lexsort((rows[:, 1], rows[:, 0])), 2]
-
-
 def write_sweep(path, rows):
     """Rows of (theta, n_projection, close_pairs)."""
     _write_csv(path, "theta,N_projection,close_pairs",

@@ -19,16 +19,15 @@ from .additive import GridSet, plunnecke_report, snap
 from .delta_core import (
     Direction,
     DirectionSet,
+    ScalarSet,
     check_delta_t,
     covering_number,
     optimal_interval_cover,
     projection_sweep,
 )
-from .generators import gen_cantor_1d, gen_four_corner, gen_random_frostman
+from .generators import gen_cantor_1d, gen_four_corner, gen_planted_collinear, gen_random_frostman
 from .incidence import cauchy_schwarz_lower_bound, close_pairs_bruteforce, tube_cover
 from .product_construction import triple_intersections
-from .generators import gen_planted_collinear
-from .delta_core import ScalarSet
 from .scale_blowup import rescaled_projection_identity
 
 

@@ -201,13 +201,6 @@ def cantor_left_endpoints(contraction, depth):
     return sorted(pts)
 
 
-def interval_union_measure(values, delta):
-    """Lebesgue measure of the union of [v, v+delta) half-open grid cells
-    occupied by values, via explicit merged-interval sweep."""
-    cells = sorted({math.floor(v / delta) for v in values})
-    return delta * len(cells)
-
-
 def max_subgraph_edges_with_sum_bound(rows, a_vals, b_vals, sum_bound_size):
     """Exhaustive search: max edges over subset pairs (A', B') whose
     restricted sumset has at most `sum_bound_size` distinct values.

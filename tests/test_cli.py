@@ -237,6 +237,14 @@ BAD_INPUTS = {
     "generate-sampler-limit": (["generate", "--kind", "random_frostman", "--n", "10",
                                 "--exponent", "2", "--delta", "1.52587890625e-05",
                                 "--output", "{d}/out.csv"], {}),
+    # an array of 71 PiB: numpy's allocation fails at once
+    "generate-out-of-memory": (["generate", "--kind", "ap", "--n", "10000000000000000",
+                                "--step", "0.1", "--output", "{d}/out.csv"], {}),
+    # 4^40 and 2^60 points, past the generators' point budget of 2^22
+    "generate-four-corner-depth": (["generate", "--kind", "four_corner", "--depth", "40",
+                                    "--output", "{d}/out.csv"], {}),
+    "generate-cantor1d-depth": (["generate", "--kind", "cantor1d", "--contraction", "0.25",
+                                 "--depth", "60", "--output", "{d}/out.csv"], {}),
 }
 # the cases whose whole error is fixed: case -> (file, line, message)
 BAD_INPUT_ERRORS = {

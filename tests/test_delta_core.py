@@ -19,12 +19,10 @@ from projlab.delta_core import (
     Scale,
     check_delta_t,
     covering_number,
-    covering_number_2d,
     dyadic_content,
     extract_delta_s_subset,
     optimal_interval_cover,
     project,
-    project_param,
     projection_sweep,
 )
 from projlab.errors import SeparationError
@@ -119,17 +117,6 @@ def test_scale_equivariance_dyadic_factor():
         assert covering_number(ScalarSet(vals * a), a * d) == covering_number(ScalarSet(vals), d)
 
 
-def test_covering_2d_trivial_and_cantor():
-    assert covering_number_2d(PointSet2D([(0.0, 0.0)]), 0.1) == 1
-    d = 2.0 ** -4
-    grid = [(i * d, j * d) for i in range(17) for j in range(17)]
-    assert covering_number_2d(PointSet2D(grid), d) == 17 ** 2
-    # four-corner iterate depth 3 occupies exactly its 64 corner cells
-    c3 = oracles.cantor_left_endpoints(0.25, 3)
-    pts = [(x, y) for x in c3 for y in c3]
-    assert covering_number_2d(PointSet2D(pts), 4.0 ** -3) == 64
-
-
 def test_check_delta_t_single_point():
     rep = check_delta_t(PointSet2D([(0.3, 0.4)]), 2.0 ** -5, 1.0)
     assert rep.worst_ratio == 1.0
@@ -194,11 +181,10 @@ def test_check_delta_t_matches_oracle_on_seeded_2d(monkeypatch):
     assert check_delta_t(PointSet2D(pts), d, 1.0) == rep
 
 
-def _twin_report(coords, d, t, log_power=0.0):
+def _twin_report(coords, d, t):
     worst, center, radius = oracles.quadratic_nonconcentration(coords, d, t)
     return NonConcentrationReport(exponent=float(t), worst_ratio=worst, witness_center=center,
-                                  witness_radius=radius, log_power_used=float(log_power), delta=d,
-                                  n_points=len(coords))
+                                  witness_radius=radius, delta=d, n_points=len(coords))
 
 
 @pytest.fixture(scope="module")
@@ -236,15 +222,12 @@ def test_check_delta_t_prunes_at_a_tiny_delta(frostman_sets):
     assert check_delta_t(head, d, 1.5) == _twin_report(head, d, 1.5)
 
 
-def test_check_delta_t_matches_quadratic_twin_on_lattice_ties_and_log_power():
+def test_check_delta_t_matches_quadratic_twin_on_lattice_ties():
     # the 64² lattice: many centers tie near the worst ratio
     d = 2.0 ** -6
     ticks = np.arange(64) * d
     lattice = np.array([(x, y) for x in ticks for y in ticks])
     assert check_delta_t(PointSet2D(lattice), d, 1.0) == _twin_report(lattice, d, 1.0)
-    rep = check_delta_t(PointSet2D(lattice), d, 1.0, log_power=1.0)
-    assert rep == _twin_report(lattice, d, 1.0, log_power=1.0)
-    assert rep.log_power_used == 1.0
     # two translated copies of one cluster tie center for center at every
     # radius short of the gap between them: the witness (at r = δ) is the
     # first copy's, found in index order
@@ -554,23 +537,11 @@ def test_projection_sweep_one_point_and_empty_inputs():
     assert cells.tolist() == pairs.tolist() == [0] * 3
 
 
-def test_project_param_matches_rotated_projection():
-    rng = np.random.default_rng(16)
-    pts = PointSet2D(rng.uniform(0, 1, size=(50, 2)))
-    theta = 0.3
-    e = Direction(theta)
-    a = np.array(sorted(math.cos(theta) * v for v in project_param(pts, math.tan(theta))))
-    b = np.asarray(project(pts, e).values)
-    assert np.max(np.abs(a - b)) < 1e-9
-    assert list(project_param(pts, 0.0).values) == sorted(pts.xs.tolist())
-    assert project_param(PointSet2D([(0.2, 0.5)]), 1.0).values[0] == pytest.approx(0.7)
-
-
 def test_projection_contraction_constant():
     rng = np.random.default_rng(17)
     d = 2.0 ** -5
     pts = PointSet2D(rng.uniform(0, 1, size=(200, 2)))
-    n2 = covering_number_2d(pts, d)
+    n2 = len({(math.floor(x / d), math.floor(y / d)) for x, y in pts.points.tolist()})
     for theta in rng.uniform(0, 2 * math.pi, size=8):
         assert covering_number(project(pts, Direction(theta)), d) <= 3 * n2
 
@@ -611,10 +582,3 @@ def test_property_sandwich_holds(vals, j):
     grid = covering_number(ScalarSet(vals), d)
     opt = oracles.greedy_interval_cover(vals, d)
     assert opt <= grid <= 2 * opt
-
-
-def test_nonconcentration_report_passes_threshold():
-    d = 2.0 ** -6
-    rep = check_delta_t(ScalarSet([k * d for k in range(10)]), d, 1.0, log_power=1.0)
-    assert rep.threshold(1.0) == pytest.approx(math.log(1.0 / d))
-    assert rep.passes(c=rep.worst_ratio / math.log(1.0 / d) + 0.1)

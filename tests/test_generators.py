@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from projlab import generators
 from projlab.delta_core import ScalarSet, check_delta_t
 from projlab.additive import GridSet, sumset
 from projlab.generators import (
@@ -56,6 +57,21 @@ def test_four_corner_counts_and_product_structure():
     pts = gen_four_corner(d)
     expected = sorted((x, y) for x in c for y in c)
     assert [tuple(p) for p in pts.points] == expected
+
+
+def test_point_budget_bounds_cantor_and_four_corner_depth(monkeypatch):
+    assert generators.MAX_GENERATED_POINTS == 2 ** 22
+    with pytest.raises(ValueError, match=r"depth 23 builds 2\^23 points"):
+        gen_cantor_1d(0.25, 23)
+    with pytest.raises(ValueError, match=r"depth 12 builds 2\^24 points"):
+        gen_four_corner(12)
+    # at a budget of 2^4: cantor1d depth 4 and four_corner depth 2 are the deepest
+    monkeypatch.setattr(generators, "MAX_GENERATED_POINTS", 2 ** 4)
+    assert len(gen_cantor_1d(0.25, 4)) == 16 and len(gen_four_corner(2)) == 16
+    with pytest.raises(ValueError, match="over the budget of 16"):
+        gen_cantor_1d(0.25, 5)
+    with pytest.raises(ValueError, match="over the budget of 16"):
+        gen_four_corner(3)
 
 
 def test_four_corner_nonconcentration():

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from projlab.delta_core import Direction, DirectionSet, PointSet2D, covering_number, project
-from projlab.errors import InvariantError, SeparationError
 from projlab.incidence import (
     cauchy_schwarz_lower_bound,
     close_pairs,
     close_pairs_bruteforce,
-    direction_sum_upper_bound,
     kaufman_witness,
     tube_cover,
 )
@@ -99,40 +97,6 @@ def test_cauchy_schwarz_seeded_directions():
     for theta in rng.uniform(0, 2 * math.pi, size=5):
         r = cauchy_schwarz_lower_bound(p, Direction(theta), d)
         assert r.actual >= r.bound
-
-
-def test_direction_sum_trivial_and_separation():
-    d = 2.0 ** -6
-    p = PointSet2D([(0.0, 0.0), (0.9, 0.0)])
-    rep = direction_sum_upper_bound(p, DirectionSet([0.0]), d)
-    assert rep.lhs == 0
-    with pytest.raises(SeparationError):
-        direction_sum_upper_bound(p, DirectionSet([0.0, d / 10]), d)
-
-
-def test_direction_sum_strict_mode():
-    d = 2.0 ** -6
-    stack = PointSet2D([(0.5, k * d) for k in range(10)])
-    e = DirectionSet([0.0])
-    # lhs = 90 ordered pairs; a deliberately tiny c trips the invariant
-    with pytest.raises(InvariantError) as info:
-        direction_sum_upper_bound(stack, e, d, c=1e-9, strict=True)
-    assert (info.value.lhs, info.value.witness) == (90, 0)
-    rep = direction_sum_upper_bound(stack, e, d, c=1.0, strict=True)
-    assert rep.lhs == 90
-
-
-def test_direction_sum_exhaustive_instance():
-    d = 2.0 ** -6
-    pts = PointSet2D([(k * d, (k * 7 % 64) * d) for k in range(64)])
-    e = DirectionSet.net(32)
-    rep = direction_sum_upper_bound(pts, e, d)
-    brute = sum(
-        oracles.brute_close_pairs(pts.points.tolist(), th, d) for th in e.thetas.tolist()
-    )
-    assert rep.lhs == brute
-    assert rep.tally.total == sum(rep.tally.per_direction.values())
-    assert rep.implied_c == pytest.approx(rep.lhs / (math.log(1 / d) ** 2 * d ** -2))
 
 
 def test_arc_bound_enumeration():

@@ -3,23 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from projlab.delta_core import Direction, DirectionSet, ScalarSet, covering_number
+from projlab.delta_core import DirectionSet, ScalarSet, covering_number
 from projlab.errors import NonConcentrationError, SeparationError
 from projlab.generators import gen_ap, gen_planted_collinear
 from projlab.product_construction import (
     PairTubeIndex,
     ProductLikeSet,
-    affine_renormalize,
     build_product_like,
     compression_check,
     good_triple_scan,
     product_experiment,
-    relation_graph,
-    renormalized_directions,
     roughly_horizontal_filter,
     triple_intersections,
     triple_projection,
-    tube_pair_family,
 )
 
 import oracles
@@ -107,51 +103,6 @@ def test_roughly_horizontal_tube_membership_exhaustive():
                 assert len(inside) <= 1
 
 
-def test_relation_graph_single_tube_complete():
-    d = 2.0 ** -6
-    base = ScalarSet([0.0, 0.3, 0.6])
-    fibers = {b: ScalarSet([0.5]) for b in base}  # all project to one cell at e=(1,0)
-    p = ProductLikeSet(base, fibers, d, 0.5, 0.5)
-    g = relation_graph(p, DirectionSet([0.0]), d)
-    assert len(g.union_edges) == 3  # complete graph on 3 points, unordered
-    assert g.q_ratio == pytest.approx(6 / 9)
-
-
-def test_relation_graph_singleton():
-    p = ProductLikeSet(ScalarSet([0.0]), {0.0: ScalarSet([0.2])}, 0.25, 1.0, 1.0)
-    g = relation_graph(p, DirectionSet([0.0, 0.5]), 0.25)
-    assert len(g.union_edges) == 0
-
-
-def test_relation_graph_matches_triple_loop_oracle():
-    d = 2.0 ** -8
-    base = gen_ap(4, 0.25, 0.05)
-    fibers = {b: gen_ap(8, 8 * d, (hash(str(b)) % 7) * d) for b in base}
-    p = ProductLikeSet(base, fibers, d, 0.5, 0.5)
-    e = DirectionSet([0.0, 0.05, 0.1, 2.9])
-    g = relation_graph(p, e, d)
-    rows = p.point_rows()
-    # brute force: same floor cell, all direction/pair combinations
-    union = set()
-    per_dir_counts = {}
-    for di, th in enumerate(e.thetas.tolist()):
-        proj = rows @ np.array([math.cos(th), math.sin(th)])
-        cells = np.floor(proj / d).astype(int)
-        cnt = 0
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if cells[i] == cells[j]:
-                    union.add((i, j))
-                    cnt += 1
-        per_dir_counts[di] = cnt
-    assert g.union_edges == union
-    for di, cnt in per_dir_counts.items():
-        assert len(g.per_direction[di]) == cnt
-    # edge symmetry is inherent in unordered storage; spot-check adjacency
-    for (i, j) in list(g.union_edges)[:5]:
-        assert (i, j) in g.union_edges and i < j
-
-
 def collinear_instance(jitter=0.0, delta=D10, seed=0):
     base = ScalarSet([0.0, 0.5, 1.0])
     return gen_planted_collinear(base, slope=0.5, intercept=0.1, jitter=jitter,
@@ -168,12 +119,13 @@ def test_tube_pair_family_basics():
     d = D10
     p = collinear_instance()
     e = DirectionSet([line_direction(0.5), 0.3])
-    fam = tube_pair_family(p, 0.0, 0.5, e, d)
+    index = PairTubeIndex(p, e, d)
+    fam = index.family(0.0, 0.5)
     assert len(fam) >= 8  # every planted progression pair shares a tube
-    empty = tube_pair_family(p, 0.5, 0.5, e, d)
+    empty = index.family(0.5, 0.5)
     assert len(empty) == 0
     with pytest.raises(ValueError):
-        tube_pair_family(p, 0.0, 0.123, e, d)
+        index.family(0.0, 0.123)
     # family size at least the related-pair count, exactly (injective map)
     assert len(fam.pair_to_tube) == len(fam.tube_to_pair)
 
@@ -329,14 +281,14 @@ def test_product_experiment_contains_horizontal_bound():
     base = gen_ap(4, 0.25, 0.01)
     fibers = {b: gen_ap(16, math.sqrt(d), 0.0) for b in base}
     p = ProductLikeSet(base, fibers, d, 0.5, 0.5)
-    e = DirectionSet.net(16, anchor=0.0, span=math.pi)
+    e = DirectionSet.net(16, span=math.pi)
     res = product_experiment(p, e, d, s=0.5, epsilon=0.0)
     floor = max(covering_number(f, d) for f in p.fibers.values())
     assert res.max_n >= floor
     assert len(res.profile) == 16
     assert res.witness is not None  # horizontal already reaches δ^-1/2 = 16
     # monotone in E: adding directions never lowers the max
-    bigger = DirectionSet.net(32, anchor=0.0, span=math.pi)
+    bigger = DirectionSet.net(32, span=math.pi)
     res2 = product_experiment(p, bigger, d, s=0.5, epsilon=0.0)
     assert res2.max_n >= res.max_n
 
@@ -356,37 +308,11 @@ def test_product_experiment_empty_direction_set():
     assert res.profile == () and res.max_n == 0 and res.witness is None
 
 
-def test_affine_renormalization_preserves_covering():
-    d = 2.0 ** -8
-    rng = np.random.default_rng(31)
-    base = gen_ap(5, 0.2, 0.05)
-    fibers = {b: ScalarSet(np.sort(rng.choice(np.arange(256), size=10, replace=False)) * d)
-              for b in base}
-    p = ProductLikeSet(base, fibers, d, 0.5, 0.5)
-    for theta in (0.1, 0.7, -0.4):
-        e0 = Direction(theta)
-        q = affine_renormalize(p, e0)
-        n_orig = covering_number(
-            ScalarSet(p.point_rows() @ np.array([e0.ex, e0.ey])), d)
-        n_horiz = covering_number(ScalarSet(q.point_rows()[:, 0]), d)
-        assert n_horiz <= 2 * n_orig and n_orig <= 2 * n_horiz
-        # the general direction transfer: projections onto the transformed
-        # raw vectors reproduce the original projection values
-        e_set = DirectionSet([0.2, 0.9, 2.5])
-        vs = renormalized_directions(e_set, e0)
-        for k in range(len(e_set)):
-            orig = np.sort(p.point_rows() @ e_set.vectors()[k])
-            moved = np.sort(q.point_rows() @ vs[k])
-            assert np.max(np.abs(orig - moved)) < 1e-12
-    with pytest.raises(ValueError):
-        affine_renormalize(p, Direction(math.pi / 2))
-
-
 def test_experiment_sweep_is_own_oracle_regression():
     d = D10
     base, fibers = ap_product(delta=d)
     p = ProductLikeSet(base, fibers, d, 0.5, 0.5)
-    e = DirectionSet.net(math.ceil(d ** -0.5), anchor=0.0, span=math.pi)
+    e = DirectionSet.net(math.ceil(d ** -0.5), span=math.pi)
     res = product_experiment(p, e, d, s=0.5, epsilon=0.0)
     repeat = product_experiment(p, e, d, s=0.5, epsilon=0.0)
     assert res == repeat

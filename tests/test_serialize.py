@@ -85,17 +85,6 @@ def test_report_writers(tmp_path):
     assert trip.read_text().splitlines()[0] == "b1,b2,b3,intersection_size"
 
 
-def test_weighted_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    pts = PointSet2D(rng.uniform(0, 1, (20, 2)))
-    w = rng.uniform(0, 1, 20)
-    path = tmp_path / "w.csv"
-    serialize.write_weighted(path, pts, w)
-    back_pts, back_w = serialize.read_weighted(path)
-    assert np.array_equal(back_pts.points, pts.points)
-    assert np.allclose(back_w, w)
-
-
 def test_two_scale_directory(tmp_path):
     from projlab.generators import gen_random_frostman
     from projlab.scale_blowup import frostman_weights, two_scale_decomposition
@@ -310,19 +299,3 @@ def test_property_product_roundtrip(tmp_path_factory, fibers, delta, s, tau):
     assert _bits(back.base.values) == _bits(p.base.values)
     assert [_bits(f.values) for f in back.fibers.values()] == \
         [_bits(f.values) for f in p.fibers.values()]
-
-
-@ROUNDTRIP
-@given(pool=st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=4),
-       picks=st.lists(st.tuples(st.integers(0, 3), FLOATS), min_size=1, max_size=12))
-def test_property_weighted_roundtrip_keeps_weights_with_points(tmp_path_factory, pool, picks):
-    # rows in drawn order, points repeated, so the reader has to realign
-    rows = [(*pool[i % len(pool)], w) for i, w in picks]
-    directory = tmp_path_factory.mktemp("rt")
-    raw = directory / "raw.csv"
-    raw.write_text("x,y,w\n" + "".join(f"{x!r},{y!r},{w!r}\n" for x, y, w in rows))
-    pts, weights = serialize.read_weighted(raw)
-    back = sorted(zip(*(_bits(c) for c in (pts.xs, pts.ys, weights))))
-    assert back == sorted(tuple(_bits(row)) for row in rows)
-    _roundtrip(directory, serialize.write_weighted, serialize.read_weighted, (pts, weights),
-               lambda back: back)
