@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately written without importing the package's
-fast paths: plain loops and exhaustive searches, or a quadratic numpy twin
-of a pruned kernel, so the two routes stay independent.
+fast paths: plain loops and exhaustive searches, a quadratic numpy twin
+of a pruned kernel, or a public per-set routine run once per piece where
+the package batches the pieces, so the two routes stay independent.
 """
 
 import math
@@ -246,6 +247,20 @@ def brute_dyadic_masses(points, weights, j):
         key = (math.floor(x * 2 ** j), math.floor(y * 2 ** j))
         masses[key] = masses.get(key, 0.0) + w
     return masses
+
+
+def per_ball_fine_sets(points, level, balls, delta):
+    """Two-scale's extraction ball by ball: the public
+    `extract_delta_s_subset` at t = 1, on its own tree from level 0 and
+    with its own separation sweep, run on the points of each level-`level`
+    cell in `balls` (found by flooring points * 2^level).  Returns
+    {cell: (m, 2) array in lexicographic order}, in `balls` order."""
+    from projlab.delta_core import PointSet2D, extract_delta_s_subset
+
+    pts = np.asarray(points, dtype=np.float64)
+    cells = np.floor(pts * 2.0 ** level).astype(np.int64)
+    return {cell: extract_delta_s_subset(PointSet2D(pts[(cells == cell).all(axis=1)]), delta, 1.0).points
+            for cell in balls}
 
 
 def brute_tube_family(rows, thetas, delta, b1, b2):

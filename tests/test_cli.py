@@ -455,7 +455,8 @@ GOLDEN_RUNS = (
 )
 GOLDEN_FILES = ("sweep.summary.txt", "profile.summary.txt", "witness.summary.txt",
                 "none.summary.txt", "bsg.txt", "plunnecke.txt", "ts/manifest", "ts/balls.csv",
-                "verify/verify_report.csv", "verify/summary.txt", "random_frostman.csv")
+                "ts/anchors.csv", "ts/fine.csv", "verify/verify_report.csv", "verify/summary.txt",
+                "random_frostman.csv")
 
 
 def golden_outputs(directory):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlab.delta_core import (
     PointSet2D,
@@ -10,6 +12,7 @@ from projlab.delta_core import (
     covering_number,
 )
 from projlab.errors import TwoScaleError
+from projlab.generators import gen_random_frostman
 from projlab.product_construction import ProductLikeSet
 from projlab.scale_blowup import (
     DyadicCover,
@@ -163,6 +166,57 @@ def test_two_scale_horizontal_line():
     ts = two_scale_decomposition(line, mu, d)
     assert ts.reports["coarse"].worst_ratio <= 4.0
     assert all(abs(a[1] - 0.5) < 2.0 ** -4 for a in ts.anchors.points)
+
+
+def two_scale_input(case):
+    """(K, mu, delta) as `projlab two-scale` builds them: the benchmark's
+    random_frostman sets and lattice, and a toy set of random points in the
+    level-3 cells with both indices even, so every ball is kept and each
+    sits exactly two cells from its neighbours."""
+    if case.startswith("frostman"):
+        d, exponent = 2.0 ** -10, 1.5
+        K = gen_random_frostman(4096, exponent, d, seed=int(case.split("-")[1]))
+    elif case == "lattice":
+        d, exponent = 2.0 ** -8, 1.0
+        ticks = np.arange(256) / 256
+        K = PointSet2D([(x, y) for x in ticks for y in ticks])
+    else:
+        d, exponent = 2.0 ** -6, 1.0
+        rng = np.random.default_rng(12)
+        corners = [(kx, ky) for kx in range(0, 8, 2) for ky in range(0, 8, 2)]
+        K = PointSet2D(np.vstack([(np.array(c) + rng.uniform(0, 1, size=(40, 2))) / 8 for c in corners]))
+    return K, frostman_weights(K, exponent, min_scale=d), d
+
+
+def assert_matches_per_ball_oracle(K, ts):
+    sets = oracles.per_ball_fine_sets(K.points, ts.level, ts.balls, ts.delta)
+    assert np.array_equal(ts.fine.points, PointSet2D(np.vstack(list(sets.values()))).points)
+    assert np.array_equal(ts.anchors.points, PointSet2D([s[0] for s in sets.values()]).points)
+    # no ball's own scan can fail where the union's passes
+    for s in sets.values():
+        assert check_delta_t(PointSet2D(s), ts.delta, 1.0).worst_ratio <= ts.reports["fine"].worst_ratio
+
+
+@pytest.mark.parametrize("case", ["frostman-0", "frostman-1", "frostman-2", "lattice", "two-apart"])
+def test_two_scale_matches_per_ball_oracle(case):
+    K, mu, d = two_scale_input(case)
+    ts = two_scale_decomposition(K, mu, d)
+    if case == "two-apart":
+        assert ts.balls == tuple((kx, ky) for kx in range(0, 8, 2) for ky in range(0, 8, 2))
+    assert_matches_per_ball_oracle(K, ts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 31), st.integers(0, 31)),
+                max_size=60))
+def test_property_ball_scans_within_fine_scan(points):
+    # level-3 cells of side 8δ at δ = 2^-6, offsets in quarters of δ so
+    # that points tie at δ; the corner points keep two balls apart
+    d = 2.0 ** -6
+    K = PointSet2D([(0.0, 0.0), (1.0 - d, 1.0 - d)]
+                   + [((32 * cx + ox) * d / 4, (32 * cy + oy) * d / 4) for cx, cy, ox, oy in points])
+    ts = two_scale_decomposition(K, frostman_weights(K, 1.0, min_scale=d), d)
+    assert_matches_per_ball_oracle(K, ts)
 
 
 def make_fprime(delta, seed=0, n_base=6, fiber_len=8):
