@@ -77,16 +77,6 @@ class Scale:
         if self.j is not None and self.delta != 2.0 ** -self.j:
             raise ValueError(f"delta {self.delta} is not exactly 2^-{self.j}")
 
-    @classmethod
-    def dyadic(cls, j: int) -> "Scale":
-        if j < 1:
-            raise ValueError("dyadic exponent must be a positive integer")
-        return cls(2.0 ** -j, j)
-
-    @property
-    def is_dyadic(self) -> bool:
-        return self.j is not None
-
     def __float__(self) -> float:
         return self.delta
 
@@ -209,15 +199,6 @@ class Direction:
         # x % TWO_PI rounds up to TWO_PI itself for x a hair below 0
         object.__setattr__(self, "theta", theta if theta < TWO_PI else 0.0)
 
-    @classmethod
-    def from_vector(cls, x, y) -> "Direction":
-        norm = math.hypot(x, y)
-        if norm == 0.0:
-            raise ValueError("zero vector has no direction")
-        if abs(norm - 1.0) > 1e-12:
-            x, y = x / norm, y / norm
-        return cls(math.atan2(y, x))
-
     @property
     def ex(self) -> float:
         return math.cos(self.theta)
@@ -260,18 +241,6 @@ class DirectionSet:
         gaps = np.diff(self.thetas)
         wrap = TWO_PI - (self.thetas[-1] - self.thetas[0])
         return float(min(gaps.min(), wrap))
-
-    def require_separated(self, delta):
-        d = as_delta(delta)
-        gap = self.min_angular_gap()
-        if gap < d * (1.0 - SEPARATION_RTOL):
-            gaps = np.diff(self.thetas)
-            if gaps.size and gaps.min() <= gap:
-                idx = int(np.argmin(gaps))
-                pair = (float(self.thetas[idx]), float(self.thetas[idx + 1]))
-            else:  # the wraparound gap is the violation
-                pair = (float(self.thetas[-1]), float(self.thetas[0]))
-            raise SeparationError(d, (("theta", pair[0]), ("theta", pair[1])), gap)
 
 
 @dataclass(frozen=True)
@@ -633,12 +602,14 @@ def dyadic_content(K, delta, s) -> float:
 def extract_delta_s_subset(K, delta, s) -> PointSet2D:
     """Extract a δ-separated subset P of K obeying the (δ,s) caps.
 
-    Top-down dyadic-tree greedy: at level j each cell keeps at most
-    ceil((2^-j / δ)^s) of the points selected below it, preferring children
-    with the most occupied δ-cells (ties to the lower cell index).  A final
-    greedy sweep over the picks in lexicographic order keeps a point unless
-    an earlier kept point is closer than δ(1 - SEPARATION_RTOL), reading
-    the pairs from `_close_pairs`.
+    Top-down dyadic-tree greedy from the level-0 cells: at level j each
+    cell keeps at most ceil((2^-j / δ)^s) of the points selected below it,
+    preferring children with the most occupied δ-cells (ties to the lower
+    cell index).  A final greedy sweep over the picks in lexicographic
+    order keeps a point unless an earlier kept point is closer than
+    δ(1 - SEPARATION_RTOL), reading the pairs from `_close_pairs`.
+    `two_scale_decomposition` runs the same greedy and sweep from its
+    level-j good cells, one root per ball.
 
     With κ = dyadic_content(K, δ, s), the output satisfies
     |P| >= EXTRACTION_CARDINALITY_C * κ * δ^-s and passes
@@ -647,14 +618,21 @@ def extract_delta_s_subset(K, delta, s) -> PointSet2D:
     d, pts, levels = _dyadic_levels(K, delta, s)
     if pts.shape[0] == 0:
         raise ValueError("cannot extract from an empty set")
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    return _extract_below(pts[np.lexsort((pts[:, 1], pts[:, 0]))], d, s, levels, 0)
+
+
+def _extract_below(pts, d, s, levels, root):
+    """extract_delta_s_subset's greedy and sweep on the (n, 2) array `pts`
+    in lexicographic order, with every occupied level-`root` cell as a root
+    capped from its own level down; `levels` is the first level with side
+    <= d."""
     tree = DyadicCells(pts, levels)
     # one representative (lexicographically least) per δ-level cell, and
     # cuts[j]: the δ-cell numbers at which each level-j cell starts
     _, fine_starts, fine_inverse = tree.level(levels)
     reps = tree.order[fine_starts]
-    cuts = [fine_inverse[tree.order[tree.level(j)[1]]] for j in range(levels + 1)]
-    caps = [math.ceil(((2.0 ** -j) / d) ** s) for j in range(levels + 1)]
+    cuts = {j: fine_inverse[tree.order[tree.level(j)[1]]] for j in range(root, levels + 1)}
+    caps = {j: math.ceil(((2.0 ** -j) / d) ** s) for j in cuts}
 
     def select(level, lo, hi):  # the level-`level` cell of δ-cells lo..hi-1
         if hi - lo == 1:
@@ -670,8 +648,11 @@ def extract_delta_s_subset(K, delta, s) -> PointSet2D:
                 break
         return chosen[: caps[level]]
 
-    roots = cuts[0].tolist() + [reps.size]
-    selected = [i for lo, hi in zip(roots[:-1], roots[1:]) for i in select(0, lo, hi)]
+    roots = cuts[root].tolist() + [reps.size]
+    selected = [i for lo, hi in zip(roots[:-1], roots[1:]) for i in select(root, lo, hi)]
+    # the recursive closure and its cell form a reference cycle that holds
+    # reps and cuts until a garbage collection; emptying the cell frees them
+    del select
 
     # greedy δ-separation sweep in lexicographic order: a point is kept
     # unless an earlier kept point is closer than δ(1 - SEPARATION_RTOL);

@@ -12,7 +12,6 @@ SeedSequence(entropy=seed, spawn_key=(i,)).
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass, field
 
@@ -42,36 +41,6 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-
-    def to_text(self) -> str:
-        lines = [f"kind={self.kind}", f"seed={self.seed}"]
-        for key in sorted(self.parameters):
-            lines.append(f"param.{key}={self.parameters[key]!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "GeneratorSpec":
-        kind = None
-        seed = 0
-        params = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "kind":
-                kind = value
-            elif key == "seed":
-                seed = int(value)
-            elif key.startswith("param."):
-                params[key[6:]] = ast.literal_eval(value)
-            else:
-                raise ValueError(f"unknown generator key {key!r}")
-        if kind is None:
-            raise ValueError("generator spec lacks a kind")
-        return cls(kind=kind, parameters=params, seed=seed)
 
     def build(self):
         p = dict(self.parameters)

@@ -71,9 +71,6 @@ class ProductLikeSet:
     def points(self) -> PointSet2D:
         return PointSet2D(self.point_rows())
 
-    def fiber_sizes(self):
-        return {b: len(f) for b, f in self.fibers.items()}
-
     def validate(self, max_ratio=8.0):
         """Run the non-concentration checks the type promises: base at
         exponent tau, each fiber at s, the assembled set at s + tau.
@@ -283,6 +280,9 @@ def good_triple_scan(P: ProductLikeSet, E: DirectionSet, delta=None,
     >= separation_min, keeping those whose tube families share at least
     `threshold` tubes; also the global intersection sum over the scanned
     triples (the Cauchy-Schwarz diagnostic)."""
+    for name, value in (("separation_min", separation_min), ("threshold", threshold)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     idx = index if index is not None else PairTubeIndex(P, E, delta)
     base = list(P.base)
     families = {}

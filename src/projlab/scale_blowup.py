@@ -22,10 +22,10 @@ from .delta_core import (
     PointSet2D,
     ScalarSet,
     Scale,
+    _extract_below,
     as_delta,
     check_delta_t,
     covering_number,
-    extract_delta_s_subset,
 )
 from .errors import InvariantError, TwoScaleError
 from .product_construction import ProductLikeSet
@@ -166,14 +166,15 @@ def pick_scale(cover: DyadicCover, mu: WeightedPointSet, delta0):
 @dataclass(frozen=True)
 class TwoScaleStructure:
     """√δ-separated good balls with anchors forming a (√δ,1)-set and a
-    (δ,1)-set inside each ball whose union is again a (δ,1)-set."""
+    (δ,1)-set inside each ball whose union `fine` is again a (δ,1)-set.
+    A ball's set is the points of `fine` in its cell, and its anchor is the
+    lexicographically least of them."""
 
     delta: float
     sqrt_delta: float
     level: int
     balls: tuple  # (kx, ky) cell indices at `level`
     anchors: PointSet2D
-    fine_sets: dict
     fine: PointSet2D
     reports: dict
 
@@ -184,14 +185,25 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     """Select good √δ-cells (mass >= factor·√δ/log²(1/δ)), thin them
     to pairwise ball separation >= √δ, extract a (δ,1)-set inside each,
     anchor at the lexicographically least point, and verify the output
-    invariants (both scans within max_ratio) before returning."""
+    invariants (both scans within max_ratio) before returning.
+
+    One extraction covers every ball.  On one dyadic tree over the kept
+    balls' points, each kept cell is a root of `extract_delta_s_subset`'s
+    greedy; the caps of the coarser levels exceed the cell's own, so a
+    ball's picks are those of an extraction on its points alone.  Kept
+    cells are more than √δ >= 2δ apart, so one separation sweep over all
+    picks keeps what a sweep per ball would.  A ball's own scan needs no
+    run: its centers and the radii it would scan (r/δ <= its size) are
+    among the fine scan's, where each ball count is at least as large."""
+    if not math.isfinite(max_ratio):
+        raise ValueError(f"max_ratio must be finite, got {max_ratio}")
     d = as_delta(delta)
     j2 = round(math.log2(1.0 / d))
     if 2.0 ** -j2 != d or j2 % 2 != 0:
         raise TwoScaleError("delta must be dyadic with an even exponent (2^-2j)")
     j = j2 // 2
     sqrt_d = 2.0 ** -j
-    pts = K.points
+    pts = K.points  # lexicographic, as the extraction needs
     threshold = good_ball_factor * sqrt_d / math.log(1.0 / d) ** GOOD_BALL_LOG_POWER
 
     if len(mu) != len(K):
@@ -200,26 +212,24 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     mass = np.bincount(inverse, weights=mu.weights)
     good = [(float(mass[r]), tuple(cells[r].tolist()), r) for r in np.flatnonzero(mass >= threshold)]
     # thin to pairwise non-adjacent cells (Chebyshev index distance >= 2),
-    # greedily by descending mass, ties to the lower cell index
+    # greedily by descending mass, ties to the lower cell index: a cell is
+    # kept unless a kept cell is one of its eight neighbours
     good.sort(key=lambda t: (-t[0], t[1]))
-    kept = []
-    for m, cell, r in good:
-        if all(max(abs(cell[0] - c[0]), abs(cell[1] - c[1])) >= 2 for _, c, _ in kept):
-            kept.append((m, cell, r))
+    kept, taken = [], set()
+    for m, (kx, ky), r in good:
+        if not any((kx + dx, ky + dy) in taken for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+            kept.append((m, (kx, ky), r))
+            taken.add((kx, ky))
     if len(kept) < 2:
         raise TwoScaleError(
             f"only {len(kept)} good ball(s) at threshold {threshold:.3g}; "
             "use a larger delta or lower the threshold"
         )
     kept.sort(key=lambda t: t[1])
-    fine_sets = {}  # in cell order
-    anchors = []
-    for _, cell, r in kept:
-        sub = extract_delta_s_subset(PointSet2D(pts[inverse == r]), d, 1.0)
-        fine_sets[cell] = sub
-        anchors.append(tuple(sub.points[0]))  # lexicographically least
-    anchor_set = PointSet2D(anchors)
-    fine = PointSet2D(np.vstack([sub.points for sub in fine_sets.values()]))
+    fine = _extract_below(pts[np.isin(inverse, [r for _, _, r in kept])], d, 1.0, j2, j)
+    # each ball's first point of `fine`, which is lexicographic
+    _, first = np.unique(np.floor(fine.points * 2.0 ** j), axis=0, return_index=True)
+    anchor_set = PointSet2D(fine.points[first])
 
     reports = {
         "coarse": check_delta_t(anchor_set, sqrt_d, 1.0),
@@ -230,17 +240,12 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
             raise TwoScaleError(
                 f"{name} scan ratio {rep.worst_ratio:.3g} exceeds {max_ratio}"
             )
-    for cell, sub in fine_sets.items():
-        rep = check_delta_t(sub, d, 1.0)
-        if rep.worst_ratio > max_ratio:
-            raise TwoScaleError(f"ball {cell} scan ratio {rep.worst_ratio:.3g}")
     return TwoScaleStructure(
         delta=d,
         sqrt_delta=sqrt_d,
         level=j,
-        balls=tuple(fine_sets),
+        balls=tuple(cell for _, cell, _ in kept),
         anchors=anchor_set,
-        fine_sets=fine_sets,
         fine=fine,
         reports=reports,
     )

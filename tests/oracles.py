@@ -249,6 +249,19 @@ def brute_dyadic_masses(points, weights, j):
     return masses
 
 
+def thinned_good_cells(points, weights, level, threshold):
+    """Two-scale's good balls by a pairwise check: the level-`level` cells
+    whose brute mass reaches `threshold`, kept greedily by descending mass
+    (ties to the lower cell) unless a kept cell lies at Chebyshev index
+    distance below 2; returned in cell order."""
+    masses = brute_dyadic_masses(points, weights, level)
+    kept = []
+    for cell, mass in sorted(masses.items(), key=lambda cm: (-cm[1], cm[0])):
+        if mass >= threshold and all(max(abs(cell[0] - c[0]), abs(cell[1] - c[1])) >= 2 for c in kept):
+            kept.append(cell)
+    return sorted(kept)
+
+
 def per_ball_fine_sets(points, level, balls, delta):
     """Two-scale's extraction ball by ball: the public
     `extract_delta_s_subset` at t = 1, on its own tree from level 0 and

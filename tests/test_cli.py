@@ -196,6 +196,8 @@ def test_sweep_idempotent_reports(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# a product-like set of three one-point fibers
+PRODUCT_3 = "# delta=0.00390625\n# s=0.5\n# tau=0.5\nb,a\n0.125,0.1\n0.5,0.2\n0.875,0.3\n"
 # one malformed or missing input per subcommand, plus an out-of-int64 grid
 # index: (argv, files to write)
 BAD_INPUTS = {
@@ -218,6 +220,20 @@ BAD_INPUTS = {
     "two-scale": (["two-scale", "--input", "{d}/p.csv", "--output", "{d}/ts"],
                   {"p.csv": "x,y\n0.1,0.2\ninf,0.3\n"}),
     "verify": (["verify", "--output", "{d}/file/out"], {"file": "not a directory\n"}),
+    # non-finite thresholds, on inputs that pass with the defaults: a NaN
+    # ratio bound would skip both invariant checks, a NaN separation or
+    # intersection threshold would keep no triple
+    "two-scale-nan-ratio": (["two-scale", "--input", "{d}/p.csv", "--delta", "0.015625",
+                             "--threshold-ratio", "nan", "--output", "{d}/ts"],
+                            {"p.csv": "x,y\n0.1,0.1\n0.9,0.9\n"}),
+    "product-experiment-nan-separation": (["product-experiment", "--input", "{d}/prod.csv",
+                                           "--num-directions", "4", "--threshold-separation", "nan",
+                                           "--output", "{d}/out.csv", "--triples-output", "{d}/t.csv"],
+                                          {"prod.csv": PRODUCT_3}),
+    "product-experiment-nan-intersection": (["product-experiment", "--input", "{d}/prod.csv",
+                                             "--num-directions", "4", "--threshold-intersection", "nan",
+                                             "--output", "{d}/out.csv", "--triples-output", "{d}/t.csv"],
+                                            {"prod.csv": PRODUCT_3}),
     # a byte that is not UTF-8: in a data row, in a row past the first 8 KiB
     # (text-mode reads decode ahead in chunks of that size), in a grid set's
     # `# delta=` comment, and in a config file

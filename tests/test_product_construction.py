@@ -74,7 +74,7 @@ def test_roughly_horizontal_identity_for_e0():
     res = roughly_horizontal_filter(p, DirectionSet([0.0]))
     assert not res.degenerate
     assert len(res.directions) == 1
-    assert res.product.fiber_sizes() == p.fiber_sizes()
+    assert {b: len(f) for b, f in res.product.fibers.items()} == {b: len(f) for b, f in p.fibers.items()}
 
 
 def test_roughly_horizontal_drops_vertical():
@@ -243,6 +243,14 @@ def test_good_triple_scan_filters():
     idx = PairTubeIndex(p, e, d)
     for b1, b2, b3, size in scan.triples:
         assert size == len(idx.family(b1, b2).tubes & idx.family(b2, b3).tubes)
+
+
+@pytest.mark.parametrize("name", ["separation_min", "threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_good_triple_scan_rejects_non_finite_thresholds(name, value):
+    p = collinear_instance()
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        good_triple_scan(p, DirectionSet([0.3]), D10, **{name: value})
 
 
 def test_compression_check_trivial_and_planted():

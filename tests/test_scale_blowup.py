@@ -15,6 +15,8 @@ from projlab.errors import TwoScaleError
 from projlab.generators import gen_random_frostman
 from projlab.product_construction import ProductLikeSet
 from projlab.scale_blowup import (
+    GOOD_BALL_FACTOR,
+    GOOD_BALL_LOG_POWER,
     DyadicCover,
     WeightedPointSet,
     frostman_weights,
@@ -159,6 +161,14 @@ def test_two_scale_requires_even_dyadic():
         two_scale_decomposition(pts, mu, 2.0 ** -5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_two_scale_rejects_non_finite_max_ratio(value):
+    pts = unit_grid(3)
+    mu = frostman_weights(pts, 1.0)
+    with pytest.raises(ValueError, match="^max_ratio must be finite"):
+        two_scale_decomposition(pts, mu, 2.0 ** -6, max_ratio=value)
+
+
 def test_two_scale_horizontal_line():
     d = 2.0 ** -8
     line = PointSet2D([(k * d, 0.5) for k in range(256)], separation=d, check=False)
@@ -188,7 +198,10 @@ def two_scale_input(case):
     return K, frostman_weights(K, exponent, min_scale=d), d
 
 
-def assert_matches_per_ball_oracle(K, ts):
+def assert_matches_per_ball_oracle(K, mu, ts):
+    threshold = GOOD_BALL_FACTOR * ts.sqrt_delta / math.log(1.0 / ts.delta) ** GOOD_BALL_LOG_POWER
+    cells = oracles.thinned_good_cells(K.points.tolist(), mu.weights.tolist(), ts.level, threshold)
+    assert ts.balls == tuple(cells)
     sets = oracles.per_ball_fine_sets(K.points, ts.level, ts.balls, ts.delta)
     assert np.array_equal(ts.fine.points, PointSet2D(np.vstack(list(sets.values()))).points)
     assert np.array_equal(ts.anchors.points, PointSet2D([s[0] for s in sets.values()]).points)
@@ -203,20 +216,20 @@ def test_two_scale_matches_per_ball_oracle(case):
     ts = two_scale_decomposition(K, mu, d)
     if case == "two-apart":
         assert ts.balls == tuple((kx, ky) for kx in range(0, 8, 2) for ky in range(0, 8, 2))
-    assert_matches_per_ball_oracle(K, ts)
+    assert_matches_per_ball_oracle(K, mu, ts)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 31), st.integers(0, 31)),
                 max_size=60))
-def test_property_ball_scans_within_fine_scan(points):
+def test_property_two_scale_matches_per_ball_oracle(points):
     # level-3 cells of side 8δ at δ = 2^-6, offsets in quarters of δ so
     # that points tie at δ; the corner points keep two balls apart
     d = 2.0 ** -6
     K = PointSet2D([(0.0, 0.0), (1.0 - d, 1.0 - d)]
                    + [((32 * cx + ox) * d / 4, (32 * cy + oy) * d / 4) for cx, cy, ox, oy in points])
-    ts = two_scale_decomposition(K, frostman_weights(K, 1.0, min_scale=d), d)
-    assert_matches_per_ball_oracle(K, ts)
+    mu = frostman_weights(K, 1.0, min_scale=d)
+    assert_matches_per_ball_oracle(K, mu, two_scale_decomposition(K, mu, d))
 
 
 def make_fprime(delta, seed=0, n_base=6, fiber_len=8):
