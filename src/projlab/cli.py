@@ -164,12 +164,13 @@ def _cmd_product_experiment(args):
     inst = serialize.read_product(args.input)
     dirs = _load_directions(args)
     res = product_experiment(inst, dirs, args.delta, s=args.s, epsilon=args.eps0)
-    serialize.write_profile(args.output, res.profile)
+    # the scan checks its thresholds, so it runs before any file is written
     if args.triples_output:
         scan = good_triple_scan(inst, dirs, args.delta,
                                 separation_min=args.threshold_separation,
                                 threshold=args.threshold_intersection)
         serialize.write_triples(args.triples_output, scan.triples)
+    serialize.write_profile(args.output, res.profile)
     witness = {"witness": "none"} if res.witness is None else {"witness_theta": res.witness.theta}
     _write_summary(args, ["delta", "s", "eps0", "input", "output",
                           "threshold_separation", "threshold_intersection"],

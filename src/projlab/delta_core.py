@@ -540,11 +540,18 @@ class DyadicCells:
     exactly floor(pts · 2^j); `order` sorts the points stably in quadtree
     order (each level's (cx, cy), coarser levels first), so each level-j
     cell is one run of `order`, siblings run in (cx, cy) order, and a
-    level-depth cell holds its points in index order."""
+    level-depth cell holds its points in index order; position i of
+    `order` starts a level-j run exactly when split[i] <= j.  A depth past
+    `max_depth(pts)`, where floor(pts · 2^depth) would leave int64, is
+    refused with a ValueError."""
 
-    __slots__ = ("depth", "fine", "order")
+    __slots__ = ("depth", "fine", "order", "split")
 
     def __init__(self, pts, depth):
+        limit = self.max_depth(pts)
+        if depth > limit:
+            raise ValueError(f"dyadic depth {depth} takes floor(x * 2^{depth}) out of int64 "
+                             f"for these coordinates; the largest usable depth is {limit}")
         self.depth = depth
         self.fine = np.floor(pts * 2.0 ** depth).astype(np.int64)
         # within a level-(j - 1) cell, the level-j (cx, cy) order is the
@@ -554,18 +561,33 @@ class DyadicCells:
         fine = self.fine
         digits = [(2 * ((fine[:, 0] >> shift) & 1) + ((fine[:, 1] >> shift) & 1)).astype(np.int8)
                   for shift in range(depth)]
-        self.order = np.lexsort(digits + [fine[:, 1] >> depth, fine[:, 0] >> depth])
+        keys = digits + [fine[:, 1] >> depth, fine[:, 0] >> depth]
+        self.order = np.lexsort(keys)
+        # where each sorted key changes, coarser levels overwriting finer
+        self.split = np.full(self.order.size, depth + 1, dtype=np.min_scalar_type(depth + 1))
+        self.split[:1] = 0
+        for j, key in zip([*range(depth, 0, -1), 0, 0], keys):
+            key = key[self.order]
+            self.split[1:][key[1:] != key[:-1]] = j
+
+    @staticmethod
+    def max_depth(pts):
+        """The largest depth at which floor(pts · 2^depth) stays in int64:
+        every |coordinate| · 2^depth is below 2^63."""
+        return 63 - math.frexp(float(np.abs(pts).max()) if pts.size else 0.0)[1]
 
     def level(self, j):
         """(cells, starts, inverse) at level j: one cell per run of `order`,
         where each run starts in `order`, and each point's run number."""
-        cells = self.fine[self.order] >> (self.depth - j)
-        new = np.ones(cells.shape[0], dtype=bool)
-        new[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+        new = self.split <= j
         starts = np.flatnonzero(new)
-        inverse = np.empty(cells.shape[0], dtype=np.int64)
+        inverse = np.empty(new.size, dtype=np.int64)
         inverse[self.order] = np.cumsum(new) - 1
-        return cells[starts], starts, inverse
+        return self.fine[self.order[starts]] >> (self.depth - j), starts, inverse
+
+    def parent(self, j, starts):
+        """Level-j run number of each level-k run (k >= j) from all their starts."""
+        return np.cumsum(self.split[starts] <= j) - 1
 
 
 def _dyadic_levels(K, delta, s):
@@ -589,27 +611,27 @@ def dyadic_content(K, delta, s) -> float:
     if pts.shape[0] == 0:
         return 0.0
     tree = DyadicCells(pts, levels)
-    _, starts, _ = tree.level(levels)
+    starts = np.flatnonzero(tree.split <= levels)
     cost = np.full(starts.size, (2.0 ** -levels) ** s)
     for j in range(levels - 1, -1, -1):
-        _, parent_starts, inverse = tree.level(j)
-        parent = inverse[tree.order[starts]]
-        cost = np.minimum((2.0 ** -j) ** s, np.bincount(parent, weights=cost))
-        starts = parent_starts
+        cost = np.minimum((2.0 ** -j) ** s, np.bincount(tree.parent(j, starts), weights=cost))
+        starts = starts[tree.split[starts] <= j]
     return float(sum(cost.tolist()))
 
 
 def extract_delta_s_subset(K, delta, s) -> PointSet2D:
     """Extract a δ-separated subset P of K obeying the (δ,s) caps.
 
-    Top-down dyadic-tree greedy from the level-0 cells: at level j each
-    cell keeps at most ceil((2^-j / δ)^s) of the points selected below it,
-    preferring children with the most occupied δ-cells (ties to the lower
-    cell index).  A final greedy sweep over the picks in lexicographic
-    order keeps a point unless an earlier kept point is closer than
-    δ(1 - SEPARATION_RTOL), reading the pairs from `_close_pairs`.
-    `two_scale_decomposition` runs the same greedy and sweep from its
-    level-j good cells, one root per ball.
+    Dyadic-tree greedy from the level-0 cells: a level-j cell lists its
+    children's picks, most occupied δ-cells first (ties to the lower cell
+    index), and keeps the first ceil((2^-j / δ)^s); a δ-cell picks its
+    lexicographically least point.  It runs bottom-up, one array pass per
+    level, and picks what the top-down recursion would, as that stops a
+    list at its cap and keeps the same prefix.  A final greedy sweep over
+    the picks in lexicographic order keeps a point unless an earlier kept
+    point is closer than δ(1 - SEPARATION_RTOL), reading the pairs from
+    `_close_pairs`.  `two_scale_decomposition` runs the same greedy and
+    sweep from its level-j good cells, one root per ball.
 
     With κ = dyadic_content(K, δ, s), the output satisfies
     |P| >= EXTRACTION_CARDINALITY_C * κ * δ^-s and passes
@@ -625,39 +647,29 @@ def _extract_below(pts, d, s, levels, root):
     """extract_delta_s_subset's greedy and sweep on the (n, 2) array `pts`
     in lexicographic order, with every occupied level-`root` cell as a root
     capped from its own level down; `levels` is the first level with side
-    <= d."""
+    <= d.  Up the levels, each δ-cell's pick carries its cell and its place
+    among that cell's picks; `runs` start the cells, each of `size` δ-cells."""
     tree = DyadicCells(pts, levels)
-    # one representative (lexicographically least) per δ-level cell, and
-    # cuts[j]: the δ-cell numbers at which each level-j cell starts
-    _, fine_starts, fine_inverse = tree.level(levels)
-    reps = tree.order[fine_starts]
-    cuts = {j: fine_inverse[tree.order[tree.level(j)[1]]] for j in range(root, levels + 1)}
-    caps = {j: math.ceil(((2.0 ** -j) / d) ** s) for j in cuts}
-
-    def select(level, lo, hi):  # the level-`level` cell of δ-cells lo..hi-1
-        if hi - lo == 1:
-            return [int(reps[lo])]
-        c = cuts[level + 1]
-        bounds = c[np.searchsorted(c, lo) : np.searchsorted(c, hi)].tolist() + [hi]
-        # most δ-cells first; the stable sort keeps siblings in (cx, cy) order
-        children = sorted(zip(bounds[:-1], bounds[1:]), key=lambda ab: ab[0] - ab[1])
-        chosen: list[int] = []
-        for a, b in children:
-            chosen.extend(select(level + 1, a, b))
-            if len(chosen) >= caps[level]:
-                break
-        return chosen[: caps[level]]
-
-    roots = cuts[root].tolist() + [reps.size]
-    selected = [i for lo, hi in zip(roots[:-1], roots[1:]) for i in select(root, lo, hi)]
-    # the recursive closure and its cell form a reference cycle that holds
-    # reps and cuts until a garbage collection; emptying the cell frees them
-    del select
+    runs = np.flatnonzero(tree.split <= levels)
+    picks, cell = tree.order[runs], np.arange(runs.size)
+    place, size = np.zeros_like(runs), np.ones_like(runs)
+    for j in range(levels - 1, root - 1, -1):
+        parent, first = tree.parent(j, runs), np.flatnonzero(tree.split[runs] <= j)
+        # siblings by most δ-cells, then run order (a stable sort, parents
+        # kept in order); a child's picks follow those of the siblings ahead
+        by = np.lexsort((-size, parent))
+        held = np.bincount(cell, minlength=runs.size)[by]
+        ahead = np.empty_like(held)
+        ahead[by] = np.cumsum(held) - held
+        place += ahead[cell] - ahead[by[first]][parent[cell]]
+        keep = place < math.ceil(((2.0 ** -j) / d) ** s)
+        picks, cell, place = picks[keep], parent[cell[keep]], place[keep]
+        size, runs = np.add.reduceat(size, first), runs[first]
 
     # greedy δ-separation sweep in lexicographic order: a point is kept
     # unless an earlier kept point is closer than δ(1 - SEPARATION_RTOL);
     # pairs come in (i, j) order, so i's fate is settled before its pairs
-    chosen_pts = pts[sorted(selected)]
+    chosen_pts = pts[np.sort(picks)]
     keep = np.ones(chosen_pts.shape[0], dtype=bool)
     for i, j, _ in _close_pairs(chosen_pts, d):
         if keep[i]:

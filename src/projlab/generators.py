@@ -86,9 +86,9 @@ def gen_cantor_1d(contraction: float, depth: int) -> ScalarSet:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     _check_budget(depth, 1)
-    pts = [0.0]
+    pts = np.zeros(1)
     for _ in range(depth):
-        pts = [contraction * x for x in pts] + [1.0 - contraction + contraction * x for x in pts]
+        pts = np.concatenate([contraction * pts, (1.0 - contraction) + contraction * pts])
     return ScalarSet(pts)
 
 
@@ -96,9 +96,9 @@ def gen_four_corner(depth: int) -> PointSet2D:
     """Corner grid of the depth-th four-corner iterate: the product of two
     contraction-1/4 Cantor sets, 4^depth points, 4^-depth separated."""
     _check_budget(depth, 2)
-    c = gen_cantor_1d(0.25, depth) if depth > 0 else ScalarSet([0.0])
-    pts = [(x, y) for x in c for y in c]
-    return PointSet2D(pts, separation=4.0 ** -depth)
+    c = gen_cantor_1d(0.25, depth).values
+    return PointSet2D(np.column_stack([np.repeat(c, c.size), np.tile(c, c.size)]),
+                      separation=4.0 ** -depth)
 
 
 # numpy's SeedSequence pool hash (pool size 4) and PCG64 seeding, which

@@ -60,12 +60,10 @@ class WeightedPointSet:
 
 
 def _singleton_level(pts):
-    """First level (at most 40) at which no two points share a dyadic cell;
-    no cell deeper than the returned level is built."""
-    level = 0
-    while level < 40 and DyadicCells(pts, level).level(level)[1].size < pts.shape[0]:
-        level += 1
-    return level
+    """First level (at most 40) at which no two points share a dyadic cell:
+    the largest `split` of one tree, as deep as the coordinates allow."""
+    tree = DyadicCells(pts, min(40, max(0, DyadicCells.max_depth(pts))))
+    return min(40, int(tree.split.max()))
 
 
 def _max_cap_ratio(tree: DyadicCells, weights, exponent):
@@ -189,8 +187,9 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
 
     One extraction covers every ball.  On one dyadic tree over the kept
     balls' points, each kept cell is a root of `extract_delta_s_subset`'s
-    greedy; the caps of the coarser levels exceed the cell's own, so a
-    ball's picks are those of an extraction on its points alone.  Kept
+    greedy, run bottom-up from δ; the caps of the coarser levels exceed
+    the cell's own, so a ball's picks are those of an extraction on its
+    points alone.  Kept
     cells are more than √δ >= 2δ apart, so one separation sweep over all
     picks keeps what a sweep per ball would.  A ball's own scan needs no
     run: its centers and the radii it would scan (r/δ <= its size) are
@@ -228,8 +227,8 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     kept.sort(key=lambda t: t[1])
     fine = _extract_below(pts[np.isin(inverse, [r for _, _, r in kept])], d, 1.0, j2, j)
     # each ball's first point of `fine`, which is lexicographic
-    _, first = np.unique(np.floor(fine.points * 2.0 ** j), axis=0, return_index=True)
-    anchor_set = PointSet2D(fine.points[first])
+    tree = DyadicCells(fine.points, j)
+    anchor_set = PointSet2D(fine.points[tree.order[tree.split <= j]])
 
     reports = {
         "coarse": check_delta_t(anchor_set, sqrt_d, 1.0),

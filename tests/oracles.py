@@ -262,6 +262,43 @@ def thinned_good_cells(points, weights, level, threshold):
     return sorted(kept)
 
 
+def top_down_picks(points, delta, s, levels, root):
+    """The extraction's dyadic greedy by its top-down definition: every
+    occupied level-`root` cell selects recursively; a cell with one
+    occupied δ-cell (level `levels`) gives that cell's lexicographically
+    least point, and any other cell at level j walks its children by most
+    occupied δ-cells, ties in (cx, cy) order, taking each child's picks
+    until it holds ceil((2^-j / delta)^s), then keeps that many.  A
+    point's level-j cell is (floor(x·2^j), floor(y·2^j)).  Returns the
+    picks as coordinate tuples in lexicographic order."""
+
+    def cell(p, j):
+        return (math.floor(p[0] * 2.0 ** j), math.floor(p[1] * 2.0 ** j))
+
+    reps = {}
+    for p in sorted(tuple(map(float, q)) for q in points):
+        reps.setdefault(cell(p, levels), p)
+
+    def select(level, members):  # the δ-cells' points of one level-`level` cell
+        if len(members) == 1:
+            return list(members)
+        children = {}
+        for p in members:
+            children.setdefault(cell(p, level + 1), []).append(p)
+        cap = math.ceil(((2.0 ** -level) / delta) ** s)
+        chosen = []
+        for c in sorted(children, key=lambda c: (-len(children[c]), c)):
+            chosen.extend(select(level + 1, children[c]))
+            if len(chosen) >= cap:
+                break
+        return chosen[:cap]
+
+    roots = {}
+    for p in reps.values():
+        roots.setdefault(cell(p, root), []).append(p)
+    return sorted(p for members in roots.values() for p in select(root, members))
+
+
 def per_ball_fine_sets(points, level, balls, delta):
     """Two-scale's extraction ball by ball: the public
     `extract_delta_s_subset` at t = 1, on its own tree from level 0 and

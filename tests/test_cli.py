@@ -234,6 +234,9 @@ BAD_INPUTS = {
                                              "--num-directions", "4", "--threshold-intersection", "nan",
                                              "--output", "{d}/out.csv", "--triples-output", "{d}/t.csv"],
                                             {"prod.csv": PRODUCT_3}),
+    # δ = 2^-70: the dyadic cells' floor(x · 2^70) leaves int64
+    "two-scale-depth": (["two-scale", "--input", "{d}/p.csv", "--delta", "8.470329472543003e-22",
+                         "--output", "{d}/ts"], {"p.csv": "x,y\n0.1,0.1\n0.9,0.9\n"}),
     # a byte that is not UTF-8: in a data row, in a row past the first 8 KiB
     # (text-mode reads decode ahead in chunks of that size), in a grid set's
     # `# delta=` comment, and in a config file
@@ -283,6 +286,27 @@ def test_bad_input_one_error_line_no_traceback(tmp_path, capsys, command):
     if command in BAD_INPUT_ERRORS:
         name, line, message = BAD_INPUT_ERRORS[command]
         assert err == f"error: {tmp_path / name}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["product-experiment-nan-separation",
+                                     "product-experiment-nan-intersection"])
+def test_failed_threshold_writes_no_file(tmp_path, command):
+    argv, files = BAD_INPUTS[command]
+    (tmp_path / "prod.csv").write_text(files["prod.csv"])
+    assert run(*(a.format(d=tmp_path) for a in argv)) == 1
+    for name in ("out.csv", "out.summary.txt", "t.csv"):
+        assert not (tmp_path / name).exists()
+
+
+def test_two_scale_depth_past_int64_names_the_largest_depth(tmp_path, capsys):
+    from projlab.verify import fixtures_path
+
+    argv = ["two-scale", "--input", os.path.join(fixtures_path(), "points_300.csv"),
+            "--delta", repr(2.0 ** -70), "--output", str(tmp_path / "ts")]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dyadic depth 70 ") and err.endswith(" the largest usable depth is 63\n")
+    assert not (tmp_path / "ts").exists()
 
 
 D6, D10 = repr(2.0 ** -6), repr(2.0 ** -10)
@@ -468,11 +492,13 @@ GOLDEN_RUNS = (
     "verify --output verify",
     "generate --kind random_frostman --n 256 --exponent 1.0 --delta 0.00390625 --seed 1 "
     "--output random_frostman.csv",
+    "generate --kind four_corner --depth 3 --output four_corner.csv",
+    "generate --kind cantor1d --contraction 0.3 --depth 4 --output cantor1d.csv",
 )
 GOLDEN_FILES = ("sweep.summary.txt", "profile.summary.txt", "witness.summary.txt",
                 "none.summary.txt", "bsg.txt", "plunnecke.txt", "ts/manifest", "ts/balls.csv",
                 "ts/anchors.csv", "ts/fine.csv", "verify/verify_report.csv", "verify/summary.txt",
-                "random_frostman.csv")
+                "random_frostman.csv", "four_corner.csv", "cantor1d.csv")
 
 
 def golden_outputs(directory):

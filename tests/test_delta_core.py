@@ -382,6 +382,13 @@ def test_closest_violation_matches_brute_pair_search(monkeypatch, chunk):
             assert dist == math.hypot(*(pts[i] - pts[j])) < r * (1.0 - SEPARATION_RTOL)
 
 
+def brute_runs(pts, order, j):
+    """Run number at each position of `order` when consecutive points
+    sharing a level-j cell (floor(x·2^j), floor(y·2^j)) form one run."""
+    keys = [(math.floor(x * 2 ** j), math.floor(y * 2 ** j)) for x, y in pts[order].tolist()]
+    return np.cumsum([i == 0 or keys[i] != keys[i - 1] for i in range(len(keys))]) - 1
+
+
 def test_dyadic_cells_match_oracle_masses():
     rng = np.random.default_rng(23)
     base = rng.uniform(0, 1, size=(40, 2))
@@ -390,27 +397,52 @@ def test_dyadic_cells_match_oracle_masses():
         np.repeat(base, 3, axis=0)[rng.permutation(120)],  # each point three times
         np.empty((0, 2)),
         np.array([[0.3, -0.7]]),
+        # level-0 cells that differ only in x, with the same digits below
+        np.column_stack([np.arange(-3, 3) + 0.25, np.full(6, 0.3)]),
     ]
-    depth = 7
-    for pts in sets:
-        w = rng.uniform(0, 1, size=pts.shape[0])
-        tree = DyadicCells(pts, depth)
-        assert sorted(tree.order.tolist()) == list(range(pts.shape[0]))
-        prev = set()
-        for j in range(depth + 1):
-            cells, starts, inverse = tree.level(j)
-            want = oracles.brute_dyadic_masses(pts.tolist(), w.tolist(), j)
-            assert [tuple(c) for c in cells[inverse].tolist()] == [
-                (math.floor(x * 2 ** j), math.floor(y * 2 ** j)) for x, y in pts.tolist()]
-            masses = np.bincount(inverse, weights=w, minlength=starts.size)
-            assert dict(zip(map(tuple, cells.tolist()), masses.tolist())) == want
-            # one run of `order` per occupied cell, nested in the coarser runs
-            assert starts.size == len(want)
-            stops = np.append(starts[1:], pts.shape[0])
-            for r, (a, b) in enumerate(zip(starts, stops)):
-                assert (inverse[tree.order[a:b]] == r).all()
-            assert prev <= set(starts.tolist())
-            prev = set(starts.tolist())
+    for depth in range(13):
+        for pts in sets:
+            w = rng.uniform(0, 1, size=pts.shape[0])
+            tree = DyadicCells(pts, depth)
+            assert sorted(tree.order.tolist()) == list(range(pts.shape[0]))
+            runs = [brute_runs(pts, tree.order, j) for j in range(depth + 1)]
+            # split: the coarsest level whose run starts at each position
+            new = [np.diff(r, prepend=-1) == 1 for r in runs] + [np.ones(pts.shape[0], dtype=bool)]
+            assert tree.split.tolist() == np.argmax(new, axis=0).tolist()
+            prev = set()
+            for j in range(depth + 1):
+                cells, starts, inverse = tree.level(j)
+                want = oracles.brute_dyadic_masses(pts.tolist(), w.tolist(), j)
+                assert [tuple(c) for c in cells[inverse].tolist()] == [
+                    (math.floor(x * 2 ** j), math.floor(y * 2 ** j)) for x, y in pts.tolist()]
+                masses = np.bincount(inverse, weights=w, minlength=starts.size)
+                assert dict(zip(map(tuple, cells.tolist()), masses.tolist())) == want
+                # one run of `order` per occupied cell, nested in the coarser runs
+                assert starts.size == len(want)
+                assert inverse[tree.order].tolist() == runs[j].tolist()
+                stops = np.append(starts[1:], pts.shape[0])
+                for r, (a, b) in enumerate(zip(starts, stops)):
+                    assert (inverse[tree.order[a:b]] == r).all()
+                assert prev <= set(starts.tolist())
+                prev = set(starts.tolist())
+                # the parent map: the level-j run of every run of each finer level
+                for k in range(j, depth + 1):
+                    finer = tree.level(k)[1]
+                    assert tree.parent(j, finer).tolist() == runs[j][finer].tolist()
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.7, 1.0, 2.0 ** 23 + 0.5, 3.0e9, 2.0 ** 62])
+def test_dyadic_cells_refuse_a_depth_past_int64(scale):
+    pts = np.array([[0.0, 0.0], [scale, -scale / 3]])
+    limit = DyadicCells.max_depth(pts)
+    for depth in range(max(0, limit - 2), limit + 1):
+        fine = [math.floor(v * 2 ** depth) for v in pts.ravel().tolist()]
+        assert all(-2 ** 63 <= f < 2 ** 63 for f in fine)
+        assert DyadicCells(pts, depth).fine.ravel().tolist() == fine
+    if scale:
+        assert max(abs(math.floor(v * 2 ** (limit + 1))) for v in pts.ravel().tolist()) >= 2 ** 63
+    with pytest.raises(ValueError, match=f"the largest usable depth is {limit}$"):
+        DyadicCells(pts, limit + 1)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 9])
@@ -423,6 +455,15 @@ def test_dyadic_cells_order_matches_full_key_lexsort(depth):
         fine = np.floor(pts * 2.0 ** depth).astype(np.int64)
         want = np.lexsort([fine[:, k] >> (depth - j) for j in range(depth, -1, -1) for k in (1, 0)])
         assert np.array_equal(DyadicCells(pts, depth).order, want)
+
+
+def top_down_extraction(pts, d, s, levels=None, root=0):
+    """The extraction by the oracles: the top-down greedy's picks, then the
+    plain greedy separation pass over them in lexicographic order."""
+    if levels is None:
+        levels = max(0, math.ceil(math.log2(1.0 / d)))
+    picks = oracles.top_down_picks(pts, d, s, levels, root)
+    return oracles.greedy_separated([list(p) for p in picks], d * (1.0 - SEPARATION_RTOL))
 
 
 def test_extract_leaves_no_reference_cycle():
@@ -445,6 +486,7 @@ def test_extract_full_grid():
     p = extract_delta_s_subset(PointSet2D(grid), d, 1.0)
     assert len(p) >= EXTRACTION_CARDINALITY_C * kappa * (1.0 / d)
     assert len(p) == 64  # frozen regression: root cap binds exactly
+    assert p.points.tolist() == top_down_extraction(grid, d, 1.0)
     rep = check_delta_t(p, d, 1.0)
     assert rep.worst_ratio <= EXTRACTION_RATIO_BOUND
 
@@ -456,6 +498,7 @@ def test_extract_degenerate_line_at_s2():
     # caps never bind on a line at s = 2; everything survives
     assert len(p) == 64
     assert check_delta_t(p, d, 2.0).worst_ratio <= EXTRACTION_RATIO_BOUND
+    assert p.points.tolist() == top_down_extraction(line, d, 2.0)
 
 
 def test_extract_errors():
@@ -478,6 +521,7 @@ def test_extract_soundness_100_seeds():
         rep = check_delta_t(out, d, s)
         assert rep.worst_ratio <= EXTRACTION_RATIO_BOUND
         assert len(out) >= EXTRACTION_CARDINALITY_C * kappa * (1.0 / d) ** s
+        assert out.points.tolist() == top_down_extraction(pts, d, s)
 
 
 def test_extract_sweep_matches_greedy_oracle(monkeypatch):
@@ -502,10 +546,31 @@ def test_extract_sweep_matches_greedy_oracle(monkeypatch):
         swept.clear()
         out = extract_delta_s_subset(PointSet2D(pts), d, s)
         (picks,) = swept
+        assert picks == [list(p) for p in oracles.top_down_picks(pts, d, s, math.ceil(math.log2(1 / d)), 0)]
         want = oracles.greedy_separated(picks, d * (1.0 - SEPARATION_RTOL))
         assert out.points.tolist() == want
         dropped += len(picks) - len(want)
     assert dropped > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2),
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=80, unique=True),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    st.booleans(),
+)
+def test_property_extraction_matches_top_down_oracle(levels, extra, ticks, s, halfway):
+    # points on the 2^-(levels + extra) grid: up to 4^extra per δ-cell, and
+    # siblings often tie on their counts of occupied δ-cells
+    d = 2.0 ** -levels
+    pts = PointSet2D(np.array(ticks, dtype=np.float64) * 2.0 ** -(levels + extra)).points
+    root = levels // 2 if halfway else 0
+    want = top_down_extraction(pts, d, s, levels, root)
+    assert delta_core._extract_below(pts, d, s, levels, root).points.tolist() == want
+    if root == 0:
+        assert extract_delta_s_subset(PointSet2D(pts), d, s).points.tolist() == want
 
 
 def test_project_axes_and_diagonal():

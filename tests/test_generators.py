@@ -38,6 +38,10 @@ def test_gen_cantor_depths():
     got = list(gen_cantor_1d(0.25, 2))
     expected = oracles.cantor_left_endpoints(0.25, 2)
     assert got == expected == [0.0, 3.0 / 16, 3.0 / 4, 15.0 / 16]
+    # the array build rounds as the list recursion does, bit for bit
+    for contraction in (0.1, 0.3, 1.0 / 3.0, 0.45):
+        for depth in range(11):
+            assert list(gen_cantor_1d(contraction, depth)) == oracles.cantor_left_endpoints(contraction, depth)
     with pytest.raises(ValueError):
         gen_cantor_1d(0.5, 2)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlab.delta_core import (
+    SEPARATION_RTOL,
     PointSet2D,
     ScalarSet,
     check_delta_t,
@@ -19,6 +20,7 @@ from projlab.scale_blowup import (
     GOOD_BALL_LOG_POWER,
     DyadicCover,
     WeightedPointSet,
+    _singleton_level,
     frostman_weights,
     horizontal_dilate,
     pick_scale,
@@ -76,6 +78,21 @@ def test_frostman_default_depth_matches_oracle_caps():
     worst = dyadic_cap_oracle(pts, w, 1.5, depth)
     assert worst <= 1.0 + 1e-9
     assert mu.certificate_ratio == worst
+
+
+def test_singleton_level_is_the_first_level_of_singletons():
+    rng = np.random.default_rng(45)
+    base = rng.uniform(0, 1, size=(50, 2))
+    sets = [base, np.vstack([base, base[:1]]),  # one point twice: the search stops at 40
+            2.0 ** 30 + np.round(base * 64) / 64,  # 2^30 allows depth 32; singletons by 6
+            -(2.0 ** 23) - base]
+    for pts in sets:
+        brute = next((j for j in range(41) if len(oracles.brute_dyadic_masses(
+            pts.tolist(), [1.0] * len(pts), j)) == len(pts)), 40)
+        assert _singleton_level(pts) == brute
+    # two points that share every cell down to the deepest the coordinates allow
+    with pytest.raises(ValueError, match="the largest usable depth is 22$"):
+        frostman_weights(PointSet2D([(2.0 ** 40, 0.0), (2.0 ** 40, 2.0 ** -30)]), 1.0)
 
 
 def test_frostman_errors():
@@ -217,6 +234,19 @@ def test_two_scale_matches_per_ball_oracle(case):
     if case == "two-apart":
         assert ts.balls == tuple((kx, ky) for kx in range(0, 8, 2) for ky in range(0, 8, 2))
     assert_matches_per_ball_oracle(K, mu, ts)
+
+
+@pytest.mark.parametrize("case", ["frostman-0", "frostman-1", "lattice", "two-apart"])
+def test_two_scale_extraction_matches_top_down_oracle(case):
+    # the extraction rooted at the kept level-j cells, against the top-down
+    # greedy from those roots and a plain greedy separation pass
+    K, mu, d = two_scale_input(case)
+    ts = two_scale_decomposition(K, mu, d)
+    cells = np.floor(K.points * 2.0 ** ts.level)
+    inside = K.points[[tuple(c) in set(ts.balls) for c in cells.tolist()]]
+    picks = oracles.top_down_picks(inside, d, 1.0, 2 * ts.level, ts.level)
+    want = oracles.greedy_separated([list(p) for p in picks], d * (1.0 - SEPARATION_RTOL))
+    assert ts.fine.points.tolist() == want
 
 
 @settings(max_examples=40, deadline=None)
