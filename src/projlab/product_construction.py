@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -58,11 +57,8 @@ class ProductLikeSet:
 
     def point_rows(self):
         """(a, b) rows sorted by (b, a); the serialization order."""
-        rows = []
-        for b in self.base:
-            for a in self.fibers[b]:
-                rows.append((a, b))
-        return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
+        a = np.concatenate([np.empty(0)] + [self.fibers[b].values for b in self.base])
+        return np.column_stack([a, self.base.values[self.fiber_ids()]])
 
     def fiber_ids(self):
         """Index in the base of each row's fiber; nondecreasing along the rows."""
@@ -140,28 +136,17 @@ def roughly_horizontal_filter(P: ProductLikeSet, E: DirectionSet, cos_min=0.5) -
     return FilterResult(product=thinned, directions=DirectionSet(kept_thetas), degenerate=degenerate)
 
 
-def _cell_runs(rows, E: DirectionSet, delta):
-    """For each direction of E in order: the cells floor(π_e/δ) holding two
-    or more points, π_e from `projected_values`, as (cell, ascending point
-    indices) in cell order, read off the runs of one stable argsort."""
-    cells = np.floor(projected_values(rows, E.thetas) / as_delta(delta)).astype(np.int64)
-    for col in cells:
-        order = np.argsort(col, kind="stable")
-        sorted_cells = col[order]
-        # runs start where the sorted cell changes; prepending cell - 1 starts one at 0
-        starts = np.flatnonzero(np.diff(sorted_cells, prepend=sorted_cells[:1] - 1))
-        stops = np.append(starts[1:], col.size)
-        yield [(int(sorted_cells[a]), order[a:b].tolist())
-               for a, b in zip(starts, stops) if b - a > 1]
-
-
 class PairTubeIndex:
-    """Canonical tube for every related cross-fiber point pair.
+    """Canonical tube for every related cross-fiber point pair, in one table.
 
-    The tube chosen for a pair is the one with the lowest direction index
-    containing both points (the offset is then determined), so families
-    and intersections are deterministic.  The pairs are also bucketed by
-    fiber pair, so a family reads one bucket (none for a fiber with itself).
+    `pair_tube` is an int64 array with one row (i, j, direction index, cell)
+    per pair of point rows i < j on different fibers that share a cell
+    floor(π_e/δ) for some direction of E.  The tube chosen for a pair is the
+    lowest such direction index and its cell, so families and intersections
+    are deterministic.  Rows are sorted by (fiber of i, fiber of j,
+    direction, cell, i, j), so a family is one slice (empty for a fiber with
+    itself), and a row that repeats the previous row's fiber pair and tube
+    marks a non-injective family.
     """
 
     def __init__(self, P: ProductLikeSet, E: DirectionSet, delta=None):
@@ -171,36 +156,48 @@ class PairTubeIndex:
         self.rows = P.point_rows()
         self.fiber_ids = P.fiber_ids()
         self.base_values = list(P.base)
-        fid = self.fiber_ids.tolist()
-        canonical: dict = {}
-        for di, runs in enumerate(_cell_runs(self.rows, E, self.delta)):
-            for k, group in runs:
-                for i, j in combinations(group, 2):
-                    if fid[i] != fid[j]:
-                        canonical.setdefault((i, j), (di, k))
-        self.pair_tube = canonical
-        self._by_fibers: dict = {}
-        for (i, j), tube in canonical.items():
-            self._by_fibers.setdefault((fid[i], fid[j]), {})[(i, j)] = tube
+        n, nb = len(self.rows), len(self.base_values)
+        cells = np.floor(projected_values(self.rows, E.thetas) / self.delta).astype(np.int64)
+        order = np.argsort(cells, axis=1, kind="stable")
+        cells = np.take_along_axis(cells, order, axis=1)
+        # a tube is a run of equal cells in one direction's sorted row (prepending
+        # cell - 1 starts a run at 0); each position pairs with the `later`
+        # positions up to the last of its run
+        new_run = (np.diff(cells, axis=1, prepend=cells[:, :1] - 1) != 0).ravel()
+        order, cells, pos = order.ravel(), cells.ravel(), np.arange(cells.size)
+        later = np.flatnonzero(np.append(new_run[1:], True))[np.cumsum(new_run) - 1] - pos
+        # pairs are laid out position by position: the k-th of p is (p, p + 1 + k)
+        first = np.repeat(pos, later)
+        i = order[first]
+        j = order[np.arange(first.size) - np.repeat(np.cumsum(later) - later - pos - 1, later)]
+        cross = self.fiber_ids[i] != self.fiber_ids[j]
+        first, i, j = first[cross], i[cross], j[cross]
+        # positions run direction-major, so a pair's first one is its lowest direction
+        keep = np.unique(i * n + j, return_index=True)[1]
+        table = np.stack([i[keep], j[keep], first[keep] // n, cells[first[keep]]], axis=1)
+        del first, i, j, cross, keep
+        fiber_pair = self.fiber_ids[table[:, 0]] * nb + self.fiber_ids[table[:, 1]]
+        sort = np.lexsort((table[:, 1], table[:, 0], table[:, 3], table[:, 2], fiber_pair))
+        self.pair_tube, self._fiber_pair = table[sort], fiber_pair[sort]
+        keys = np.column_stack([self._fiber_pair, self.pair_tube[:, 2:]])
+        self._repeats = (np.diff(keys, axis=0, prepend=keys[:1] - 1) == 0).all(axis=1)
 
     def family(self, b1, b2) -> "TubePairFamily":
         for b in (b1, b2):
             if b not in self.product.fibers:
                 raise ValueError(f"{b} is not a base point")
-        f1 = self.base_values.index(b1)
-        f2 = self.base_values.index(b2)
-        pair_to_tube = {}
-        tube_to_pair = {}
-        for (i, j), tube in self._by_fibers.get((min(f1, f2), max(f1, f2)), {}).items():
-            p, q = (i, j) if f1 < f2 else (j, i)
-            pair_to_tube[(p, q)] = tube
-            if tube in tube_to_pair:
-                raise ValueError(
-                    f"pair-to-tube map not injective at tube {tube}; "
-                    "roughly-horizontal condition violated"
-                )
-            tube_to_pair[tube] = (p, q)
-        return TubePairFamily(b1=b1, b2=b2, pair_to_tube=pair_to_tube, tube_to_pair=tube_to_pair)
+        f1, f2 = self.base_values.index(b1), self.base_values.index(b2)
+        key = min(f1, f2) * len(self.base_values) + max(f1, f2)
+        lo, hi = np.searchsorted(self._fiber_pair, [key, key + 1])
+        if self._repeats[lo:hi].any():
+            tube = tuple(self.pair_tube[lo + self._repeats[lo:hi].argmax(), 2:].tolist())
+            raise ValueError(f"pair-to-tube map not injective at tube {tube}; "
+                             "roughly-horizontal condition violated")
+        i, j, di, k = self.pair_tube[lo:hi].T.tolist()
+        pairs = list(zip(i, j) if f1 < f2 else zip(j, i))
+        tubes = list(zip(di, k))
+        return TubePairFamily(b1=b1, b2=b2, pair_to_tube=dict(zip(pairs, tubes)),
+                              tube_to_pair=dict(zip(tubes, pairs)))
 
 
 @dataclass(frozen=True)
@@ -274,40 +271,54 @@ class GoodTripleScan:
 
 
 def good_triple_scan(P: ProductLikeSet, E: DirectionSet, delta=None,
-                     separation_min=0.25, threshold=1.0,
-                     index: PairTubeIndex | None = None) -> GoodTripleScan:
+                     separation_min=0.25, threshold=1.0) -> GoodTripleScan:
     """All ordered pairwise-distinct base triples with pairwise separation
     >= separation_min, keeping those whose tube families share at least
-    `threshold` tubes; also the global intersection sum over the scanned
-    triples (the Cauchy-Schwarz diagnostic)."""
+    `threshold` tubes, in (b1, b2, b3) base order; also the global
+    intersection sum over the scanned triples (the Cauchy-Schwarz
+    diagnostic).
+
+    Per middle fiber m, M[b, t] = 1 when tube t holds a pair of fibers b
+    and m, so (M Mᵀ)[b1, b3] = |fam(b1, m) ∩ fam(m, b3)|, exact in
+    float64.  A non-injective family raises, through
+    `PairTubeIndex.family`, only when the scan reads it: at the first
+    scanned triple that reads one, (b1, b2) before (b2, b3)."""
     for name, value in (("separation_min", separation_min), ("threshold", threshold)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    idx = index if index is not None else PairTubeIndex(P, E, delta)
-    base = list(P.base)
-    families = {}
-
-    def fam(bi, bj):
-        if (bi, bj) not in families:
-            families[(bi, bj)] = idx.family(bi, bj).tubes
-        return families[(bi, bj)]
-
-    hits = []
-    total = 0
-    for b1 in base:
-        for b2 in base:
-            if b2 == b1:
-                continue
-            for b3 in base:
-                if b3 == b1 or b3 == b2:
-                    continue
-                if min(abs(b1 - b2), abs(b1 - b3), abs(b2 - b3)) < separation_min:
-                    continue
-                size = len(fam(b1, b2) & fam(b2, b3))
-                total += size
-                if size >= threshold:
-                    hits.append((b1, b2, b3, size))
-    return GoodTripleScan(triples=tuple(hits), total_intersections=total)
+    idx = PairTubeIndex(P, E, delta)
+    base, nb = idx.base_values, len(idx.base_values)
+    gaps = np.abs(np.subtract.outer(P.base.values, P.base.values))
+    separated = (gaps >= separation_min) & ~np.eye(nb, dtype=bool)
+    fi, fj = np.divmod(idx._fiber_pair, nb)
+    # a tube's id: direction index · rows + the rank of its cell
+    tube = idx.pair_tube[:, 2] * len(fi) + np.unique(idx.pair_tube[:, 3], return_inverse=True)[1]
+    hits, total, first_bad = [np.zeros((4, 0), dtype=np.int64)], 0, nb ** 3
+    for m in range(nb):
+        # counts[b, t]: the pairs of fibers b and m in m's t-th tube
+        sel = (fi == m) | (fj == m)
+        tubes, col = np.unique(tube[sel], return_inverse=True)
+        flat = (fi[sel] + fj[sel] - m) * tubes.size + col
+        counts = np.bincount(flat, minlength=nb * tubes.size).reshape(nb, tubes.size)
+        member = (counts > 0).astype(np.float64)
+        sizes = member @ member.T
+        scanned = separated & separated[m][:, None] & separated[m][None, :]
+        total += int(sizes[scanned].sum())
+        b1, b3 = np.nonzero(scanned & (sizes >= threshold))
+        hits.append(np.stack([b1, np.full_like(b1, m), b3, sizes[b1, b3].astype(np.int64)]))
+        # the first scanned (b1, m, b3) that reads a non-injective family
+        bad = (counts > 1).any(axis=1)
+        b1, b3 = np.nonzero(scanned & (bad[:, None] | bad[None, :]))
+        first_bad = int(((b1 * nb + m) * nb + b3).min(initial=first_bad))
+    if first_bad < nb ** 3:
+        b1, m, b3 = np.unravel_index(first_bad, (nb, nb, nb))
+        idx.family(base[b1], base[m])
+        idx.family(base[m], base[b3])
+    hits = np.concatenate(hits, axis=1)
+    hits = hits[:, np.lexsort(hits[2::-1])].T.tolist()
+    return GoodTripleScan(triples=tuple((base[b1], base[m], base[b3], size)
+                                        for b1, m, b3, size in hits),
+                          total_intersections=total)
 
 
 def compression_check(g_prime, b1, b2, b3, delta, s):

@@ -317,18 +317,61 @@ def brute_tube_family(rows, thetas, delta, b1, b2):
     """Canonical tube (direction index, cell) of every pair of rows (p, q)
     with p on the fiber y = b1 and q on y = b2: the lowest direction index
     whose cell floor(pi_e/delta) holds both points.  O(n^2 |E|)."""
+    trig = [(math.cos(th), math.sin(th)) for th in thetas]
+    cells = [[math.floor((x * c + y * s) / delta) for c, s in trig] for x, y in rows]
     family = {}
-    for p, (xp, yp) in enumerate(rows):
-        for q, (xq, yq) in enumerate(rows):
+    for p, (_, yp) in enumerate(rows):
+        for q, (_, yq) in enumerate(rows):
             if yp != b1 or yq != b2:
                 continue
-            for di, th in enumerate(thetas):
-                c, s = math.cos(th), math.sin(th)
-                cell = math.floor((xp * c + yp * s) / delta)
-                if cell == math.floor((xq * c + yq * s) / delta):
-                    family[(p, q)] = (di, cell)
+            for di, (cp, cq) in enumerate(zip(cells[p], cells[q])):
+                if cp == cq:
+                    family[(p, q)] = (di, cp)
                     break
     return family
+
+
+def triple_scan_loop(rows, thetas, delta, base, separation_min, threshold):
+    """The good-triple scan as a loop over ordered triples (b1, b2, b3) of
+    distinct base values in base order, skipping any pair closer than
+    `separation_min`: each scanned triple adds |fam(b1, b2) ∩ fam(b2, b3)|
+    to the total and is kept when that size reaches `threshold`.  Families
+    are `brute_tube_family` tube sets, read (b1, b2) then (b2, b3); the
+    first family read whose tube holds two pairs raises ValueError naming
+    the lowest such tube.  Returns (hits, total)."""
+    families = {}
+
+    def fam(bi, bj):
+        # a family's tubes depend only on the two fibers' rows, and not on
+        # their order, so (bi, bj) and (bj, bi) share one brute-force pass
+        key = (min(bi, bj), max(bi, bj))
+        if key not in families:
+            sub = [r for r in rows if r[1] in key]
+            tubes = sorted(brute_tube_family(sub, thetas, delta, bi, bj).values())
+            repeated = [t for t, u in zip(tubes, tubes[1:]) if t == u]
+            families[key] = (set(tubes), repeated[:1])
+        tubes, repeated = families[key]
+        if repeated:
+            raise ValueError(f"pair-to-tube map not injective at tube {repeated[0]}; "
+                             "roughly-horizontal condition violated")
+        return tubes
+
+    hits = []
+    total = 0
+    for b1 in base:
+        for b2 in base:
+            if b2 == b1:
+                continue
+            for b3 in base:
+                if b3 == b1 or b3 == b2:
+                    continue
+                if min(abs(b1 - b2), abs(b1 - b3), abs(b2 - b3)) < separation_min:
+                    continue
+                size = len(fam(b1, b2) & fam(b2, b3))
+                total += size
+                if size >= threshold:
+                    hits.append((b1, b2, b3, size))
+    return tuple(hits), total
 
 
 def ap_iterated_sumset_size(length, m, n):

@@ -298,6 +298,23 @@ def test_failed_threshold_writes_no_file(tmp_path, command):
         assert not (tmp_path / name).exists()
 
 
+def test_scan_names_the_first_non_injective_family_it_reads(tmp_path, capsys):
+    # at separation 0 the scan reads a family two of whose pairs share tube
+    # (37, 38); at 0.25 it never reads that family, so the run succeeds
+    from projlab.verify import fixtures_path
+
+    argv = ["product-experiment", "--input", str(Path(fixtures_path()) / "product_8.csv"),
+            "--num-directions", "64", "--output", str(tmp_path / "out.csv"),
+            "--triples-output", str(tmp_path / "t.csv")]
+    assert run(*argv, "--threshold-separation", "0") == 1
+    assert capsys.readouterr().err == ("error: pair-to-tube map not injective at tube (37, 38); "
+                                       "roughly-horizontal condition violated\n")
+    for name in ("out.csv", "out.summary.txt", "t.csv"):
+        assert not (tmp_path / name).exists()
+    assert run(*argv, "--threshold-separation", "0.25") == 0
+    assert (tmp_path / "t.csv").read_text() == "b1,b2,b3,intersection_size\n"
+
+
 def test_two_scale_depth_past_int64_names_the_largest_depth(tmp_path, capsys):
     from projlab.verify import fixtures_path
 
@@ -471,13 +488,17 @@ def test_readme_cli_commands_parse():
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# toy grid sets for bsg and plunnecke, as text so that no writer under test
-# builds its own input
+# toy grid sets for bsg and plunnecke, a 7-point base for the planted product
+# (some of its gaps equal the default separation 0.25) and that product's
+# directions (0.3, 1.0 and the normal of slope 0.5), as text so that no writer
+# under test builds its own input
 TOY_GRIDS = {
     "a.csv": "# delta=0.00390625\nk\n" + "".join(f"{k}\n" for k in range(10)),
     "b.csv": "# delta=0.00390625\nk\n0\n2\n3\n7\n11\n",
     "g.csv": "a_index,b_index\n" + "".join(f"{i},{j}\n" for i in range(10) for j in range(5)
                                            if (i + j) % 3),
+    "base_7.csv": "v\n0.0\n0.125\n0.25\n0.5\n0.625\n0.875\n1.0\n",
+    "planted_dirs.csv": "theta\n0.3\n1.0\n5.81953769817878\n",
 }
 # run from one directory with relative paths, because report headers echo them
 GOLDEN_RUNS = (
@@ -494,11 +515,16 @@ GOLDEN_RUNS = (
     "--output random_frostman.csv",
     "generate --kind four_corner --depth 3 --output four_corner.csv",
     "generate --kind cantor1d --contraction 0.3 --depth 4 --output cantor1d.csv",
+    "generate --kind planted_collinear --input base_7.csv --slope 0.5 --intercept 0.1 "
+    "--jitter 0.0002 --delta 0.0009765625 --fiber-size 8 --fiber-step 0.015625 --seed 3 "
+    "--output planted.csv",
+    "product-experiment --input planted.csv --directions planted_dirs.csv "
+    "--output planted_profile.csv --triples-output triples.csv",
 )
 GOLDEN_FILES = ("sweep.summary.txt", "profile.summary.txt", "witness.summary.txt",
                 "none.summary.txt", "bsg.txt", "plunnecke.txt", "ts/manifest", "ts/balls.csv",
                 "ts/anchors.csv", "ts/fine.csv", "verify/verify_report.csv", "verify/summary.txt",
-                "random_frostman.csv", "four_corner.csv", "cantor1d.csv")
+                "random_frostman.csv", "four_corner.csv", "cantor1d.csv", "triples.csv")
 
 
 def golden_outputs(directory):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlab.delta_core import DirectionSet, ScalarSet, covering_number
 from projlab.errors import NonConcentrationError, SeparationError
@@ -147,6 +149,121 @@ def test_family_matches_quadratic_oracle_every_fiber_pair():
             assert fam.tube_to_pair == {tube: pair for pair, tube in want.items()}
             related += len(want)
     assert related > 0
+
+
+def _table_cases():
+    d = 2.0 ** -8
+    base = ScalarSet([0.0, 0.2, 0.45, 0.7, 0.9])
+    planted = gen_planted_collinear(base, slope=0.5, intercept=0.1, jitter=d / 4, seed=5,
+                                    delta=d, fiber_size=6, fiber_step=16 * d, validate=False)
+    # fibers closer than δ share vertical-direction cells across fibers
+    close = ProductLikeSet(ScalarSet([0.0, 0.1, 0.2]), {0.0: ScalarSet([0.1, 0.3, 0.35]),
+                                                        0.1: ScalarSet([0.12, 0.3]),
+                                                        0.2: ScalarSet([0.6])}, 0.25, 0.5, 0.5)
+    one = ProductLikeSet(ScalarSet([0.5]), {0.5: ScalarSet([0.1, 0.2, 0.6])}, 0.25, 0.5, 0.5)
+    return {
+        "planted": (planted, DirectionSet(np.append(np.linspace(-0.6, 0.6, 9), line_direction(0.5))), d),
+        "near-vertical": (close, DirectionSet([math.pi / 2, math.pi / 2 - 1e-9, 0.0, 0.3]), 0.25),
+        "no-directions": (planted, DirectionSet([]), d),
+        "one-fiber": (one, DirectionSet([0.0, math.pi / 2]), 0.25),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_table_cases()))
+def test_pair_tube_table_rows_match_oracle(case):
+    p, e, d = _table_cases()[case]
+    idx = PairTubeIndex(p, e, d)
+    base = list(p.base)
+    rows = idx.rows.tolist()
+    assert rows == [[a, b] for b in base for a in p.fibers[b]]
+    fiber = [base.index(y) for _, y in rows]
+    table = idx.pair_tube
+    assert table.dtype == np.int64 and table.shape == (len(table), 4)
+    keys = [(fiber[i], fiber[j], di, k, i, j) for i, j, di, k in table.tolist()]
+    assert keys == sorted(keys)
+    assert all(i < j and fi < fj for fi, fj, _, _, i, j in keys)
+    want = {}
+    for f, b1 in enumerate(base):
+        for b2 in base[f + 1:]:
+            want.update(oracles.brute_tube_family(rows, e.thetas.tolist(), d, b1, b2))
+    got = {(i, j): (di, k) for i, j, di, k in table.tolist()}
+    assert got == want and len(table) == len(want)  # one row per related pair
+    if case in ("no-directions", "one-fiber"):
+        assert table.shape == (0, 4)
+        assert len(idx.family(base[0], base[0])) == 0
+
+
+def _scan_or_error(scan):
+    try:
+        return scan()
+    except ValueError as err:
+        return str(err)
+
+
+@st.composite
+def scan_products(draw):
+    """1-7 fibers of 1-4 points on 1/16 grids, δ of 1/8 or 1/4 and up to 4
+    directions on [0, π), near-vertical ones included: small enough for the
+    loop oracle, coarse enough that families meet and repeat tubes."""
+    def grid_values(count, step, top):
+        return sorted(k * step for k in draw(st.lists(st.integers(0, top), min_size=count,
+                                                      max_size=count, unique=True)))
+
+    base = grid_values(draw(st.integers(1, 7)), 1 / 16, 16)
+    fibers = {b: grid_values(draw(st.integers(1, 4)), 1 / 16, 15) for b in base}
+    vertical = st.sampled_from([math.pi / 2, math.pi / 2 - 1e-9, math.pi / 2 + 1e-12])
+    count = draw(st.integers(0, 4))
+    thetas = draw(st.lists(st.floats(0.0, math.pi, exclude_max=True) | vertical,
+                           min_size=count, max_size=count))
+    return base, fibers, DirectionSet(thetas), draw(st.sampled_from([1 / 8, 1 / 4]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scan_products(), data=st.data())
+def test_good_triple_scan_matches_loop_oracle(case, data):
+    base, fibers, e, d = case
+    p = ProductLikeSet(ScalarSet(base), {b: ScalarSet(f) for b, f in fibers.items()}, d, 0.5, 0.5)
+    rows = [(a, b) for b in base for a in fibers[b]]
+    thetas = e.thetas.tolist()
+    # ties: the separation is a base gap, the threshold an intersection size
+    separation = data.draw(st.sampled_from(sorted({abs(a - b) for a in base for b in base})))
+    first = _scan_or_error(lambda: oracles.triple_scan_loop(rows, thetas, d, base, separation, 0.0))
+    sizes = sorted({size for *_, size in first[0]}) if isinstance(first, tuple) else []
+    threshold = float(data.draw(st.sampled_from(sizes or [0, 1])))
+    want = _scan_or_error(lambda: oracles.triple_scan_loop(rows, thetas, d, base, separation, threshold))
+    got = _scan_or_error(lambda: good_triple_scan(p, e, d, separation_min=separation, threshold=threshold))
+    assert (got if isinstance(got, str) else (got.triples, got.total_intersections)) == want
+
+
+def test_good_triple_scan_raises_for_the_first_family_the_loop_reads():
+    # families (0.25, 0.625) and (0.375, 0.625) both repeat a tube; the loop's
+    # first triple (0.25, 0.375, 0.625) reads the second as its (b2, b3)
+    fibers = {0.25: [0.875], 0.375: [0.25], 0.625: [0.5, 0.625]}
+    p = ProductLikeSet(ScalarSet(list(fibers)), {b: ScalarSet(f) for b, f in fibers.items()},
+                       0.5, 0.5, 0.5)
+    e = DirectionSet([1.0, 2.0])
+    rows = [(a, b) for b, f in fibers.items() for a in f]
+    for scan in (lambda: oracles.triple_scan_loop(rows, [1.0, 2.0], 0.5, list(fibers), 0.0, 1.0),
+                 lambda: good_triple_scan(p, e, 0.5, separation_min=0.0)):
+        with pytest.raises(ValueError, match=r"not injective at tube \(1, 0\)"):
+            scan()
+    with pytest.raises(ValueError, match=r"not injective at tube \(0, 1\)"):
+        PairTubeIndex(p, e, 0.5).family(0.25, 0.625)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_good_triple_scan_matches_loop_oracle_on_benchmark_seeds(seed):
+    # the benchmark's product-triples input: 24 fibers of 32 at δ = 2^-12, a
+    # 63-direction net over [-0.6, 0.6] plus the planted line's normal
+    d = 2.0 ** -12
+    p = gen_planted_collinear(ScalarSet(np.arange(24) / 24), slope=0.5, intercept=0.1,
+                              jitter=d / 4, seed=seed, delta=d, fiber_size=32, validate=False)
+    e = DirectionSet(np.append(np.linspace(-0.6, 0.6, 63), line_direction(0.5)))
+    scan = good_triple_scan(p, e, d)
+    want = oracles.triple_scan_loop(p.point_rows().tolist(), e.thetas.tolist(), d, list(p.base),
+                                    0.25, 1.0)
+    assert (scan.triples, scan.total_intersections) == want
+    assert len(scan.triples) > 0
 
 
 def test_family_not_injective_names_the_tube():
