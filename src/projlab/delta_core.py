@@ -708,27 +708,29 @@ def _close_pair_count(row, d):
     return int((right - np.arange(1, row.size + 1)).sum())
 
 
-def projection_sweep(P: PointSet2D, E: DirectionSet, delta):
+def projection_sweep(P: PointSet2D, E: DirectionSet, delta, pairs=True):
     """N(π_e P, δ) and the number of ordered pairs p != q with
     |π_e(p) - π_e(q)| <= δ, for every e in E: two int64 arrays indexed like
     `E.thetas`.  Projects blocks of at most CHUNK_ELEMENTS values and sorts
     each direction's values once; N counts their distinct floor(v/δ), and
-    `_close_pair_count` the pairs."""
+    `_close_pair_count` the pairs.  With pairs=False the pairs are not
+    counted and the second array is all zeros."""
     d = as_delta(delta)
     pts = P.points
     thetas = E.thetas
     n = pts.shape[0]
     cells = np.zeros(thetas.size, dtype=np.int64)
-    pairs = np.zeros(thetas.size, dtype=np.int64)
+    close = np.zeros(thetas.size, dtype=np.int64)
     if n == 0:
-        return cells, pairs
+        return cells, close
     width = max(1, CHUNK_ELEMENTS // n)
     for start in range(0, thetas.size, width):
         block = projected_values(pts, thetas[start : start + width])
         block.sort(axis=1)
-        for k, row in enumerate(block):
-            pairs[start + k] = _close_pair_count(row, d)
+        if pairs:
+            for k, row in enumerate(block):
+                close[start + k] = _close_pair_count(row, d)
         np.floor(np.divide(block, d, out=block), out=block)
         cells[start : start + block.shape[0]] = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
-    return cells, 2 * pairs
+    return cells, 2 * close
 

@@ -127,7 +127,7 @@ def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None) -> KaufmanWit
             f"direction set of size {len(E)} is below delta^-s = {d ** -s:.4g}",
             stacklevel=2,
         )
-    profile = projection_sweep(P, E, d)[0]
+    profile = projection_sweep(P, E, d, pairs=False)[0]
     best = int(np.argmax(profile))
     return KaufmanWitness(direction=E[best], n=int(profile[best]), index=best,
                           profile=tuple(profile.tolist()))

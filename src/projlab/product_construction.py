@@ -293,12 +293,18 @@ def good_triple_scan(P: ProductLikeSet, E: DirectionSet, delta=None,
     fi, fj = np.divmod(idx._fiber_pair, nb)
     # a tube's id: direction index · rows + the rank of its cell
     tube = idx.pair_tube[:, 2] * len(fi) + np.unique(idx.pair_tube[:, 3], return_inverse=True)[1]
+    # each row listed under both of its fibers, grouped by that fiber: its
+    # other fiber and its tube, so that fiber m's rows are one slice
+    owner = np.concatenate([fi, fj])
+    by_fiber = np.argsort(owner)
+    bounds = np.searchsorted(owner[by_fiber], np.arange(nb + 1))
+    other, tube = np.concatenate([fj, fi])[by_fiber], np.concatenate([tube, tube])[by_fiber]
     hits, total, first_bad = [np.zeros((4, 0), dtype=np.int64)], 0, nb ** 3
     for m in range(nb):
         # counts[b, t]: the pairs of fibers b and m in m's t-th tube
-        sel = (fi == m) | (fj == m)
+        sel = slice(bounds[m], bounds[m + 1])
         tubes, col = np.unique(tube[sel], return_inverse=True)
-        flat = (fi[sel] + fj[sel] - m) * tubes.size + col
+        flat = other[sel] * tubes.size + col
         counts = np.bincount(flat, minlength=nb * tubes.size).reshape(nb, tubes.size)
         member = (counts > 0).astype(np.float64)
         sizes = member @ member.T
@@ -350,7 +356,7 @@ def product_experiment(P: ProductLikeSet, E: DirectionSet, delta=None, s=None,
     if len(E) == 0:
         warnings.warn("empty direction set; experiment is vacuous", stacklevel=2)
     target = d ** -(s_val + float(epsilon))
-    counts = projection_sweep(P.points(), E, d)[0]
+    counts = projection_sweep(P.points(), E, d, pairs=False)[0]
     hits = np.flatnonzero(counts >= target)
     return ProductExperiment(
         witness=E[int(hits[0])] if hits.size else None,

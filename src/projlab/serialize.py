@@ -10,6 +10,7 @@ failures, a byte that is not UTF-8 included, raise CsvFormatError with the
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from decimal import Decimal
@@ -38,16 +39,48 @@ def _not_utf8(line):
     return None
 
 
+# the characters of a data section that np.loadtxt and float() read alike:
+# decimal numbers, commas, spaces, tabs and line ends
+_PLAIN = b"0123456789+-.eE, \t\n"
+
+
+def _plain_rows(rest, n_fields):
+    """The data lines `rest`, as an (n, n_fields) float64 array read by
+    np.loadtxt, when each line is one row of finite plain decimals; None for
+    anything else (a comment, a blank line, a parse error, a non-finite
+    value), which the line loop of `_read_rows` reads instead."""
+    if not rest.strip():
+        return np.empty((0, n_fields))  # loadtxt warns on an empty input
+    if not rest.isascii():
+        return None
+    data = rest.encode("ascii")
+    if data.translate(None, _PLAIN):
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips empty lines, so a row count short of the lines means one
+    lines = rest.count("\n") + (not rest.endswith("\n"))
+    if rows.shape != (lines, n_fields) or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
 def _read_rows(path, expected_header, n_fields):
     """Data rows as an (n, n_fields) float64 array, the `# key=value`
     comments as key -> (line number, value), and the 1-based line number of
-    each row.  Non-finite values are rejected."""
+    each row as a sequence.  Non-finite values are rejected.  The lines
+    after the header go to `_plain_rows` in one piece; only when it cannot
+    read them does the line loop go on, and it names the line of any
+    error."""
     rows = []
     linenos = []
     comments = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
+        lines, lineno, header_seen = fh, 0, False
+        while raw := lines.readline():
+            lineno += 1
             if not raw.isascii() and (bad := _not_utf8(raw)):  # ASCII first, for speed
                 raise CsvFormatError(path, lineno, bad)
             line = raw.rstrip("\n")
@@ -62,6 +95,12 @@ def _read_rows(path, expected_header, n_fields):
                 if line.strip() != expected_header:
                     raise CsvFormatError(path, lineno, f"expected header {expected_header!r}, got {line.strip()!r}")
                 header_seen = True
+                rest = fh.read()
+                plain = _plain_rows(rest, n_fields)
+                if plain is not None:
+                    return plain, comments, range(lineno + 1, lineno + 1 + len(plain))
+                # the text layer has already turned "\r\n" and "\r" into "\n"
+                lines = io.StringIO(rest, newline="\n")
                 continue
             parts = line.split(",")
             if len(parts) != n_fields:
@@ -178,10 +217,10 @@ def write_pairgraph(path, g: PairGraph):
     _write_csv(path, "a_index,b_index", ([str(a), str(b)] for a, b in g.edges.tolist()))
 
 
-def read_pairgraph_edges(path):
+def read_pairgraph_edges(path) -> np.ndarray:
+    """The edges as an (n, 2) int64 array of (a_index, b_index) rows."""
     rows, _, linenos = _read_rows(path, "a_index,b_index", 2)
-    edges = _int64_rows(path, rows, linenos, "edge index")
-    return list(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
+    return _int64_rows(path, rows, linenos, "edge index")
 
 
 def write_product(path, p: ProductLikeSet):

@@ -78,16 +78,21 @@ def check_tube_partition() -> CheckResult:
     p = serialize.read_points(_fixture("points_300.csv"))
     d = 2.0 ** -6
     dirs = DirectionSet([0.0, 0.7, 2.1])
-    for theta, n in zip(dirs.thetas.tolist(), projection_sweep(p, dirs, d)[0].tolist()):
+    for theta, n in zip(dirs.thetas.tolist(), projection_sweep(p, dirs, d, pairs=False)[0].tolist()):
         fam = tube_cover(p, Direction(theta), d)
         if len(fam) != n:
             return CheckResult("tube-partition", False, str(len(fam)), "covering number",
                                f"theta={theta}")
-        for x, y in p.points:
-            hits = sum(1 for t in fam.tubes if t.contains(x, y))
-            if hits != 1:
-                return CheckResult("tube-partition", False, str(hits), "1",
-                                   f"point ({x}, {y}) at theta={theta}")
+        # Tube.contains for every point and tube: offset <= x·ex + y·ey < offset + width
+        e = fam.direction
+        v = (p.points[:, 0] * e.ex + p.points[:, 1] * e.ey)[:, None]
+        offset = np.array([t.offset for t in fam.tubes])
+        end = offset + np.array([t.width for t in fam.tubes])
+        hits = np.count_nonzero((offset <= v) & (v < end), axis=1)
+        if (bad := np.flatnonzero(hits != 1)).size:
+            x, y = p.points[bad[0]]
+            return CheckResult("tube-partition", False, str(hits[bad[0]]), "1",
+                               f"point ({x}, {y}) at theta={theta}")
     return CheckResult("tube-partition", True, "every point in exactly one tube", "3 directions")
 
 

@@ -374,6 +374,49 @@ def triple_scan_loop(rows, thetas, delta, base, separation_min, threshold):
     return tuple(hits), total
 
 
+def read_rows_loop(path, expected_header, n_fields):
+    """A CSV read one text-mode line at a time: `float()` on each field of
+    each row after the header, blank lines skipped, `# key=value` comments
+    collected anywhere.  Returns (rows as an (n, n_fields) float64 array,
+    {key: (line, value)}, [line of each row]); a malformed file raises
+    ValueError(line, message) at its first bad line."""
+    rows, linenos, comments = [], [], {}
+    header_seen = False
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(lineno, f"byte {ord(raw[exc.start]) - 0xDC00:#04x} is not UTF-8")
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                key, sep, value = line[1:].strip().partition("=")
+                if sep:
+                    comments[key.strip()] = (lineno, value.strip())
+                continue
+            if not header_seen:
+                if line.strip() != expected_header:
+                    raise ValueError(lineno, f"expected header {expected_header!r}, got {line.strip()!r}")
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise ValueError(lineno, f"expected {n_fields} fields, got {len(parts)}")
+            try:
+                row = [float(part) for part in parts]
+            except ValueError as exc:
+                raise ValueError(lineno, str(exc)) from None
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(lineno, f"non-finite value in {line.strip()!r}")
+            rows.append(row)
+            linenos.append(lineno)
+    if not header_seen:
+        raise ValueError(1, f"missing header {expected_header!r}")
+    return np.array(rows, dtype=np.float64).reshape(-1, n_fields), comments, linenos
+
+
 def ap_iterated_sumset_size(length, m, n):
     """|mB - nB| for B an arithmetic progression of `length` terms."""
     if length == 0:

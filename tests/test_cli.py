@@ -288,6 +288,20 @@ def test_bad_input_one_error_line_no_traceback(tmp_path, capsys, command):
         assert err == f"error: {tmp_path / name}:{line}: {message}\n"
 
 
+@pytest.mark.parametrize("command", sorted(BAD_INPUTS))
+def test_bad_input_fails_alike_through_the_line_loop(tmp_path, capsys, monkeypatch, command):
+    argv, files = BAD_INPUTS[command]
+    errors = []
+    for line_loop in (False, True):
+        if line_loop:  # every data line read by the CSV reader's line loop
+            monkeypatch.setattr(serialize, "_plain_rows", lambda rest, n_fields: None)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+        assert run(*(a.format(d=tmp_path) for a in argv)) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+
+
 @pytest.mark.parametrize("command", ["product-experiment-nan-separation",
                                      "product-experiment-nan-intersection"])
 def test_failed_threshold_writes_no_file(tmp_path, command):
@@ -521,9 +535,10 @@ GOLDEN_RUNS = (
     "product-experiment --input planted.csv --directions planted_dirs.csv "
     "--output planted_profile.csv --triples-output triples.csv",
 )
-GOLDEN_FILES = ("sweep.summary.txt", "profile.summary.txt", "witness.summary.txt",
-                "none.summary.txt", "bsg.txt", "plunnecke.txt", "ts/manifest", "ts/balls.csv",
-                "ts/anchors.csv", "ts/fine.csv", "verify/verify_report.csv", "verify/summary.txt",
+GOLDEN_FILES = ("sweep.csv", "sweep.summary.txt", "profile.csv", "profile.summary.txt",
+                "witness.csv", "witness.summary.txt", "none.summary.txt", "bsg.txt", "plunnecke.txt",
+                "ts/manifest", "ts/balls.csv", "ts/anchors.csv", "ts/fine.csv",
+                "verify/verify_report.csv", "verify/summary.txt",
                 "random_frostman.csv", "four_corner.csv", "cantor1d.csv", "triples.csv")
 
 

@@ -598,6 +598,21 @@ def test_projection_sweep_matches_per_direction_oracles(monkeypatch):
         assert pairs.tolist() == want_pairs
 
 
+@pytest.mark.parametrize("per_block", [1, 7, 10])
+def test_projection_sweep_n_only_matches_full_sweep(monkeypatch, per_block):
+    rng = np.random.default_rng(19)
+    d = 2.0 ** -6
+    pts = PointSet2D(np.vstack([rng.integers(0, 64, size=(30, 2)) * d, rng.uniform(0, 1, size=(30, 2))]))
+    e = DirectionSet(np.concatenate([[0.0, math.pi / 4, math.pi / 2], rng.uniform(0, 2 * math.pi, 8)]))
+    full_cells, _ = projection_sweep(pts, e, d)
+    # blocks of 1, 7 + a ragged 4, and 10 + a ragged 1 of the 11 directions
+    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", per_block * len(pts) + len(pts) - 1)
+    cells, pairs = projection_sweep(pts, e, d, pairs=False)
+    assert cells.dtype == pairs.dtype == np.int64
+    assert cells.tolist() == full_cells.tolist()
+    assert pairs.tolist() == [0] * len(e)
+
+
 def test_projection_sweep_one_point_and_empty_inputs():
     d = 2.0 ** -6
     one = PointSet2D([(0.3, 0.7)])

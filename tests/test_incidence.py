@@ -141,6 +141,16 @@ def test_kaufman_witness_exact_argmax_four_corner():
     assert witness.index == sweep.index(max(sweep))
 
 
+@pytest.mark.parametrize("j", range(2, 7))
+def test_kaufman_profile_of_four_corner_on_the_diagonal_is_3_to_the_j(j):
+    # x + y over K_j takes 3^j values (base-4 digits 0, 3 and 6) at least
+    # 3·4^-j apart, each in its own 4^-j cell of (x + y)/√2: N = 3^j
+    c = oracles.cantor_left_endpoints(0.25, j)
+    pts = PointSet2D([(x, y) for x in c for y in c])
+    e = DirectionSet([0.0, math.pi / 4, 1.0])
+    assert kaufman_witness(pts, e, 4.0 ** -j).profile[1] == 3 ** j
+
+
 def test_kaufman_witness_empty_errors():
     with pytest.raises(ValueError):
         kaufman_witness(PointSet2D([(0, 0)]), DirectionSet([]), 0.1)

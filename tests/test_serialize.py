@@ -11,6 +11,8 @@ from projlab.delta_core import DirectionSet, PointSet2D, ScalarSet
 from projlab.errors import CsvFormatError
 from projlab.product_construction import ProductLikeSet
 
+import oracles
+
 
 def test_scalar_roundtrip_17_digits(tmp_path):
     rng = np.random.default_rng(1)
@@ -70,7 +72,9 @@ def test_pairgraph_roundtrip(tmp_path):
     pg = PairGraph(g, g, [(0, 1), (2, 3)])
     path = tmp_path / "pg.csv"
     serialize.write_pairgraph(path, pg)
-    assert serialize.read_pairgraph_edges(path) == [(0, 1), (2, 3)]
+    edges = serialize.read_pairgraph_edges(path)
+    assert edges.dtype == np.int64
+    assert edges.tolist() == [[0, 1], [2, 3]]
 
 
 def test_report_writers(tmp_path):
@@ -146,6 +150,117 @@ def test_pairgraph_non_integer_index_line_number(tmp_path):
     assert err.value.line == 4
 
 
+# file layouts for `_read_rows` with header "x,y": (bytes, whether the
+# np.loadtxt fast path reads its data lines; the line loop reads the rest)
+READER_LAYOUTS = {
+    "comments-before-header": (b"# delta=0.25\n#s=1\n# note\n\nx,y\n0.5,1\n2,3\n", True),
+    "comment-after-header": (b"x,y\n# delta=0.5\n0.5,1\n", False),
+    "comment-between-rows": (b"x,y\n0.5,1\n# tau=2\n2,3\n", False),
+    "blank-lines": (b"\n \nx,y\n\n0.5,1\n  \t\n2,3\n", False),
+    "blank-line-at-end": (b"x,y\n0.5,1\n\n", False),
+    "crlf": (b"# delta=0.5\r\nx,y\r\n0.5,1\r\n2,3\r\n", True),
+    "cr": (b"x,y\r0.5,1\r2,3", True),
+    "spaces-around-fields": (b"x,y\n 0.5 , 1\t\n\t2 ,3 \n", True),
+    "underscore": (b"x,y\n1_0,2\n", False),
+    "plus-sign": (b"x,y\n+1,-2\n", True),
+    "leading-dot": (b"x,y\n.5,-.25\n", True),
+    "exponent": (b"x,y\n1E3,2e-3\n", True),
+    "past-2**53": (b"x,y\n9007199254740993,-9223372036854775809\n", True),
+    "no-final-newline": (b"x,y\n0.5,1", True),
+    "empty-data": (b"x,y\n", True),
+    "empty-data-blank-lines": (b"x,y\n\n \n", True),
+    "header-only-no-newline": (b"x,y", True),
+    "hash-in-row": (b"x,y\n0.5,1#x\n", False),
+    "trailing-comma": (b"x,y\n1,2,\n", False),
+    "short-row": (b"x,y\n1,2\n3\n", False),
+    "empty-field": (b"x,y\n1,\n", False),
+    "nan": (b"x,y\n1,2\nnan,1\n", False),
+    "overflow": (b"x,y\n1,1e400\n", False),
+    "hex": (b"x,y\n0x1p3,1\n", False),
+    # control characters: loadtxt strips \x1c around a number, float() does not
+    "file-separator": (b"x,y\n1,2\x1c\n", False),
+    "nul": (b"x,y\n1,2\x00\n", False),
+    "vertical-tab": (b"x,y\n1,2\x0b\n", False),
+    "form-feed-in-row": (b"x,y\n1,2\x0c3,4\n", False),
+    "non-ascii-digit": ("x,y\n\u0661,2\n".encode(), False),
+    "no-break-space": ("x,y\n1,\u00a02\n".encode(), False),
+    "not-utf8": (b"x,y\n1,2\n1,\xff2\n", False),
+    "byte-order-mark": (b"\xef\xbb\xbfx,y\n1,2\n", False),
+    "missing-header": (b"# delta=1\n\n", False),
+    "wrong-header": (b"x;y\n1,2\n", False),
+}
+
+
+def _read_outcome(read, path):
+    """What reading `path` as an "x,y" CSV gives: the rows' bits and shape,
+    the comments and the row lines, or the error's line and message."""
+    try:
+        rows, comments, linenos = read(path, "x,y", 2)
+    except CsvFormatError as exc:
+        return "error", exc.line, str(exc).removeprefix(f"{path}:{exc.line}: ")
+    except ValueError as exc:  # the oracle's
+        return ("error", *exc.args)
+    return rows.shape, _bits(rows), comments, list(linenos)
+
+
+@pytest.fixture
+def plain_reads(monkeypatch):
+    """What each `_plain_rows` call returns (None: the line loop reads on)."""
+    reads = []
+    plain_rows = serialize._plain_rows
+
+    def spy(rest, n_fields):
+        reads.append(plain_rows(rest, n_fields))
+        return reads[-1]
+
+    monkeypatch.setattr(serialize, "_plain_rows", spy)
+    return reads
+
+
+def _line_loop_only(monkeypatch):
+    monkeypatch.setattr(serialize, "_plain_rows", lambda rest, n_fields: None)
+
+
+@pytest.mark.parametrize("layout", sorted(READER_LAYOUTS))
+def test_reader_matches_line_loop_oracle(tmp_path, monkeypatch, plain_reads, layout):
+    data, fast = READER_LAYOUTS[layout]
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    want = _read_outcome(oracles.read_rows_loop, path)
+    assert _read_outcome(serialize._read_rows, path) == want
+    assert (plain_reads != [] and plain_reads[-1] is not None) == fast
+    _line_loop_only(monkeypatch)
+    assert _read_outcome(serialize._read_rows, path) == want
+
+
+# rows of number-like fields, some with the characters that loadtxt, float()
+# and the line splitting read differently, among comments and blank lines
+READER_FIELD = st.one_of(st.floats().map(repr), st.integers(-2 ** 70, 2 ** 70).map(str),
+                         st.text(alphabet="0123456789+-.eE _\t\x0b\x0c\x1c\x00\u00a0\u0661",
+                                 max_size=6))
+READER_ROW = st.lists(READER_FIELD, min_size=1, max_size=3).map(",".join)
+READER_LINE = st.one_of(READER_ROW, READER_ROW, st.sampled_from(["", " ", "# a=b", "#", "\r"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(READER_LINE, max_size=8), end=st.sampled_from(["\n", "\r\n", "\r"]),
+       final_end=st.booleans())
+def test_property_reader_matches_line_loop_oracle(tmp_path_factory, lines, end, final_end):
+    path = tmp_path_factory.mktemp("rd") / "p.csv"
+    path.write_bytes(("x,y" + end + end.join(lines) + (end if final_end else "")).encode())
+    assert _read_outcome(serialize._read_rows, path) == _read_outcome(oracles.read_rows_loop, path)
+
+
+def test_edges_past_2_53_are_exact_on_the_fast_path(tmp_path, plain_reads):
+    path = tmp_path / "e.csv"
+    path.write_bytes(b"a_index,b_index\r\n9007199254740993,0\r\n"
+                     b" -9223372036854775808 ,9223372036854775807\r\n4.0,5\r\n")
+    edges = serialize.read_pairgraph_edges(path)
+    assert plain_reads[0] is not None
+    assert edges.dtype == np.int64
+    assert edges.tolist() == [[2 ** 53 + 1, 0], [-2 ** 63, 2 ** 63 - 1], [4, 5]]
+
+
 # out-of-int64 indices and non-numeric or out-of-range comment values:
 # (reader, file text, line the error must name)
 BAD_VALUES = {
@@ -180,6 +295,19 @@ def test_bad_index_or_comment_value_names_its_line(tmp_path, case):
     assert str(err.value).startswith(f"{path}:{line}: ")
 
 
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_index_or_comment_value_fails_alike_through_the_line_loop(tmp_path, monkeypatch, case):
+    reader, text, _ = BAD_VALUES[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as as_read:
+        reader(path)
+    _line_loop_only(monkeypatch)
+    with pytest.raises(CsvFormatError) as line_loop:
+        reader(path)
+    assert (as_read.value.line, str(as_read.value)) == (line_loop.value.line, str(line_loop.value))
+
+
 def test_int64_bounds_of_grid_indices(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text(f"# delta=0.5\nk\n{-2 ** 63}\n{2 ** 62}\n")
@@ -192,7 +320,9 @@ def test_int64_bounds_of_grid_indices(tmp_path):
     path.write_text(f"# delta=0.5\nk\n{2 ** 53 + 1}\n{2 ** 63 - 1}\n")
     assert list(serialize.read_gridset(path).members) == [2 ** 53 + 1, 2 ** 63 - 1]
     path.write_text(f"a_index,b_index\n{2 ** 53 + 1}.0,0\n")
-    assert serialize.read_pairgraph_edges(path) == [(2 ** 53 + 1, 0)]
+    edges = serialize.read_pairgraph_edges(path)
+    assert edges.dtype == np.int64
+    assert edges.tolist() == [[2 ** 53 + 1, 0]]
     path.write_text(f"# delta=0.5\nk\n{2 ** 53 + 1}.5\n")
     with pytest.raises(CsvFormatError, match=f":3: grid index {2 ** 53 + 1}.5 is not an integer"):
         serialize.read_gridset(path)
@@ -283,7 +413,8 @@ def test_property_pairgraph_roundtrip(tmp_path_factory, data, n_a, n_b):
     g = PairGraph(a, b, edges)
     back = _roundtrip(tmp_path_factory.mktemp("rt"), serialize.write_pairgraph,
                       serialize.read_pairgraph_edges, (g,), lambda edges: (PairGraph(a, b, edges),))
-    assert back == [tuple(e) for e in g.edges.tolist()]
+    assert back.dtype == np.int64
+    assert back.tolist() == g.edges.tolist()
 
 
 @ROUNDTRIP
