@@ -123,14 +123,10 @@ def iterated_sumset(b: GridSet, m: int, n: int) -> GridSet:
         raise ValueError("fold counts must be nonnegative")
     if m + n == 0:
         raise ValueError("at least one fold is required")
-
-    def fold(k):
-        acc = GridSet([0], b.step)
-        for _ in range(k):
-            acc = sumset(acc, b, "+")
-        return acc
-
-    return sumset(fold(m), fold(n), "-")
+    folds = [GridSet([0], b.step), b]  # folds[k] = kB
+    while len(folds) <= max(m, n):
+        folds.append(sumset(folds[-1], b, "+"))
+    return sumset(folds[m], folds[n], "-")
 
 
 @dataclass(frozen=True)

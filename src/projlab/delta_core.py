@@ -74,7 +74,7 @@ class Scale:
 
     def __post_init__(self):
         as_delta(self.delta)
-        if self.j is not None and self.delta != 2.0 ** -self.j:
+        if self.j is not None and _dyadic_level(self.delta) != (self.j, True):
             raise ValueError(f"delta {self.delta} is not exactly 2^-{self.j}")
 
     def __float__(self) -> float:
@@ -115,8 +115,8 @@ class ScalarSet:
 class PointSet2D:
     """Finite planar point collection, stored in lexicographic order.
 
-    If `separation` is declared, pairwise Euclidean distances are verified
-    to be >= separation (up to SEPARATION_RTOL) at construction.
+    A declared `separation` (distances >= separation, up to
+    SEPARATION_RTOL) is verified, or holds by construction (check=False).
     """
 
     __slots__ = ("points", "separation")
@@ -133,11 +133,7 @@ class PointSet2D:
             if self.separation <= 0:
                 raise ValueError("separation must be positive")
             if check:
-                violation = _closest_violation(self.points, self.separation)
-                if violation is not None:
-                    i, j, dist = violation
-                    pair = (tuple(self.points[i].tolist()), tuple(self.points[j].tolist()))
-                    raise SeparationError(self.separation, pair, dist)
+                _require_separation(self.points, self.separation)
 
     def __len__(self):
         return int(self.points.shape[0])
@@ -154,11 +150,14 @@ class PointSet2D:
         return self.points[:, 1]
 
 
-def _closest_violation(pts, r):
-    """The closest pair i < j of the (n, 1) or (n, 2) array closer than
-    r*(1-SEPARATION_RTOL), ties to the lowest (i, j), as (i, j, distance);
-    None if clean."""
-    return min(_close_pairs(pts, r), key=lambda p: (p[2], p[0], p[1]), default=None)
+def _require_separation(pts, r):
+    """Raise SeparationError naming the closest pair i < j of the (n, 1) or
+    (n, 2) array closer than r*(1-SEPARATION_RTOL), ties to the lowest
+    (i, j), if there is one."""
+    violation = min(_close_pairs(pts, r), key=lambda p: (p[2], p[0], p[1]), default=None)
+    if violation is not None:
+        i, j, dist = violation
+        raise SeparationError(r, (tuple(pts[i].tolist()), tuple(pts[j].tolist())), dist)
 
 
 def _close_pairs(pts, r):
@@ -285,9 +284,21 @@ def covering_number(S, delta) -> int:
 
 def grid_cells_1d(S, delta):
     """Sorted distinct grid indices k with [kδ, (k+1)δ) meeting S."""
-    d = as_delta(delta)
     vals = S.values if isinstance(S, ScalarSet) else np.asarray(S, dtype=np.float64).ravel()
-    return np.unique(np.floor(vals / d).astype(np.int64))
+    return np.unique(_cell_index(vals, as_delta(delta)))
+
+
+def _cell_index(vals, d):
+    """floor(vals / d) as int64, for an array of any shape.  A δ at which an
+    index would leave int64, exactly when some |v| >= δ·2^63, is refused
+    with a ValueError naming the smallest usable δ."""
+    bound = float(np.abs(vals).max(initial=0.0))
+    if not bound < math.ldexp(d, 63):
+        least = math.ldexp(bound, -63)
+        least = least if math.ldexp(least, 63) > bound else math.nextafter(least, math.inf)
+        raise ValueError(f"delta {d!r} takes floor(v / delta) out of int64 for |v| up to {bound!r}; "
+                         f"the smallest usable delta is {least!r}")
+    return np.floor(vals / d).astype(np.int64)
 
 
 def optimal_interval_cover(S, delta) -> int:
@@ -308,24 +319,18 @@ def optimal_interval_cover(S, delta) -> int:
 
 
 def dyadic_radii(delta):
-    """The scan radii {δ, 2δ, 4δ, ...} capped at 1 (1 appended if missed)."""
+    """The scan radii {δ, 2δ, 4δ, ...} capped at 1 (1 appended if missed):
+    δ·2^k for k below δ's level j, then 1 (which is δ·2^j if δ = 2^-j)."""
     d = as_delta(delta)
-    radii = []
-    r = d
-    while r <= 1.0:
-        radii.append(r)
-        r *= 2.0
-    if radii[-1] < 1.0:
-        radii.append(1.0)
-    return radii
+    return [math.ldexp(d, k) for k in range(_dyadic_level(d)[0])] + [1.0]
 
 
-def check_delta_t(P, delta, t, *, validate_separation=True) -> NonConcentrationReport:
+def check_delta_t(P, delta, t) -> NonConcentrationReport:
     """Scan the (δ,t) non-concentration condition over P.
 
     Centers range over P itself and radii over `dyadic_radii(delta)`; balls
-    are closed.  Rejects input that is not δ-separated (the condition is
-    only meaningful for δ-separated sets) unless validation is disabled.
+    are closed.  Rejects input that is not δ-separated, unless it is a
+    PointSet2D declaring a separation >= δ.
 
     Exact and pruned.  `_BallCells` bounds every center's count at every
     radius.  The NC_SAMPLE centers with the largest bound ratio are counted
@@ -347,9 +352,8 @@ def check_delta_t(P, delta, t, *, validate_separation=True) -> NonConcentrationR
         raise ValueError("cannot scan an empty set")
     if not np.isfinite(pts).all():
         raise ValueError("cannot scan non-finite coordinates")
-    if validate_separation and (violation := _closest_violation(pts, d)) is not None:
-        i, j, dist = violation
-        raise SeparationError(d, (tuple(pts[i].tolist()), tuple(pts[j].tolist())), dist)
+    if not (isinstance(P, PointSet2D) and P.separation is not None and P.separation >= d):
+        _require_separation(pts, d)
 
     radii = np.asarray(dyadic_radii(d))
     powers = (radii / d) ** t
@@ -548,10 +552,7 @@ class DyadicCells:
     __slots__ = ("depth", "fine", "order", "split")
 
     def __init__(self, pts, depth):
-        limit = self.max_depth(pts)
-        if depth > limit:
-            raise ValueError(f"dyadic depth {depth} takes floor(x * 2^{depth}) out of int64 "
-                             f"for these coordinates; the largest usable depth is {limit}")
+        _check_depth(depth, pts)
         self.depth = depth
         self.fine = np.floor(pts * 2.0 ** depth).astype(np.int64)
         # within a level-(j - 1) cell, the level-j (cx, cy) order is the
@@ -590,6 +591,23 @@ class DyadicCells:
         return np.cumsum(self.split[starts] <= j) - 1
 
 
+def _check_depth(depth, pts):
+    """Refuse, naming `DyadicCells.max_depth(pts)`, a depth at which
+    floor(pts · 2^depth) would leave int64."""
+    limit = DyadicCells.max_depth(pts)
+    if depth > limit:
+        raise ValueError(f"dyadic depth {depth} takes floor(x * 2^{depth}) out of int64 "
+                         f"for these coordinates; the largest usable depth is {limit}")
+
+
+def _dyadic_level(d):
+    """(j, exact) for δ in (0, 1/2]: the first level j whose side 2^-j is
+    at most δ, and whether δ == 2^-j.  frexp gives δ = m·2^e with m in
+    [1/2, 1), so 2^(e-1) <= δ < 2^e, exactly and for every float δ."""
+    m, e = math.frexp(d)
+    return 1 - e, m == 0.5
+
+
 def _dyadic_levels(K, delta, s):
     """Validated (δ, (n, 2) points, first level with side <= δ)."""
     d = as_delta(delta)
@@ -598,7 +616,7 @@ def _dyadic_levels(K, delta, s):
     pts = _coerce_coords(K)
     if pts.shape[1] == 1:
         pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])
-    return d, pts, max(0, math.ceil(math.log2(1.0 / d)))
+    return d, pts, _dyadic_level(d)[0]
 
 
 def dyadic_content(K, delta, s) -> float:
@@ -712,9 +730,9 @@ def projection_sweep(P: PointSet2D, E: DirectionSet, delta, pairs=True):
     """N(π_e P, δ) and the number of ordered pairs p != q with
     |π_e(p) - π_e(q)| <= δ, for every e in E: two int64 arrays indexed like
     `E.thetas`.  Projects blocks of at most CHUNK_ELEMENTS values and sorts
-    each direction's values once; N counts their distinct floor(v/δ), and
-    `_close_pair_count` the pairs.  With pairs=False the pairs are not
-    counted and the second array is all zeros."""
+    each direction's values once; N counts their distinct floor(v/δ), once
+    `_cell_index` accepts δ for the ends of every sorted row, and
+    `_close_pair_count` the pairs (with pairs=False, zeros)."""
     d = as_delta(delta)
     pts = P.points
     thetas = E.thetas
@@ -727,6 +745,7 @@ def projection_sweep(P: PointSet2D, E: DirectionSet, delta, pairs=True):
     for start in range(0, thetas.size, width):
         block = projected_values(pts, thetas[start : start + width])
         block.sort(axis=1)
+        _cell_index(block[:, [0, -1]], d)
         if pairs:
             for k, row in enumerate(block):
                 close[start + k] = _close_pair_count(row, d)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta_core import PointSet2D, ScalarSet, as_delta, check_delta_t
+from .delta_core import PointSet2D, ScalarSet, _check_depth, _dyadic_level, as_delta, check_delta_t
 from .errors import GeneratorError
 from .product_construction import ProductLikeSet, build_product_like
 
@@ -182,9 +182,11 @@ def _branching_points(n, exponent, delta, seed, attempt):
     a depth-first walk.
     """
     d = as_delta(delta)
-    levels = round(math.log2(1.0 / d))
-    if 2.0 ** -levels != d:
+    levels, exact = _dyadic_level(d)
+    if not exact:
         raise ValueError("branching generator needs an exactly dyadic delta")
+    # the cell counters kx, ky at the last level are floor(x · 2^levels), x in [0, 1)
+    _check_depth(levels, np.array([math.nextafter(1.0, 0.0)]))
     root_cap = math.ceil(d ** -exponent)
     if n > root_cap:
         raise ValueError(f"infeasible count: n = {n} exceeds the level-0 cap {root_cap}")
@@ -230,7 +232,7 @@ def gen_random_frostman(n: int, exponent: float, delta, seed: int = 0) -> PointS
     d = as_delta(delta)
     for attempt in range(_MAX_REJECTION_ATTEMPTS):
         pts = _branching_points(n, exponent, d, seed, attempt)
-        rep = check_delta_t(pts, d, exponent, validate_separation=False)
+        rep = check_delta_t(pts, d, exponent)
         if rep.worst_ratio <= RANDOM_FROSTMAN_RATIO_BOUND:
             return pts
     raise GeneratorError(f"random_frostman: no attempt met the ratio bound {RANDOM_FROSTMAN_RATIO_BOUND:g}")

@@ -122,12 +122,12 @@ def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None) -> KaufmanWit
     d = as_delta(delta)
     if len(E) == 0:
         raise ValueError("direction set is empty")
+    profile = projection_sweep(P, E, d, pairs=False)[0]
     if s is not None and len(E) < d ** -s:
         warnings.warn(
             f"direction set of size {len(E)} is below delta^-s = {d ** -s:.4g}",
             stacklevel=2,
         )
-    profile = projection_sweep(P, E, d, pairs=False)[0]
     best = int(np.argmax(profile))
     return KaufmanWitness(direction=E[best], n=int(profile[best]), index=best,
                           profile=tuple(profile.tolist()))

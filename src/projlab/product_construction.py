@@ -22,6 +22,7 @@ from .delta_core import (
     DirectionSet,
     PointSet2D,
     ScalarSet,
+    _cell_index,
     as_delta,
     check_delta_t,
     covering_number,
@@ -157,7 +158,7 @@ class PairTubeIndex:
         self.fiber_ids = P.fiber_ids()
         self.base_values = list(P.base)
         n, nb = len(self.rows), len(self.base_values)
-        cells = np.floor(projected_values(self.rows, E.thetas) / self.delta).astype(np.int64)
+        cells = _cell_index(projected_values(self.rows, E.thetas), self.delta)
         order = np.argsort(cells, axis=1, kind="stable")
         cells = np.take_along_axis(cells, order, axis=1)
         # a tube is a run of equal cells in one direction's sorted row (prepending
@@ -299,22 +300,23 @@ def good_triple_scan(P: ProductLikeSet, E: DirectionSet, delta=None,
     by_fiber = np.argsort(owner)
     bounds = np.searchsorted(owner[by_fiber], np.arange(nb + 1))
     other, tube = np.concatenate([fj, fi])[by_fiber], np.concatenate([tube, tube])[by_fiber]
+    bad = np.zeros((nb, nb), dtype=bool)  # the non-injective families: the index's repeats
+    bad[fi[idx._repeats], fj[idx._repeats]] = True
+    bad |= bad.T
     hits, total, first_bad = [np.zeros((4, 0), dtype=np.int64)], 0, nb ** 3
     for m in range(nb):
-        # counts[b, t]: the pairs of fibers b and m in m's t-th tube
+        # member[b, t] = 1 when m's t-th tube holds a pair of fibers b and m
         sel = slice(bounds[m], bounds[m + 1])
         tubes, col = np.unique(tube[sel], return_inverse=True)
-        flat = other[sel] * tubes.size + col
-        counts = np.bincount(flat, minlength=nb * tubes.size).reshape(nb, tubes.size)
-        member = (counts > 0).astype(np.float64)
+        member = np.zeros((nb, tubes.size))
+        member[other[sel], col] = 1.0
         sizes = member @ member.T
         scanned = separated & separated[m][:, None] & separated[m][None, :]
         total += int(sizes[scanned].sum())
         b1, b3 = np.nonzero(scanned & (sizes >= threshold))
         hits.append(np.stack([b1, np.full_like(b1, m), b3, sizes[b1, b3].astype(np.int64)]))
         # the first scanned (b1, m, b3) that reads a non-injective family
-        bad = (counts > 1).any(axis=1)
-        b1, b3 = np.nonzero(scanned & (bad[:, None] | bad[None, :]))
+        b1, b3 = np.nonzero(scanned & (bad[m][:, None] | bad[m][None, :]))
         first_bad = int(((b1 * nb + m) * nb + b3).min(initial=first_bad))
     if first_bad < nb ** 3:
         b1, m, b3 = np.unravel_index(first_bad, (nb, nb, nb))
@@ -331,10 +333,7 @@ def compression_check(g_prime, b1, b2, b3, delta, s):
     """Covering number of the triple-projected endpoint pairs against the
     δ^-s benchmark; returns (N, bound) for ratio reporting."""
     d = as_delta(delta)
-    pairs = list(g_prime)
-    if not pairs:
-        return 0, d ** -float(s)
-    vals = [triple_projection(a1, a3, b1, b2, b3) for a1, a3 in pairs]
+    vals = [triple_projection(a1, a3, b1, b2, b3) for a1, a3 in g_prime]
     return covering_number(ScalarSet(vals), d), d ** -float(s)
 
 

@@ -22,6 +22,7 @@ from .delta_core import (
     PointSet2D,
     ScalarSet,
     Scale,
+    _dyadic_level,
     _extract_below,
     as_delta,
     check_delta_t,
@@ -91,7 +92,7 @@ def frostman_weights(P: PointSet2D, exponent, min_scale=None) -> WeightedPointSe
     if pts.shape[0] == 0:
         raise ValueError("cannot weight an empty set")
     if min_scale is not None:
-        levels = max(0, math.ceil(math.log2(1.0 / as_delta(min_scale))))
+        levels = _dyadic_level(as_delta(min_scale))[0]
     else:
         levels = _singleton_level(pts)
     tree = DyadicCells(pts, levels)
@@ -197,8 +198,8 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     if not math.isfinite(max_ratio):
         raise ValueError(f"max_ratio must be finite, got {max_ratio}")
     d = as_delta(delta)
-    j2 = round(math.log2(1.0 / d))
-    if 2.0 ** -j2 != d or j2 % 2 != 0:
+    j2, exact = _dyadic_level(d)
+    if not exact or j2 % 2 != 0:
         raise TwoScaleError("delta must be dyadic with an even exponent (2^-2j)")
     j = j2 // 2
     sqrt_d = 2.0 ** -j
@@ -254,8 +255,8 @@ def horizontal_dilate(f_prime: ProductLikeSet, delta=None) -> ProductLikeSet:
     """Scale fiber values by δ^-1/2 (the base is untouched); the result
     lives at scale √δ with the same fiber exponent."""
     d = as_delta(delta) if delta is not None else f_prime.delta
-    j2 = round(math.log2(1.0 / d))
-    if 2.0 ** -j2 != d or j2 % 2 != 0:
+    j2, exact = _dyadic_level(d)
+    if not exact or j2 % 2 != 0:
         raise ValueError("horizontal dilation needs delta = 2^-2j exactly")
     factor = 2.0 ** (j2 // 2)  # δ^-1/2, an exact power of two
     sqrt_d = 1.0 / factor

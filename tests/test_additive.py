@@ -159,6 +159,25 @@ def test_iterated_sumset_basics():
         iterated_sumset(b, 0, 0)
 
 
+def test_iterated_sumset_builds_each_fold_once_and_matches_brute_folds(monkeypatch):
+    calls = []
+    real = additive.sumset
+    monkeypatch.setattr(additive, "sumset", lambda a, b, sign="+": calls.append(sign) or real(a, b, sign))
+    rng = np.random.default_rng(16)
+    pairs = [(m, n) for m in range(4) for n in range(4) if m + n]
+    for _ in range(300):
+        members = rng.choice(np.arange(-20, 21), size=rng.integers(0, 7), replace=False).tolist()
+        folds = [[0]]
+        for _ in range(3):
+            folds.append(oracles.brute_sumset(folds[-1], members))
+        for m, n in pairs:
+            calls.clear()
+            got = iterated_sumset(gs(members), m, n)
+            assert list(got) == oracles.brute_sumset(folds[m], folds[n], -1) and got.step == STEP
+            # one sumset per fold past B itself, then the difference
+            assert calls == ["+"] * (max(m, n) - 1) + ["-"]
+
+
 def test_iterated_sumset_ap_closed_form():
     for length in (1, 2, 5, 9):
         b = gs(range(length))

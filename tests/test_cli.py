@@ -237,6 +237,19 @@ BAD_INPUTS = {
     # δ = 2^-70: the dyadic cells' floor(x · 2^70) leaves int64
     "two-scale-depth": (["two-scale", "--input", "{d}/p.csv", "--delta", "8.470329472543003e-22",
                          "--output", "{d}/ts"], {"p.csv": "x,y\n0.1,0.1\n0.9,0.9\n"}),
+    # a subnormal δ: 1/δ overflowed to inf in log2(1/δ) (a traceback), and
+    # v/δ to inf in the sweep, whose count read N=1
+    "two-scale-subnormal-delta": (["two-scale", "--input", "{d}/p.csv", "--delta", "1e-310",
+                                   "--output", "{d}/ts"], {"p.csv": "x,y\n0.1,0.1\n0.9,0.9\n"}),
+    "generate-frostman-subnormal-delta": (["generate", "--kind", "random_frostman", "--n", "3",
+                                           "--exponent", "0.1", "--delta", "1e-310",
+                                           "--output", "{d}/out.csv"], {}),
+    "kaufman-subnormal-delta": (["kaufman", "--input", "{d}/p.csv", "--num-directions", "4",
+                                 "--delta", "1e-310", "--output", "{d}/out.csv"],
+                                {"p.csv": "x,y\n0.1,0.2\n0.3,0.4\n"}),
+    # δ = 2^-70: the generator's int64 cell counters wrapped past level 63
+    "generate-frostman-depth": (["generate", "--kind", "random_frostman", "--n", "3", "--exponent", "0.1",
+                                 "--delta", "8.470329472543003e-22", "--output", "{d}/out.csv"], {}),
     # a byte that is not UTF-8: in a data row, in a row past the first 8 KiB
     # (text-mode reads decode ahead in chunks of that size), in a grid set's
     # `# delta=` comment, and in a config file
@@ -327,6 +340,24 @@ def test_scan_names_the_first_non_injective_family_it_reads(tmp_path, capsys):
         assert not (tmp_path / name).exists()
     assert run(*argv, "--threshold-separation", "0.25") == 0
     assert (tmp_path / "t.csv").read_text() == "b1,b2,b3,intersection_size\n"
+
+
+@pytest.mark.parametrize("command, start, end", [
+    ("two-scale-subnormal-delta", "error: dyadic depth 1030 ", " the largest usable depth is 63\n"),
+    ("generate-frostman-subnormal-delta", "error: branching generator needs an exactly dyadic delta\n", ""),
+    ("kaufman-subnormal-delta", "error: delta 1e-310 takes floor(v / delta) out of int64 for |v| up to "
+     "0.4949747468305833;", " the smallest usable delta is 5.36652695839181e-20\n"),
+    ("generate-frostman-depth", "error: dyadic depth 70 takes floor(x * 2^70) out of int64 ",
+     " the largest usable depth is 63\n"),
+])
+def test_delta_past_float_or_int64_names_the_limit(tmp_path, capsys, command, start, end):
+    argv, files = BAD_INPUTS[command]
+    for name, data in files.items():
+        (tmp_path / name).write_text(data)
+    assert run(*(a.format(d=tmp_path) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.endswith(end)
+    assert not any(p.name.startswith(("out", "ts")) for p in tmp_path.iterdir())
 
 
 def test_two_scale_depth_past_int64_names_the_largest_depth(tmp_path, capsys):

@@ -292,7 +292,7 @@ def test_property_pruned_scan_matches_brute_oracle(cells, delta, eighths, one_d,
         mp.setattr(delta_core, "MAX_CELLS", max_cells)
         mp.setattr(delta_core, "NC_SAMPLE", sample)
         mp.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
-        rep = check_delta_t(np.array(coords), delta, t, validate_separation=False)
+        rep = check_delta_t(np.array(coords), delta, t)
     worst, (center, radius) = oracles.brute_nonconcentration(coords, delta, t)
     assert (rep.worst_ratio, rep.witness_center, rep.witness_radius) == (worst, center, radius)
 
@@ -374,12 +374,17 @@ def test_closest_violation_matches_brute_pair_search(monkeypatch, chunk):
         sets.append((np.array([[0.1, 0.2], [0.1, 0.2 + gap]]), r))
         sets.append((np.array([[0.0, 0.0], [gap * 0.6, gap * 0.8]]), r))
     for pts, r in sets:
-        pts = PointSet2D(pts).points
-        got = delta_core._closest_violation(pts, r)
-        assert got == _brute_violation(pts.tolist(), r)
-        if got is not None:
-            i, j, dist = got
-            assert dist == math.hypot(*(pts[i] - pts[j])) < r * (1.0 - SEPARATION_RTOL)
+        pts = PointSet2D(pts).points  # distinct rows, so a pair of points names its indices
+        want = _brute_violation(pts.tolist(), r)
+        if want is None:
+            delta_core._require_separation(pts, r)
+            continue
+        with pytest.raises(SeparationError) as err:
+            delta_core._require_separation(pts, r)
+        i, j, dist = want
+        assert err.value.pair == (tuple(pts[i].tolist()), tuple(pts[j].tolist()))
+        assert (err.value.distance, err.value.r) == (dist, r)
+        assert dist == math.hypot(*(pts[i] - pts[j])) < r * (1.0 - SEPARATION_RTOL)
 
 
 def brute_runs(pts, order, j):
@@ -663,3 +668,121 @@ def test_property_sandwich_holds(vals, j):
     grid = covering_number(ScalarSet(vals), d)
     opt = oracles.greedy_interval_cover(vals, d)
     assert opt <= grid <= 2 * opt
+
+
+def _brute_level(d):
+    """The first j >= 0 with 2^-j <= d by a search over powers of two (2.0 ** -j
+    is exact down to the least subnormal), and whether d == 2^-j."""
+    j = 0
+    while 2.0 ** -j > d:
+        j += 1
+    return j, 2.0 ** -j == d
+
+
+def test_dyadic_level_matches_a_search_over_powers_of_two():
+    deltas = [5e-324, 1e-310, 2.0 ** -1060 * 3, 0.1, 0.3, 0.5, 1e-20]
+    for j in range(1, 1075):
+        deltas += [2.0 ** -j, math.nextafter(2.0 ** -j, 0.0), math.nextafter(2.0 ** -j, 1.0)]
+    for d in deltas:
+        if 0.0 < d <= 0.5:
+            assert delta_core._dyadic_level(d) == _brute_level(d), d
+
+
+def test_dyadic_radii_match_a_doubling_loop():
+    def doubling(d):
+        radii, r = [], d
+        while r <= 1.0:
+            radii.append(r)
+            r *= 2.0
+        return radii if radii[-1] == 1.0 else radii + [1.0]
+
+    deltas = [5e-324, 1e-310, 0.1, 0.15, 0.3, 0.5]
+    for j in range(1, 1075):
+        deltas += [2.0 ** -j, math.nextafter(2.0 ** -j, 0.0), math.nextafter(2.0 ** -j, 1.0)]
+    for d in deltas:
+        if 0.0 < d <= 0.5:
+            assert delta_core.dyadic_radii(d) == doubling(d), d
+
+
+def test_extraction_levels_start_at_the_first_side_at_most_delta():
+    # 1/δ rounds to 2^10 here, so ceil(log2(1/δ)) read level 10, whose side is above δ
+    d = math.nextafter(2.0 ** -10, 0.0)
+    assert delta_core._dyadic_levels(PointSet2D([(0.1, 0.2)]), d, 1.0)[2] == 11
+    assert delta_core._dyadic_levels(PointSet2D([(0.1, 0.2)]), 2.0 ** -10, 1.0)[2] == 10
+    with pytest.raises(ValueError, match=r"not exactly 2\^-10"):
+        Scale(d, j=10)
+    assert Scale(2.0 ** -1074, j=1074).j == 1074
+
+
+def test_covering_number_refuses_a_delta_past_int64():
+    # floor(0.3 / 1e-20) is past 2^63: the int64 cast wrapped and the count read 1
+    with pytest.raises(ValueError) as err:
+        covering_number(ScalarSet([0.1, 0.2, 0.3]), 1e-20)
+    least = float(str(err.value).rsplit(" ", 1)[1])
+    assert str(err.value).startswith("delta 1e-20 takes floor(v / delta) out of int64 for |v| up to 0.3;")
+    assert covering_number(ScalarSet([0.1, 0.2, 0.3]), least) == 3
+    with pytest.raises(ValueError, match="out of int64"):
+        covering_number(ScalarSet([0.1, 0.2, 0.3]), math.nextafter(least, 0.0))
+
+
+@pytest.mark.parametrize("bound", [0.75, 1.0, math.nextafter(1.0, 0.0), 0.3, 2.0 ** -900])
+def test_cell_index_refuses_exactly_where_an_index_leaves_int64(bound):
+    vals = np.array([-bound, 0.0, bound / 3, bound])
+    least = math.nextafter(math.ldexp(bound, -63), math.inf)
+    for d in (least, math.nextafter(least, 1.0)):
+        cells = delta_core._cell_index(vals, d)
+        want = [math.floor(v / d) for v in vals.tolist()]
+        assert cells.tolist() == want and all(-2 ** 63 <= k < 2 ** 63 for k in want)
+    with pytest.raises(ValueError, match=f"the smallest usable delta is {least!r}$"):
+        delta_core._cell_index(vals, math.nextafter(least, 0.0))
+
+
+def test_projection_sweep_n_is_covering_number_on_both_sides_of_int64():
+    rng = np.random.default_rng(5)
+    P = PointSet2D(np.vstack([rng.uniform(-1, 1, size=(40, 2)), [(-0.75, 0.0), (0.75, 0.5)]]))
+    E = DirectionSet([0.0, 0.9, 2.5])
+    bound = float(np.abs(delta_core.projected_values(P.points, E.thetas)).max())
+    edge = math.ldexp(bound, -63)  # the first δ at which some |v|/δ reaches 2^63
+    assert bound == math.ldexp(edge, 63)
+    for d in (math.nextafter(edge, 1.0), 2 * edge):
+        want = [covering_number(project(P, e), d) for e in E]
+        for pairs in (True, False):
+            assert projection_sweep(P, E, d, pairs=pairs)[0].tolist() == want
+    first = int(np.argmax(np.abs(delta_core.projected_values(P.points, E.thetas)).max(axis=1)))
+    for d in (edge, math.nextafter(edge, 0.0)):
+        with pytest.raises(ValueError, match="out of int64") as swept:
+            projection_sweep(P, E, d)
+        with pytest.raises(ValueError, match="out of int64") as counted:
+            covering_number(project(P, E[first]), d)
+        assert str(swept.value) == str(counted.value)
+
+
+def test_check_delta_t_trusts_a_declared_separation(monkeypatch):
+    calls = []
+    require = delta_core._require_separation
+    monkeypatch.setattr(delta_core, "_require_separation", lambda pts, r: calls.append(r) or require(pts, r))
+    d = 2.0 ** -5
+    grid = [(i * d, j * d) for i in range(8) for j in range(8)]
+    declared = PointSet2D(grid, separation=d)
+    assert calls == [d]  # the check at construction
+    plain = check_delta_t(PointSet2D(grid), d, 1.0)
+    assert calls == [d, d]
+    assert check_delta_t(declared, d, 1.0) == plain
+    check_delta_t(declared, d / 2, 1.0)
+    assert calls == [d, d]
+    # a separation declared below δ proves nothing at δ
+    with pytest.raises(SeparationError):
+        check_delta_t(declared, 2 * d, 1.0)
+    assert calls == [d, d, 2 * d]
+    # the sets that declare a separation by construction: the extraction's
+    # sweep and the generator's δ-cell corners
+    picked = extract_delta_s_subset(PointSet2D(grid), d, 1.0)
+    check_delta_t(picked, d, 1.0)
+    gen_random_frostman(64, 1.0, 2.0 ** -7, seed=5)
+    assert calls == [d, d, 2 * d]
+    # an undeclared crowded set is still refused, naming its closest pair
+    with pytest.raises(SeparationError) as err:
+        check_delta_t(PointSet2D([(0, 0), (2 ** -6, 0)]), 2.0 ** -4, 1.0)
+    assert str(err.value) == ("separation violation: points (0.0, 0.0) and (0.015625, 0.0) are at "
+                              "distance 0.015625 < required 0.0625")
+    assert len(calls) == 4

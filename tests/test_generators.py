@@ -165,6 +165,19 @@ def test_random_frostman_sampler_limit():
     assert len(gen_random_frostman(1, 1.859823522829647, 2.0 ** -16, seed=0)) == 1
 
 
+def test_random_frostman_refuses_a_level_past_int64_counters():
+    # at δ = 2^-70 the int64 cell counters wrapped past level 63 and the
+    # points came out with negative coordinates
+    for level in (64, 70):
+        with pytest.raises(ValueError, match=f"^dyadic depth {level} takes floor\\(x \\* 2\\^{level}\\) "
+                                             "out of int64 .* the largest usable depth is 63$"):
+            gen_random_frostman(3, 0.1, 2.0 ** -level, seed=0)
+    pts = gen_random_frostman(3, 0.1, 2.0 ** -63, seed=0).points
+    assert len(pts) == 3 and pts.min() >= 0.0 and pts.max() < 1.0
+    with pytest.raises(ValueError, match="^branching generator needs an exactly dyadic delta$"):
+        gen_random_frostman(3, 0.1, 1e-310, seed=0)
+
+
 def test_planted_collinear_exact_identity():
     base = ScalarSet([0.0, 0.5, 1.0])
     p = gen_planted_collinear(base, slope=1.0, intercept=0.2, jitter=0.0,

@@ -275,6 +275,17 @@ def test_family_not_injective_names_the_tube():
         idx.family(0.0, 0.5)
 
 
+def test_pair_tube_index_refuses_a_delta_past_int64():
+    # at θ = 0 the four projections are distinct; floor(v / 1e-20) wrapped in
+    # the int64 cast, and all four cross pairs shared one tube
+    fibers = {0.0: ScalarSet([0.1, 0.3]), 0.5: ScalarSet([0.2, 0.4])}
+    p = ProductLikeSet(ScalarSet([0.0, 0.5]), fibers, 1e-20, 0.5, 0.5)
+    with pytest.raises(ValueError, match=r"^delta 1e-20 takes floor\(v / delta\) out of int64") as err:
+        PairTubeIndex(p, DirectionSet([0.0]))
+    least = float(str(err.value).rsplit(" ", 1)[1])
+    assert PairTubeIndex(p, DirectionSet([0.0]), least).pair_tube.shape == (0, 4)
+
+
 def test_triple_intersections_two_middle_points_names_the_tube():
     # all three base points share cell 0 at θ = π/2 (direction 1), so tube
     # (1, 0) holds every point; θ = 0 (direction 0) ties 0.1 to 0.2 and 0.6 to

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projlab import delta_core
 from projlab.delta_core import (
     SEPARATION_RTOL,
     PointSet2D,
@@ -234,6 +235,28 @@ def test_two_scale_matches_per_ball_oracle(case):
     if case == "two-apart":
         assert ts.balls == tuple((kx, ky) for kx in range(0, 8, 2) for ky in range(0, 8, 2))
     assert_matches_per_ball_oracle(K, mu, ts)
+
+
+@pytest.mark.parametrize("case", ["frostman-0", "two-apart"])
+def test_two_scale_fine_scan_trusts_the_separation_of_its_sweep(monkeypatch, case):
+    K, mu, d = two_scale_input(case)
+    calls = []
+    require = delta_core._require_separation
+    monkeypatch.setattr(delta_core, "_require_separation", lambda pts, r: calls.append(r) or require(pts, r))
+    ts = two_scale_decomposition(K, mu, d)
+    assert ts.fine.separation == d
+    assert calls == [ts.sqrt_delta]  # the anchors' coarse scan alone checks separation
+
+
+def test_dyadic_exponent_checks_read_subnormal_deltas():
+    # 1/δ overflows to inf for these δ, and round(log2(inf)) raised OverflowError
+    p = ProductLikeSet(ScalarSet([0.0]), {0.0: ScalarSet([0.1])}, 0.25, 0.5, 0.5)
+    with pytest.raises(ValueError, match=r"needs delta = 2\^-2j exactly"):
+        horizontal_dilate(p, 1e-310)
+    assert horizontal_dilate(p, 2.0 ** -1074).delta == 2.0 ** -537
+    K, mu, _ = two_scale_input("two-apart")
+    with pytest.raises(TwoScaleError, match="even exponent"):
+        two_scale_decomposition(K, mu, 1e-310)
 
 
 @pytest.mark.parametrize("case", ["frostman-0", "frostman-1", "lattice", "two-apart"])
