@@ -34,7 +34,6 @@ from .additive import (
 )
 from .incidence import (
     CauchySchwarzBound,
-    IncidenceTally,
     KaufmanWitness,
     Tube,
     TubeFamily,
@@ -42,7 +41,6 @@ from .incidence import (
     close_pairs,
     close_pairs_bruteforce,
     kaufman_witness,
-    tally_close_pairs,
     tube_cover,
 )
 from .product_construction import (
@@ -70,7 +68,6 @@ from .scale_blowup import (
     two_scale_decomposition,
 )
 from .generators import (
-    GeneratorSpec,
     gen_ap,
     gen_cantor_1d,
     gen_four_corner,

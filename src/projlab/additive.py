@@ -38,9 +38,6 @@ class GridSet:
     def from_values(cls, values, step) -> "GridSet":
         return cls([snap(v, step) for v in values], step)
 
-    def values(self):
-        return self.members * self.step
-
     def __len__(self):
         return int(self.members.size)
 
@@ -241,19 +238,16 @@ def bsg_extract(graph: PairGraph, k: float) -> BsgResult:
     codeg = restricted @ restricted.T
     np.fill_diagonal(codeg, 0)
     thr_link = _median_threshold(codeg[np.triu_indices(n_a, 1)]) if n_a > 1 else None
+    # a positive thr_link links some pair, so some vertex has partners; every
+    # kept left vertex has an edge into b1, so some deg_into_a is positive
     if thr_link is not None:
-        linked = codeg >= thr_link
-        partners = linked.sum(axis=1)
-        thr_a = _median_threshold(partners)
-        a_keep = partners >= thr_a if thr_a is not None else restricted.sum(axis=1) > 0
+        partners = (codeg >= thr_link).sum(axis=1)
+        a_keep = partners >= _median_threshold(partners)
     else:
         a_keep = restricted.sum(axis=1) > 0
-    if not a_keep.any():
-        a_keep = adj.sum(axis=1) > 0
 
     deg_into_a = adj[a_keep].sum(axis=0) * b1
-    thr_b2 = _median_threshold(deg_into_a)
-    b_keep = deg_into_a >= thr_b2 if thr_b2 is not None else b1 & (adj[a_keep].sum(axis=0) > 0)
+    b_keep = deg_into_a >= _median_threshold(deg_into_a)
 
     a_sub = GridSet(graph.a_set.members[a_keep], graph.a_set.step)
     b_sub = GridSet(graph.b_set.members[b_keep], graph.b_set.step)

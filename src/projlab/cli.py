@@ -17,13 +17,12 @@ import math
 import os
 import sys
 
-from . import serialize
+from . import generators, serialize
 from .additive import PairGraph, bsg_extract, plunnecke_report
-from .delta_core import DirectionSet, PointSet2D, ScalarSet, as_delta, projection_sweep
+from .delta_core import DirectionSet, as_delta, projection_sweep
 from .errors import InvariantError, ProjlabError
-from .generators import GeneratorSpec
 from .incidence import kaufman_witness
-from .product_construction import ProductLikeSet, good_triple_scan, product_experiment
+from .product_construction import good_triple_scan, product_experiment
 from .scale_blowup import frostman_weights, two_scale_decomposition
 from .verify import run_verify
 
@@ -86,35 +85,33 @@ def _require(args, *names):
             raise CliError(f"missing required parameter --{name.replace('_', '-')}")
 
 
-# generator kind -> (required flags, optional flags) passed on as its parameters
-_GENERATE_FLAGS = {
-    "ap": (("n", "step"), ("origin",)),
-    "cantor1d": (("contraction", "depth"), ()),
-    "four_corner": (("depth",), ()),
-    "random_frostman": (("n", "exponent"), ("delta",)),
-    "planted_collinear": (("input", "slope", "intercept"),
-                          ("jitter", "delta", "s", "tau", "fiber_size", "fiber_step")),
+# generator kind -> (`generators` function, required flags, optional flags,
+# `serialize` writer); the flags are passed on as the function's parameters.
+# Both are looked up by name when called, so one rebound on its module is called.
+_GENERATE = {
+    "ap": ("gen_ap", ("n", "step"), ("origin",), "write_scalars"),
+    "cantor1d": ("gen_cantor_1d", ("contraction", "depth"), (), "write_scalars"),
+    "four_corner": ("gen_four_corner", ("depth",), (), "write_points"),
+    "random_frostman": ("gen_random_frostman", ("n", "exponent"), ("delta", "seed"),
+                        "write_points"),
+    "planted_collinear": ("gen_planted_collinear", ("input", "slope", "intercept"),
+                          ("jitter", "seed", "delta", "s", "tau", "fiber_size", "fiber_step"),
+                          "write_product"),
 }
-# the serialize writer of each generator output type, by name, so a writer
-# rebound on the module is the one called
-_WRITERS = {ScalarSet: "write_scalars", PointSet2D: "write_points",
-            ProductLikeSet: "write_product"}
 
 
 def _cmd_generate(args):
     _require(args, "kind", "output")
-    flags = _GENERATE_FLAGS.get(args.kind)
-    if flags is None:
-        GeneratorSpec(args.kind)  # an unknown kind raises here
-        raise CliError(f"generator kind {args.kind!r} takes fibers, which no flag sets")
-    required, optional = flags
+    if args.kind not in _GENERATE:
+        raise CliError(f"unknown generator kind {args.kind!r}")
+    func, required, optional, writer = _GENERATE[args.kind]
     _require(args, *required)
     params = {name: getattr(args, name) for name in required + optional}
     if args.kind == "planted_collinear":
-        params["base"] = serialize.read_scalars(params.pop("input")).values
+        params["base"] = serialize.read_scalars(params.pop("input"))
         params["validate"] = not args.no_validate
-    out = GeneratorSpec(args.kind, params, args.seed).build()
-    getattr(serialize, _WRITERS[type(out)])(args.output, out)
+    out = getattr(generators, func)(**params)
+    getattr(serialize, writer)(args.output, out)
     print(f"wrote {args.output}")
     return 0
 
@@ -162,6 +159,9 @@ def _cmd_kaufman(args):
 def _cmd_product_experiment(args):
     _require(args, "input", "output")
     inst = serialize.read_product(args.input)
+    # δ and s not given default to the product file's own
+    args.delta = inst.delta if args.delta is None else args.delta
+    args.s = inst.s if args.s is None else args.s
     dirs = _load_directions(args)
     res = product_experiment(inst, dirs, args.delta, s=args.s, epsilon=args.eps0)
     # the scan checks its thresholds, so it runs before any file is written
@@ -268,8 +268,9 @@ def build_parser() -> _Parser:
             **sweep, s=s)
     command("product-experiment", _cmd_product_experiment,
             "projection-growth sweep of a product-like set",
-            **sweep, s=s, eps0=(float, 0.05), threshold_separation=(float, 0.25),
-            threshold_intersection=(float, 1.0), triples_output=text)
+            **dict(sweep, delta=real), s=real, eps0=(float, 0.05),
+            threshold_separation=(float, 0.25), threshold_intersection=(float, 1.0),
+            triples_output=text)
     command("bsg", _cmd_bsg, "dense-subgraph extraction from a pair graph",
             input_a=text, input_b=text, edges=text, k=real, output=text)
     command("plunnecke", _cmd_plunnecke, "doubling-constant iterated-sumset report",

@@ -82,25 +82,19 @@ class Scale:
 
 
 class ScalarSet:
-    """Finite set of reals in an ambient interval, sorted strictly increasing.
+    """Finite set of reals, sorted strictly increasing.
 
     Values equal under float comparison are collapsed; nothing coarser.
     """
 
-    __slots__ = ("values", "lo", "hi")
+    __slots__ = ("values",)
 
-    def __init__(self, values, lo=None, hi=None):
+    def __init__(self, values):
         arr = np.unique(np.asarray(values, dtype=np.float64).ravel())
         if arr.size and not np.isfinite(arr).all():
             raise ValueError("scalar set values must be finite")
         self.values = arr
         self.values.setflags(write=False)
-        self.lo = float(lo) if lo is not None else (float(arr[0]) if arr.size else 0.0)
-        self.hi = float(hi) if hi is not None else (float(arr[-1]) if arr.size else 1.0)
-        if self.lo > self.hi:
-            raise ValueError("ambient interval is empty")
-        if arr.size and (arr[0] < self.lo or arr[-1] > self.hi):
-            raise ValueError("values fall outside the ambient interval")
 
     def __len__(self):
         return int(self.values.size)
@@ -109,7 +103,7 @@ class ScalarSet:
         return iter(self.values.tolist())
 
     def __repr__(self):
-        return f"ScalarSet(n={len(self)}, ambient=[{self.lo:.4g}, {self.hi:.4g}])"
+        return f"ScalarSet(n={len(self)})"
 
 
 class PointSet2D:
@@ -140,14 +134,6 @@ class PointSet2D:
 
     def __repr__(self):
         return f"PointSet2D(n={len(self)}, separation={self.separation})"
-
-    @property
-    def xs(self):
-        return self.points[:, 0]
-
-    @property
-    def ys(self):
-        return self.points[:, 1]
 
 
 def _require_separation(pts, r):

@@ -13,7 +13,6 @@ SeedSequence(entropy=seed, spawn_key=(i,)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,40 +25,6 @@ _MAX_REJECTION_ATTEMPTS = 100
 # most points gen_cantor_1d (2^depth) and gen_four_corner (4^depth) build:
 # cantor1d depth 22, four_corner depth 11
 MAX_GENERATED_POINTS = 2 ** 22
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Kind + parameters + seed; equal specs build bitwise-equal outputs."""
-
-    kind: str
-    parameters: dict = field(default_factory=dict)
-    seed: int = 0
-
-    KINDS = ("ap", "cantor1d", "four_corner", "product", "random_frostman", "planted_collinear")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-
-    def build(self):
-        p = dict(self.parameters)
-        if self.kind == "ap":
-            return gen_ap(**p)
-        if self.kind == "cantor1d":
-            return gen_cantor_1d(**p)
-        if self.kind == "four_corner":
-            return gen_four_corner(**p)
-        if self.kind == "random_frostman":
-            return gen_random_frostman(seed=self.seed, **p)
-        if self.kind == "planted_collinear":
-            base = ScalarSet(p.pop("base"))
-            return gen_planted_collinear(base, seed=self.seed, **p)
-        if self.kind == "product":
-            base = ScalarSet(p.pop("base"))
-            fibers = {b: ScalarSet(v) for b, v in p.pop("fibers")}
-            return build_product_like(base, fibers, **p)
-        raise AssertionError("unreachable")
 
 
 def gen_ap(n: int, step: float, origin: float = 0.0) -> ScalarSet:

@@ -56,12 +56,6 @@ class TubeFamily:
 
 
 @dataclass(frozen=True)
-class IncidenceTally:
-    per_direction: dict
-    total: int
-
-
-@dataclass(frozen=True)
 class CauchySchwarzBound:
     bound: float
     actual: int
@@ -109,11 +103,6 @@ def cauchy_schwarz_lower_bound(P: PointSet2D, e: Direction, delta) -> CauchySchw
     if actual < bound - 1e-9:
         raise InvariantError("Cauchy-Schwarz violation: actual < bound", actual, bound, e.theta)
     return CauchySchwarzBound(bound=bound, actual=actual, tube_count=m)
-
-
-def tally_close_pairs(P: PointSet2D, E: DirectionSet, delta) -> IncidenceTally:
-    per = dict(enumerate(projection_sweep(P, E, delta)[1].tolist()))
-    return IncidenceTally(per_direction=per, total=sum(per.values()))
 
 
 def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None) -> KaufmanWitness:

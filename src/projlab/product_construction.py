@@ -31,6 +31,11 @@ from .delta_core import (
 )
 from .errors import NonConcentrationError
 
+# the worst non-concentration ratio a product-like set's checks accept
+PRODUCT_RATIO_BOUND = 8.0
+# the least |cos θ| of a direction roughly_horizontal_filter keeps
+ROUGHLY_HORIZONTAL_COS = 0.5
+
 
 class ProductLikeSet:
     """Base set B with one fiber A_b per base point, realizing
@@ -68,34 +73,35 @@ class ProductLikeSet:
     def points(self) -> PointSet2D:
         return PointSet2D(self.point_rows())
 
-    def validate(self, max_ratio=8.0):
+    def validate(self):
         """Run the non-concentration checks the type promises: base at
-        exponent tau, each fiber at s, the assembled set at s + tau.
-        Returns the reports; raises NonConcentrationError on failure."""
+        exponent tau, each fiber at s, the assembled set at s + tau, each
+        held to PRODUCT_RATIO_BOUND.  Returns the reports; raises
+        NonConcentrationError on failure."""
         reports = {}
         rep = check_delta_t(self.base, self.delta, self.tau)
-        if rep.worst_ratio > max_ratio:
-            raise NonConcentrationError("base set", rep, max_ratio)
+        if rep.worst_ratio > PRODUCT_RATIO_BOUND:
+            raise NonConcentrationError("base set", rep, PRODUCT_RATIO_BOUND)
         reports["base"] = rep
         for b, f in self.fibers.items():
             if len(f) == 1:
                 warnings.warn(f"degenerate single-point fiber at b = {b}", stacklevel=2)
             rep = check_delta_t(f, self.delta, self.s)
-            if rep.worst_ratio > max_ratio:
-                raise NonConcentrationError(f"fiber at b = {b}", rep, max_ratio)
+            if rep.worst_ratio > PRODUCT_RATIO_BOUND:
+                raise NonConcentrationError(f"fiber at b = {b}", rep, PRODUCT_RATIO_BOUND)
             reports[f"fiber:{b!r}"] = rep
         rep = check_delta_t(self.points(), self.delta, min(self.s + self.tau, 2.0))
-        if rep.worst_ratio > max_ratio:
-            raise NonConcentrationError("assembled product-like set", rep, max_ratio)
+        if rep.worst_ratio > PRODUCT_RATIO_BOUND:
+            raise NonConcentrationError("assembled product-like set", rep, PRODUCT_RATIO_BOUND)
         reports["assembled"] = rep
         return reports
 
 
-def build_product_like(base, fibers, delta, s, tau, max_ratio=8.0) -> ProductLikeSet:
+def build_product_like(base, fibers, delta, s, tau) -> ProductLikeSet:
     """Assemble and validate a product-like set; any failed check raises
     with the witness ball named."""
     p = ProductLikeSet(base, fibers, delta, s, tau)
-    p.validate(max_ratio=max_ratio)
+    p.validate()
     return p
 
 
@@ -106,17 +112,17 @@ class FilterResult:
     degenerate: bool
 
 
-def roughly_horizontal_filter(P: ProductLikeSet, E: DirectionSet, cos_min=0.5) -> FilterResult:
+def roughly_horizontal_filter(P: ProductLikeSet, E: DirectionSet) -> FilterResult:
     """Restrict to near-horizontal directions and thin fibers so that any
     δ-tube perpendicular to a kept direction meets each fiber at most once.
 
-    Keeps |cos θ| >= cos_min and, per fiber, a greedy subsequence with
-    gaps >= δ/min|cos θ|; for δ-separated fibers this keeps at least every
-    other point.  E drained empty (all directions near-vertical) is
-    flagged, not an error.
+    Keeps |cos θ| >= ROUGHLY_HORIZONTAL_COS and, per fiber, a greedy
+    subsequence with gaps >= δ/min|cos θ|; for δ-separated fibers this keeps
+    at least every other point.  E drained empty (all directions
+    near-vertical) is flagged, not an error.
     """
     d = P.delta
-    kept_thetas = [t for t in E.thetas.tolist() if abs(math.cos(t)) >= cos_min]
+    kept_thetas = [t for t in E.thetas.tolist() if abs(math.cos(t)) >= ROUGHLY_HORIZONTAL_COS]
     degenerate = len(kept_thetas) < max(1, len(E) / 2)
     if not kept_thetas:
         return FilterResult(product=P, directions=DirectionSet([]), degenerate=True)

@@ -189,9 +189,9 @@ def write_points(path, p: PointSet2D):
     _write_csv(path, "x,y", ([_fmt(x), _fmt(y)] for x, y in p.points.tolist()))
 
 
-def read_points(path, separation=None) -> PointSet2D:
+def read_points(path) -> PointSet2D:
     rows, _, _ = _read_rows(path, "x,y", 2)
-    return PointSet2D(rows, separation=separation)
+    return PointSet2D(rows)
 
 
 def write_directions(path, e: DirectionSet):

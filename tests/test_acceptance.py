@@ -19,6 +19,7 @@ from projlab.delta_core import (
     ScalarSet,
     covering_number,
     project,
+    projection_sweep,
 )
 from projlab.generators import gen_four_corner, gen_planted_collinear, gen_random_frostman
 from projlab.incidence import (
@@ -26,7 +27,6 @@ from projlab.incidence import (
     close_pairs,
     close_pairs_bruteforce,
     kaufman_witness,
-    tally_close_pairs,
 )
 from projlab.product_construction import (
     PairTubeIndex,
@@ -88,7 +88,7 @@ def test_criterion_3_kaufman_double_count():
         d = 4.0 ** -depth
         pts = gen_four_corner(depth)
         e = DirectionSet.net(math.ceil(d ** -0.7))
-        lhs = tally_close_pairs(pts, e, d).total
+        lhs = int(projection_sweep(pts, e, d)[1].sum())
         ratios.append(lhs / (d ** -2 * math.log(1.0 / d) ** 2))
         witness = kaufman_witness(pts, e, d, s=0.7)
         sweep = [covering_number(project(pts, e[i]), d) for i in range(len(e))]

@@ -8,6 +8,8 @@ import pytest
 from projlab import serialize
 from projlab.cli import build_parser, main, parse_args
 from projlab.additive import GridSet, PairGraph
+from projlab.delta_core import DirectionSet
+from projlab.product_construction import ProductLikeSet, product_experiment
 
 
 def run(*argv):
@@ -134,6 +136,34 @@ def test_product_experiment_command_with_triples(tmp_path):
     lines = trip.read_text().strip().splitlines()
     assert lines[0] == "b1,b2,b3,intersection_size"
     assert len(lines) > 1  # the planted family fires the scan
+
+
+def test_product_experiment_reads_delta_and_s_from_its_file(tmp_path):
+    d = 2.0 ** -10
+    fibers = {b: [0.0, 3 * d, 0.25 + b / 8, 0.5] for b in (0.0, 0.25, 0.5)}
+    prod = ProductLikeSet(list(fibers), fibers, d, 0.75, 0.5)
+    serialize.write_product(tmp_path / "prod.csv", prod)
+    dirs = DirectionSet([0.0, 0.4, 1.1])
+    serialize.write_directions(tmp_path / "dirs.csv", dirs)
+
+    def summary(*flags):
+        out = str(tmp_path / "prof.csv")
+        assert run("product-experiment", "--input", str(tmp_path / "prod.csv"),
+                   "--directions", str(tmp_path / "dirs.csv"), "--eps0", "0", *flags,
+                   "--output", out) == 0
+        lines = (tmp_path / "prof.summary.txt").read_text().splitlines()
+        return dict(line.lstrip("# ").split("=", 1) for line in lines if "=" in line)
+
+    res = product_experiment(prod, dirs, epsilon=0.0)
+    got = summary()
+    assert (got["delta"], got["s"]) == ("0.0009765625", "0.75")
+    assert (int(got["max_N"]), float(got["target"])) == (res.max_n, res.target)
+    assert (tmp_path / "prof.csv").read_text().splitlines()[1:] == \
+        [f"{theta!r},{n}" for theta, n in res.profile]
+    res = product_experiment(prod, dirs, 2.0 ** -8, epsilon=0.0)
+    got = summary("--delta", repr(2.0 ** -8))
+    assert (got["delta"], got["s"]) == ("0.00390625", "0.75")
+    assert (int(got["max_N"]), float(got["target"])) == (res.max_n, res.target)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -513,7 +543,7 @@ def test_generate_kind_errors(tmp_path, capsys):
                            "missing required parameter --n"),
                           (["--kind", "x", "--output", out], "unknown generator kind 'x'"),
                           (["--kind", "product", "--output", out],
-                           "generator kind 'product' takes fibers, which no flag sets")):
+                           "unknown generator kind 'product'")):
         assert run("generate", *argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -44,9 +44,6 @@ def test_scale_validation():
 def test_scalar_set_sorted_dedup():
     s = ScalarSet([0.3, 0.1, 0.3, 0.2])
     assert list(s) == [0.1, 0.2, 0.3]
-    assert s.lo == 0.1 and s.hi == 0.3
-    with pytest.raises(ValueError):
-        ScalarSet([0.5], lo=0.0, hi=0.4)
 
 
 def test_covering_number_empty_and_grid():
@@ -504,6 +501,22 @@ def test_extract_degenerate_line_at_s2():
     assert len(p) == 64
     assert check_delta_t(p, d, 2.0).worst_ratio <= EXTRACTION_RATIO_BOUND
     assert p.points.tolist() == top_down_extraction(line, d, 2.0)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_one_dimensional_input_is_the_points_at_y_0(s):
+    d = 2.0 ** -7
+    xs = np.random.default_rng(4).uniform(0, 1, size=200)
+    on_axis = PointSet2D(np.column_stack([xs, np.zeros(xs.size)]))
+    for one_d in (ScalarSet(xs), xs):
+        assert dyadic_content(one_d, d, s) == dyadic_content(on_axis, d, s)
+        assert extract_delta_s_subset(one_d, d, s).points.tolist() == \
+            extract_delta_s_subset(on_axis, d, s).points.tolist()
+
+
+def test_dyadic_content_of_an_empty_set_is_0():
+    assert dyadic_content(PointSet2D(np.empty((0, 2))), 0.1, 1.0) == 0.0
+    assert dyadic_content(ScalarSet([]), 2.0 ** -5, 0.5) == 0.0
 
 
 def test_extract_errors():

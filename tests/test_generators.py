@@ -7,7 +7,6 @@ from projlab import generators
 from projlab.delta_core import ScalarSet, check_delta_t
 from projlab.additive import GridSet, sumset
 from projlab.generators import (
-    GeneratorSpec,
     gen_ap,
     gen_cantor_1d,
     gen_four_corner,
@@ -208,31 +207,3 @@ def test_planted_collinear_jitter_bound():
         planted = 0.2 + 0.5 * b
         nearest = min(abs(v - planted) for v in p.fibers[b])
         assert nearest <= d / 2 + 1e-15
-
-
-def test_generator_spec_build():
-    spec = GeneratorSpec(kind="cantor1d", parameters={"contraction": 0.25, "depth": 3})
-    assert list(spec.build()) == list(gen_cantor_1d(0.25, 3))
-    fr = GeneratorSpec(kind="random_frostman",
-                       parameters={"n": 64, "exponent": 1.0, "delta": 2.0 ** -7}, seed=5)
-    assert np.array_equal(fr.build().points, gen_random_frostman(64, 1.0, 2.0 ** -7, seed=5).points)
-    with pytest.raises(ValueError):
-        GeneratorSpec(kind="nope")
-
-
-def test_generator_spec_product_kind():
-    d = 2.0 ** -8
-    sq = 2.0 ** -4
-    spec = GeneratorSpec(
-        kind="product",
-        parameters={
-            "base": [0.25, 0.5],
-            "fibers": [(0.25, [0.0, sq, 2 * sq]), (0.5, [0.0, sq, 2 * sq])],
-            "delta": d,
-            "s": 0.5,
-            "tau": 0.5,
-        },
-    )
-    built = spec.build()
-    assert list(built.base) == [0.25, 0.5]
-    assert len(built) == 6

@@ -151,6 +151,15 @@ def test_kaufman_profile_of_four_corner_on_the_diagonal_is_3_to_the_j(j):
     assert kaufman_witness(pts, e, 4.0 ** -j).profile[1] == 3 ** j
 
 
+def test_kaufman_witness_warns_on_fewer_directions_than_delta_pow_minus_s():
+    d = 2.0 ** -6
+    pts = PointSet2D([(0.1, 0.2), (0.7, 0.4)])
+    with pytest.warns(UserWarning, match=r"^direction set of size 4 is below delta\^-s = 8$"):
+        w = kaufman_witness(pts, DirectionSet.net(4), d, s=0.5)
+    assert w.profile == kaufman_witness(pts, DirectionSet.net(4), d).profile
+    kaufman_witness(pts, DirectionSet.net(8), d, s=0.5)  # 8 directions: no warning
+
+
 def test_kaufman_witness_empty_errors():
     with pytest.raises(ValueError):
         kaufman_witness(PointSet2D([(0, 0)]), DirectionSet([]), 0.1)

@@ -308,6 +308,17 @@ def test_horizontal_dilate_spacing_and_equivariance():
     assert covering_number(ScalarSet(a.values * (1 / sq)), sq) == covering_number(a, d)
 
 
+def test_horizontal_dilate_warns_on_a_fiber_wider_than_4_sqrt_delta():
+    d = 2.0 ** -6  # 4·sqrt(delta) = 1/2
+    wide = ProductLikeSet(ScalarSet([0.0, 0.5]), {0.0: ScalarSet([0.0, 0.5]),
+                                                  0.5: ScalarSet([0.0, 0.5 + d])}, d, 0.5, 0.5)
+    with pytest.warns(UserWarning, match=r"^fiber at b = 0.5 is wider than 4·sqrt\(delta\)$"):
+        g = horizontal_dilate(wide, d)
+    assert list(g.fibers[0.5]) == [0.0, 4.0 + 8 * d]
+    exactly_4_sqrt_delta = ProductLikeSet(ScalarSet([0.0]), {0.0: ScalarSet([0.0, 0.5])}, d, 0.5, 0.5)
+    horizontal_dilate(exactly_4_sqrt_delta, d)  # no warning
+
+
 def test_horizontal_dilate_preserves_worst_ratio_exactly():
     d = 2.0 ** -10
     f = make_fprime(d, seed=3)
