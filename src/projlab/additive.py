@@ -90,10 +90,17 @@ def _pair_sum_blocks(x, y):
 def sumset(a: GridSet, b: GridSet, sign="+") -> GridSet:
     """Minkowski sum {x ± y}, exact on grid coordinates.
 
-    When the sum's span is at most 8|A||B| (no more bytes than the int64
-    pair sums), each block of pair sums is marked in an occupancy bitmap
-    over the span; a wider span keeps each block's distinct values and
-    merges them.  Either way at most CHUNK_ELEMENTS pair sums exist at once.
+    Three routes, each bounded by the 8|A||B| bytes of the int64 pair sums:
+
+    - the sum's span wider than 8|A||B|: each block of pair sums keeps its
+      distinct values and the blocks are merged;
+    - otherwise an occupancy bitmap over the span.  With S the set with
+      fewer members and L the other (B negated for '-'), a dense L
+      (span(L) <= 8|L|) has its 0/1 indicator ORed into the bitmap once
+      per member of S, |S| span(L) <= 8|S||L| bytes and no pair sums;
+    - a sparse L marks each block of pair sums in the bitmap instead.
+
+    At most CHUNK_ELEMENTS pair sums exist at once.
     """
     _require_same_step(a, b)
     if sign not in ("+", "-"):
@@ -104,14 +111,23 @@ def sumset(a: GridSet, b: GridSet, sign="+") -> GridSet:
     y = b.members if sign == "+" else -b.members[::-1]
     x0, y0 = int(x[0]), int(y[0])
     span = (int(x[-1]) - x0) + (int(y[-1]) - y0) + 1
-    if span <= 8 * x.size * y.size:
-        mark = np.zeros(span, dtype=bool)
+    if span > 8 * x.size * y.size:
+        out = _distinct(np.concatenate([_distinct(block) for block in _pair_sum_blocks(x, y)]))
+        return GridSet(out, a.step)
+    small, large = (x, y) if x.size <= y.size else (y, x)
+    s0, l0 = int(small[0]), int(large[0])
+    width = int(large[-1]) - l0 + 1
+    mark = np.zeros(span, dtype=bool)
+    if width <= 8 * large.size:
+        ind = np.zeros(width, dtype=bool)
+        ind[large - l0] = True
+        for off in (small - s0).tolist():
+            window = mark[off : off + width]
+            np.logical_or(window, ind, out=window)
+    else:
         for idx in _pair_sum_blocks(x - x0, y - y0):
             mark[idx] = True
-        out = mark.nonzero()[0] + (x0 + y0)
-    else:
-        out = _distinct(np.concatenate([_distinct(block) for block in _pair_sum_blocks(x, y)]))
-    return GridSet(out, a.step)
+    return GridSet(mark.nonzero()[0] + (x0 + y0), a.step)
 
 
 def iterated_sumset(b: GridSet, m: int, n: int) -> GridSet:

@@ -59,10 +59,35 @@ def test_sumset_matches_bruteforce_seeded():
     assert got == oracles.brute_sumset(list(a), list(b), -1)
 
 
-def _bitmap_side(a, b):
-    """True when sumset(a, b, sign) marks an occupancy bitmap (for either sign)."""
-    span = (int(a.members[-1]) - int(a.members[0])) + (int(b.members[-1]) - int(b.members[0])) + 1
-    return span <= 8 * len(a) * len(b)
+def _route(a, b):
+    """The route sumset(a, b, sign) takes, for either sign: 'sorted' when the
+    sum's span passes 8|A||B|, else 'indicator' when L (the set with more
+    members, B on a tie) spans at most 8|L|, else 'pair bitmap'."""
+    def width(g):
+        return int(g.members[-1]) - int(g.members[0]) + 1
+
+    if width(a) + width(b) - 1 > 8 * len(a) * len(b):
+        return "sorted"
+    large = b if len(a) <= len(b) else a
+    return "indicator" if width(large) <= 8 * len(large) else "pair bitmap"
+
+
+def _watch_routes(monkeypatch):
+    """Record each _pair_sum_blocks call and each sort in one list; returns
+    a function naming the route that the events since the last call show."""
+    events = []
+    blocks, distinct = additive._pair_sum_blocks, additive._distinct
+    monkeypatch.setattr(additive, "_pair_sum_blocks", lambda x, y: events.append("blocks") or blocks(x, y))
+    monkeypatch.setattr(additive, "_distinct", lambda v: events.append("sort") or distinct(v))
+
+    def route():
+        seen = set(events)
+        events.clear()
+        if "sort" in seen:
+            return "sorted"
+        return "pair bitmap" if "blocks" in seen else "indicator"
+
+    return route
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 2 ** 22])
@@ -70,30 +95,56 @@ def test_sumset_both_paths_match_bruteforce(monkeypatch, chunk):
     # chunk 7 splits rows of 3 sums into ragged blocks of 2 rows, and rows
     # of 10 sums into column blocks of 7 and 3
     monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
-    sorts = []
-    distinct = additive._distinct
-    monkeypatch.setattr(additive, "_distinct", lambda v: sorts.append(v.size) or distinct(v))
     rng = np.random.default_rng(17)
     dense = [gs(rng.choice(np.arange(-w, w), size=n, replace=False)) for n, w in ((3, 4), (10, 20), (25, 60))]
+    sparse = [gs(rng.choice(np.arange(-w, w), size=n, replace=False)) for n, w in ((4, 30), (12, 150), (20, 250))]
     wide = [gs([0, 2 ** 40]), gs([-(2 ** 40), -7, 1, 2]), gs([-5, 0, 3, 2 ** 40, 2 ** 41 + 1])]
-    for sets, bitmap in ((dense, True), (wide, False)):
-        for a in sets:
-            for b in sets:
-                assert _bitmap_side(a, b) == bitmap
-                # every pair sum once, in blocks of at most CHUNK_ELEMENTS
-                blocks = list(additive._pair_sum_blocks(a.members, b.members))
-                assert max(block.size for block in blocks) <= chunk
-                assert sorted(np.concatenate(blocks)) == sorted(np.add.outer(a.members, b.members).ravel())
-                for sign, sgn in (("+", 1), ("-", -1)):
-                    sorts.clear()
-                    got = sumset(a, b, sign).members.tolist()
-                    assert got == oracles.brute_sumset(list(a), list(b), sgn)
-                    # the bitmap path sorts nothing; the sort path sorts blocks
-                    assert bool(sorts) != bitmap
+    route = _watch_routes(monkeypatch)
+    covered = set()
+    for a in dense + sparse + wide:
+        for b in dense + sparse + wide:
+            # every pair sum once, in blocks of at most CHUNK_ELEMENTS
+            blocks = list(additive._pair_sum_blocks(a.members, b.members))
+            assert max(block.size for block in blocks) <= chunk
+            assert sorted(np.concatenate(blocks)) == sorted(np.add.outer(a.members, b.members).ravel())
+            want = _route(a, b)
+            for sign, sgn in (("+", 1), ("-", -1)):
+                route()
+                got = sumset(a, b, sign).members.tolist()
+                assert got == oracles.brute_sumset(list(a), list(b), sgn)
+                # the indicator route forms no pair sums, and only the
+                # sorted route sorts
+                assert route() == want, (list(a), list(b), sign)
+            covered.add((want, np.sign(len(a) - len(b))))
+    assert covered == {(r, c) for r in ("sorted", "indicator", "pair bitmap") for c in (-1, 0, 1)}
     for sign in ("+", "-"):
         assert len(sumset(gs([]), dense[0], sign)) == 0
         assert len(sumset(dense[0], gs([]), sign)) == 0
     assert len(iterated_sumset(gs(range(9)), 2, 1)) == oracles.ap_iterated_sumset_size(9, 2, 1)
+
+
+def test_sumset_route_guards(monkeypatch):
+    route = _watch_routes(monkeypatch)
+    rng = np.random.default_rng(18)
+    # a dense set with {0, 2**40}: the indicator route's bitmap over the
+    # sum's span would take about 1 TiB, so the span bound must come first
+    dense = gs(rng.choice(400, size=200, replace=False))
+    far = gs([0, 2 ** 40])
+    for a, b in ((dense, far), (far, dense)):
+        for sign, sgn in (("+", 1), ("-", -1)):
+            route()
+            assert sumset(a, b, sign).members.tolist() == oracles.brute_sumset(list(a), list(b), sgn)
+            assert route() == "sorted"
+    # L = 40 members over a span of about 2,000 > 8 * 40, with the sum's
+    # span inside 8|A||B|: the pair-sum bitmap stays
+    spread = gs(rng.choice(2000, size=40, replace=False))
+    few = gs(rng.choice(50, size=10, replace=False))
+    for a, b in ((spread, few), (few, spread), (spread, spread)):
+        assert _route(a, b) == "pair bitmap"
+        for sign, sgn in (("+", 1), ("-", -1)):
+            route()
+            assert sumset(a, b, sign).members.tolist() == oracles.brute_sumset(list(a), list(b), sgn)
+            assert route() == "pair bitmap"
 
 
 def test_gridset_copies_and_freezes_only_its_own_members():
@@ -176,6 +227,20 @@ def test_iterated_sumset_builds_each_fold_once_and_matches_brute_folds(monkeypat
             assert list(got) == oracles.brute_sumset(folds[m], folds[n], -1) and got.step == STEP
             # one sumset per fold past B itself, then the difference
             assert calls == ["+"] * (max(m, n) - 1) + ["-"]
+
+
+def test_iterated_sumset_sparse_difference_forms_no_pair_sums(monkeypatch):
+    # B sparse in [0, 10**5): B + B marks pair sums, but 2B is dense in its
+    # span, so 2B - B ORs 2B's indicator at the members of B
+    b = gs(np.random.default_rng(19).choice(10 ** 5, size=240, replace=False))
+    events = []
+    real_sumset, real_blocks = additive.sumset, additive._pair_sum_blocks
+    monkeypatch.setattr(additive, "sumset", lambda a, c, sign="+": events.append(sign) or real_sumset(a, c, sign))
+    monkeypatch.setattr(additive, "_pair_sum_blocks", lambda x, y: events.append("blocks") or real_blocks(x, y))
+    got = iterated_sumset(b, 2, 1)
+    assert events == ["+", "blocks", "-"]
+    two_b = oracles.brute_sumset(list(b), list(b))
+    assert got.members.tolist() == oracles.brute_sumset(two_b, list(b), -1)
 
 
 def test_iterated_sumset_ap_closed_form():
