@@ -85,31 +85,41 @@ def _require(args, *names):
             raise CliError(f"missing required parameter --{name.replace('_', '-')}")
 
 
-# generator kind -> (`generators` function, required flags, optional flags,
-# `serialize` writer); the flags are passed on as the function's parameters.
+# generator kind -> (`generators` function, required flags, optional flags
+# with their defaults, `serialize` writer); the flags are passed on as the
+# function's parameters, and any other generate flag is refused.
 # Both are looked up by name when called, so one rebound on its module is called.
 _GENERATE = {
-    "ap": ("gen_ap", ("n", "step"), ("origin",), "write_scalars"),
-    "cantor1d": ("gen_cantor_1d", ("contraction", "depth"), (), "write_scalars"),
-    "four_corner": ("gen_four_corner", ("depth",), (), "write_points"),
-    "random_frostman": ("gen_random_frostman", ("n", "exponent"), ("delta", "seed"),
+    "ap": ("gen_ap", ("n", "step"), {"origin": 0.0}, "write_scalars"),
+    "cantor1d": ("gen_cantor_1d", ("contraction", "depth"), {}, "write_scalars"),
+    "four_corner": ("gen_four_corner", ("depth",), {}, "write_points"),
+    "random_frostman": ("gen_random_frostman", ("n", "exponent"), {"delta": 2.0 ** -8, "seed": 0},
                         "write_points"),
     "planted_collinear": ("gen_planted_collinear", ("input", "slope", "intercept"),
-                          ("jitter", "seed", "delta", "s", "tau", "fiber_size", "fiber_step"),
+                          {"jitter": 0.0, "seed": 0, "delta": 2.0 ** -8, "s": 0.5, "tau": 0.5,
+                           "fiber_size": None, "fiber_step": None, "no_validate": False},
                           "write_product"),
 }
 
 
 def _cmd_generate(args):
-    _require(args, "kind", "output")
+    _require(args, "kind")
     if args.kind not in _GENERATE:
         raise CliError(f"unknown generator kind {args.kind!r}")
     func, required, optional, writer = _GENERATE[args.kind]
-    _require(args, *required)
-    params = {name: getattr(args, name) for name in required + optional}
+    # every generate flag defaults to None, so a set one was given
+    unread = [name for name, value in vars(args).items() if value is not None
+              and name not in ("command", "func", "config", "kind", "output", *required, *optional)]
+    if unread:
+        raise CliError(f"generate --kind {args.kind} does not read "
+                       + ", ".join("--" + name.replace("_", "-") for name in unread))
+    _require(args, "output", *required)
+    params = {name: getattr(args, name) for name in required}
+    for name, default in optional.items():
+        params[name] = default if getattr(args, name) is None else getattr(args, name)
     if args.kind == "planted_collinear":
         params["base"] = serialize.read_scalars(params.pop("input"))
-        params["validate"] = not args.no_validate
+        params["validate"] = not params.pop("no_validate")
     out = getattr(generators, func)(**params)
     getattr(serialize, writer)(args.output, out)
     print(f"wrote {args.output}")
@@ -256,12 +266,14 @@ def build_parser() -> _Parser:
     delta, s = (float, 2.0 ** -8), (float, 0.5)
     sweep = dict(input=text, output=text, directions=text, num_directions=integer, delta=delta)
 
+    # no generate flag has a parser default: each kind refuses the flags it
+    # does not read and fills in its own defaults (`_GENERATE`)
     g = command("generate", _cmd_generate, "build a fixture set",
-                kind=text, output=text, input=text, seed=(int, 0), delta=delta,
-                n=integer, step=real, origin=(float, 0.0), contraction=real, depth=integer,
-                exponent=real, slope=real, intercept=real, jitter=(float, 0.0), s=s,
-                tau=(float, 0.5), fiber_size=integer, fiber_step=real)
-    g.add_argument("--no-validate", dest="no_validate", action="store_true")
+                kind=text, output=text, input=text, seed=integer, delta=real,
+                n=integer, step=real, origin=real, contraction=real, depth=integer,
+                exponent=real, slope=real, intercept=real, jitter=real, s=real,
+                tau=real, fiber_size=integer, fiber_step=real)
+    g.add_argument("--no-validate", dest="no_validate", action="store_true", default=None)
     command("project-sweep", _cmd_project_sweep, "N and close-pair profile over directions",
             **sweep)
     command("kaufman", _cmd_kaufman, "argmax direction of the projection covering number",

@@ -6,7 +6,9 @@ All randomness flows through numpy SeedSequences keyed by (seed, path):
 the branching generator's cell with path (c_1, ..., c_j) in attempt a draws
 from exactly PCG64(SeedSequence(entropy=seed, spawn_key=(a, c_1, ..., c_j))),
 whose state is derived from its parent's level by level instead of through
-a SeedSequence per cell; a planted fiber i draws from
+a SeedSequence per cell. A cell drawing fewer than 10 replays numpy's
+integer urn sampler on arrays, bit for bit; the others call numpy's own
+multivariate_hypergeometric. A planted fiber i draws from
 SeedSequence(entropy=seed, spawn_key=(i,)).
 """
 
@@ -66,17 +68,20 @@ def gen_four_corner(depth: int) -> PointSet2D:
                       separation=4.0 ** -depth)
 
 
-# numpy's SeedSequence pool hash (pool size 4) and PCG64 seeding, which
-# _branching_points replays on arrays; tests/test_generators.py pins them
-# against numpy's own SeedSequence and PCG64
+# numpy's SeedSequence pool hash (pool size 4), PCG64 seeding and output,
+# and its integer urn sampler, which _branching_points replays on arrays;
+# tests/test_generators.py pins them against numpy's own
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 # multivariate_hypergeometric's default method needs sum(colors) below this
 _SAMPLER_COLOR_LIMIT = 10 ** 9
+# numpy's random_hypergeometric takes its ratio-of-uniforms path (HRUA, with
+# loggam and libm rounding) only for a sample of at least 10, and runs its
+# integer urn sampler below that; a cell drawing fewer is replayed on arrays
+_HRUA_MIN_SAMPLE = 10
 _CHILDREN = np.arange(4)
 
 
@@ -114,10 +119,26 @@ def _child_pools(pools, calls):
     return mixed ^ (mixed >> 16)
 
 
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One step state·mult + inc of PCG64's 128-bit LCG on (hi, lo) uint64
+    arrays; lo·mult_lo's high word is summed from 32-bit half products."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = _PCG64_MULT_LO & _MASK32, _PCG64_MULT_LO >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    prod_lo = mid << 32 | p00 & _MASK32
+    prod_hi = (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+               + hi * _PCG64_MULT_LO + lo * _PCG64_MULT_HI)
+    new_lo = prod_lo + inc_lo
+    return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
+
+
 def _pcg64_states(pools):
-    """(state, inc) of PCG64(ss), as ints, for the SeedSequence of each pool
-    row: ss.generate_state(4, np.uint64) hashes the pool cycled to 8 words,
-    then PCG64 seeds with two steps of its 128-bit LCG."""
+    """(state hi, state lo, inc hi, inc lo) uint64 arrays of PCG64(ss) for
+    the SeedSequence of each pool row: ss.generate_state(4, np.uint64)
+    hashes the pool cycled to 8 words into (seed hi, seed lo, seq hi,
+    seq lo), then PCG64 takes inc = 2·seq + 1 and state = (inc + seed)·mult
+    + inc."""
     const = _HASH_INIT_B
     words = []
     for i in range(8):
@@ -125,11 +146,74 @@ def _pcg64_states(pools):
         const = const * _HASH_MULT_B & _MASK32
         x = x * const & _MASK32
         words.append(x ^ (x >> 16))
-    seed_hi, seed_lo, seq_hi, seq_lo = ((words[2 * k] | words[2 * k + 1] << 32).tolist()
-                                        for k in range(4))
-    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    seed_hi, seed_lo, seq_hi, seq_lo = (words[2 * k] | words[2 * k + 1] << 32 for k in range(4))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg64_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _urn_draws(hi, lo, inc_hi, inc_lo, cap, counts):
+    """multivariate_hypergeometric([cap] * 4, count) of each cell, (m, 4),
+    for cells whose PCG64 states are the (hi, lo, inc hi, inc lo) arrays,
+    replayed bit for bit from numpy's C code. Every cell must draw fewer
+    than _HRUA_MIN_SAMPLE after the flip below, so each of its
+    random_hypergeometric calls runs the integer urn sampler.
+
+    The marginals method draws min(count, 4·cap − count) (flipping the
+    result when it took the second) as colors 0 to 2 in turn, each one
+    hypergeometric(good = cap, bad = the colors after it, the draws left).
+    The urn sampler draws min(sample, total − sample) balls one at a time,
+    each a random_interval(balls left − 1): uint32 words masked to the
+    bit length of that bound, rejected while above it. It stops early when
+    no good ball is left. Here good ≤ bad and at most half the balls are
+    drawn, so the bad balls never run out: numpy's stop on an urn of good
+    balls only, and its tail for that urn, never act. A cell's uint32
+    words are the low then the high half of each PCG64 output, in order
+    across its three calls; the loop below takes one word for every cell
+    still drawing.
+    """
+    hi, lo = hi.copy(), lo.copy()
+    total = 4 * cap
+    flip = counts > total // 2
+    left = np.where(flip, total - counts, counts)
+    alloc = np.empty((len(counts), 4), dtype=np.int64)
+    buffered = np.zeros(len(counts), dtype=bool)    # numpy's has_uint32
+    output = np.zeros(len(counts), dtype=np.uint64)  # each cell's last PCG64 output
+    for color in range(3):
+        balls = (4 - color) * cap
+        urn_flip = left > balls // 2
+        todo = np.where(urn_flip, balls - left, left)
+        balls_left = np.full(len(counts), balls)
+        good_left = np.full(len(counts), cap)
+        drawing = np.flatnonzero(todo > 0)
+        while drawing.size:
+            stepped = ~buffered[drawing]
+            fresh = drawing[stepped]
+            new_hi, new_lo = _pcg64_step(hi[fresh], lo[fresh], inc_hi[fresh], inc_lo[fresh])
+            hi[fresh], lo[fresh] = new_hi, new_lo
+            # XSL-RR: hi ^ lo rotated right by the top 6 bits of the state
+            x, rot = new_hi ^ new_lo, new_hi >> 58
+            output[fresh] = x >> rot | x << ((64 - rot) & 63)
+            word = np.where(stepped, output[drawing] & _MASK32, output[drawing] >> 32).astype(np.int64)
+            buffered[drawing] = stepped
+            # the 4·cap < _SAMPLER_COLOR_LIMIT < 2^32 balls keep random_interval
+            # on its uint32 branch, whose mask needs no shift by 32
+            bound = balls_left[drawing] - 1
+            mask = bound
+            for shift in (1, 2, 4, 8, 16):
+                mask = mask | mask >> shift
+            value = word & mask
+            drawn = drawing[value <= bound]
+            value = value[value <= bound]
+            balls_left[drawn] -= 1
+            good_left[drawn] -= value < good_left[drawn]
+            todo[drawn] -= 1
+            drawing = drawing[(todo[drawing] > 0) & (good_left[drawing] > 0)]
+        alloc[:, color] = np.where(urn_flip, good_left, cap - good_left)
+        left -= alloc[:, color]
+    alloc[:, 3] = left
+    return np.where(flip[:, None], cap - alloc, alloc)
 
 
 def _branching_points(n, exponent, delta, seed, attempt):
@@ -141,10 +225,12 @@ def _branching_points(n, exponent, delta, seed, attempt):
     The cell with path (c_1, ..., c_j) draws from exactly
     PCG64(SeedSequence(entropy=seed, spawn_key=(attempt, c_1, ..., c_j))).
     Only the root's SeedSequence is built: the tree is walked one level at a
-    time, each level's pools and PCG64 states are derived from the level
-    above, and every draw goes through one reused PCG64 and Generator. Cells
-    stay in lexicographic path order, so the points come out in the order of
-    a depth-first walk.
+    time, and each level's pools and PCG64 states are derived on arrays from
+    the level above. A cell drawing fewer than _HRUA_MIN_SAMPLE (count, or
+    4·cap − count when that is smaller) is replayed on arrays by
+    _urn_draws; the few others set one reused PCG64's state and call its
+    Generator's multivariate_hypergeometric. Cells stay in lexicographic
+    path order, so the points come out in the order of a depth-first walk.
     """
     d = as_delta(delta)
     levels, exact = _dyadic_level(d)
@@ -167,18 +253,21 @@ def _branching_points(n, exponent, delta, seed, attempt):
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     pools = root.pool.astype(np.uint64)[None, :]
-    counts = [n]
+    counts = np.array([n], dtype=np.int64)
     kx = ky = np.zeros(1, dtype=np.int64)
     for cap in child_caps:
-        colors = [cap] * 4
+        pcg = _pcg64_states(pools)
+        urn = np.minimum(counts, 4 * cap - counts) < _HRUA_MIN_SAMPLE
         alloc = np.empty((len(counts), 4), dtype=np.int64)
-        for row, (count, (pcg_state, inc)) in enumerate(zip(counts, _pcg64_states(pools))):
-            state["state"] = {"state": pcg_state, "inc": inc}
+        alloc[urn] = _urn_draws(*(a[urn] for a in pcg), cap, counts[urn])
+        for row in np.flatnonzero(~urn).tolist():
+            s_hi, s_lo, i_hi, i_lo = (int(a[row]) for a in pcg)
+            state["state"] = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
             bitgen.state = state
-            alloc[row] = gen.multivariate_hypergeometric(colors, count)
+            alloc[row] = gen.multivariate_hypergeometric([cap] * 4, int(counts[row]))
         alloc = alloc.ravel()
         keep = np.flatnonzero(alloc)
-        counts = alloc[keep].tolist()
+        counts = alloc[keep]
         kx = (2 * kx[:, None] + (_CHILDREN & 1)).ravel()[keep]
         ky = (2 * ky[:, None] + (_CHILDREN >> 1)).ravel()[keep]
         pools = _child_pools(pools, calls).reshape(-1, 4)[keep]

@@ -168,12 +168,28 @@ def test_product_experiment_reads_delta_and_s_from_its_file(tmp_path):
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("delta=0.25\nseed=3\n")
+    cfg.write_text("n=9\norigin=0.5\n")
     out = tmp_path / "ap.csv"
-    # config supplies delta (unused by ap), flags supply the rest
+    # config supplies origin, and the flag's n wins over the config's
     assert run("generate", "--config", str(cfg), "--kind", "ap", "--n", "4",
                "--step", "0.125", "--output", str(out)) == 0
-    assert len(serialize.read_scalars(out)) == 4
+    assert list(serialize.read_scalars(out)) == [0.5, 0.625, 0.75, 0.875]
+
+
+@pytest.mark.parametrize("kind, flags, config, unread", [
+    ("ap", ["--n", "3", "--step", "0.5", "--seed", "9"], "", "--seed"),
+    ("ap", ["--n", "3", "--step", "0.5", "--seed", "9", "--delta", "0.25", "--jitter", "0.1"], "",
+     "--seed, --delta, --jitter"),
+    ("random_frostman", ["--n", "4", "--exponent", "1", "--no-validate"], "", "--no-validate"),
+    ("four_corner", ["--depth", "2"], "jitter=0.1\n", "--jitter"),
+], ids=("ap-seed", "ap-three", "random_frostman-no-validate", "four_corner-config-jitter"))
+def test_generate_refuses_flags_its_kind_does_not_read(tmp_path, capsys, kind, flags, config, unread):
+    out = tmp_path / "x.csv"
+    (tmp_path / "run.cfg").write_text(config)
+    assert run("generate", "--config", str(tmp_path / "run.cfg"), "--kind", kind, *flags,
+               "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: generate --kind {kind} does not read {unread}\n"
+    assert not out.exists()
 
 
 def test_verify_byte_identical(tmp_path):

@@ -16,6 +16,7 @@ from projlab.generators import (
     _child_pools,
     _pcg64_states,
     _pool_hash_calls,
+    _urn_draws,
 )
 
 import oracles
@@ -148,7 +149,69 @@ def test_derived_pools_and_pcg64_states_match_numpy(seed):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(attempt, *path))
         assert pools[0].tolist() == ss.pool.tolist()
         state = np.random.PCG64(ss).state["state"]
-        assert list(_pcg64_states(pools)) == [(state["state"], state["inc"])]
+        hi, lo, inc_hi, inc_lo = (int(a[0]) for a in _pcg64_states(pools))
+        assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (state["state"], state["inc"])
+
+
+def _numpy_state(hi, lo, inc_hi, inc_lo):
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": int(hi) << 64 | int(lo), "inc": int(inc_hi) << 64 | int(inc_lo)}}
+
+
+def test_urn_draws_replay_numpy_multivariate_hypergeometric():
+    rng = np.random.default_rng(20)
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+    urn_flips = buffered_starts = 0
+    for cap in (1, 2, 3, 8, 23, 64, 182, 2 ** 20):
+        # every count the replay takes, each from 20 random 128-bit (state, inc)
+        counts = np.array([c for c in range(4 * cap + 1) if min(c, 4 * cap - c) < 10] * 20)
+        assert (counts > 2 * cap).any()  # multivariate_hypergeometric's own flip
+        states = rng.integers(0, 2 ** 64, size=(4, len(counts)), dtype=np.uint64)
+        states[3] |= 1
+        got = _urn_draws(*states, cap, counts)
+        for count, state, row in zip(counts.tolist(), states.T, got):
+            bitgen.state = _numpy_state(*state)
+            assert row.tolist() == gen.multivariate_hypergeometric([cap] * 4, count).tolist()
+            # the same draws as hypergeometric calls, to see what they covered
+            bitgen.state = _numpy_state(*state)
+            left = min(count, 4 * cap - count)
+            for color in range(3):
+                if left == 0:
+                    break
+                buffered_starts += color > 0 and bitgen.state["has_uint32"]
+                urn_flips += left > (4 - color) * cap // 2
+                left -= int(gen.hypergeometric(cap, (3 - color) * cap, left))
+    assert urn_flips > 20 and buffered_starts > 500
+
+
+def test_branching_points_route_only_large_draws_to_numpy(monkeypatch):
+    case = (4096, 1.5, 2.0 ** -10, 0, 0)
+    sampled, replayed = [], []
+
+    class SpyGenerator:
+        def __init__(self, bitgen, _generator=np.random.Generator):
+            self._gen = _generator(bitgen)
+
+        def multivariate_hypergeometric(self, colors, count):
+            sampled.append((colors[0], count))
+            return self._gen.multivariate_hypergeometric(colors, count)
+
+    def spy_urn_draws(*args, _urn_draws=generators._urn_draws):
+        replayed.append(len(args[-1]))
+        return _urn_draws(*args)
+
+    monkeypatch.setattr(np.random, "Generator", SpyGenerator)
+    monkeypatch.setattr(generators, "_urn_draws", spy_urn_draws)
+    got = _branching_points(*case).points
+    monkeypatch.undo()
+    assert sampled and all(min(count, 4 * cap - count) >= 10 for cap, count in sampled)
+    # the cells that split are the occupied cells of levels 0 to 9
+    k = np.round(got * 2 ** 10).astype(np.int64)
+    cells = sum(len(np.unique(k >> (10 - j), axis=0)) for j in range(10))
+    assert len(sampled) + sum(replayed) == cells
+    want = oracles.branching_points_recursive(*case)
+    assert np.array_equal(got, want[np.lexsort((want[:, 1], want[:, 0]))])
 
 
 def test_random_frostman_sampler_limit():
