@@ -12,7 +12,6 @@ from .delta_core import (
     NonConcentrationReport,
     PointSet2D,
     ScalarSet,
-    Scale,
     check_delta_t,
     covering_number,
     dyadic_content,
@@ -58,12 +57,10 @@ from .product_construction import (
     triple_projection,
 )
 from .scale_blowup import (
-    DyadicCover,
     TwoScaleStructure,
     WeightedPointSet,
     frostman_weights,
     horizontal_dilate,
-    pick_scale,
     rescaled_projection_identity,
     two_scale_decomposition,
 )

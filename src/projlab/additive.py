@@ -228,8 +228,8 @@ def bsg_extract(graph: PairGraph, k: float) -> BsgResult:
     thresholds are medians of the positive values, so the extraction is
     deterministic; achieved statistics are recomputed from the output.
     """
-    if k < 1.0:
-        raise ValueError("K must be >= 1")
+    if not 1.0 <= k < math.inf:
+        raise ValueError(f"K must be a finite number >= 1, got {k}")
     n_a, n_b = len(graph.a_set), len(graph.b_set)
     m = graph.edge_count
     if m == 0:

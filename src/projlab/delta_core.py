@@ -58,27 +58,11 @@ MAX_CELLS = 2 ** 25
 
 
 def as_delta(delta) -> float:
-    """Coerce a Scale or plain number to a validated float scale."""
+    """Coerce a number to a validated float scale δ ∈ (0, 1/2]."""
     d = float(delta)
     if not 0.0 < d <= 0.5:
         raise ValueError(f"scale must lie in (0, 1/2], got {d}")
     return d
-
-
-@dataclass(frozen=True)
-class Scale:
-    """A spatial scale δ ∈ (0, 1/2], optionally the exact dyadic 2^-j."""
-
-    delta: float
-    j: int | None = None
-
-    def __post_init__(self):
-        as_delta(self.delta)
-        if self.j is not None and _dyadic_level(self.delta) != (self.j, True):
-            raise ValueError(f"delta {self.delta} is not exactly 2^-{self.j}")
-
-    def __float__(self) -> float:
-        return self.delta
 
 
 class ScalarSet:

@@ -298,7 +298,8 @@ def gen_planted_collinear(base: ScalarSet, slope: float, intercept: float, jitte
                           validate: bool = True) -> ProductLikeSet:
     """Product-like set whose fibers each contain the planted value
     intercept + slope·(b - b0) (b0 the least base point), shifted by a
-    seeded per-fiber jitter of at most `jitter`.
+    seeded per-fiber jitter of at most `jitter` (in [0, δ/2]).  A fiber
+    holds `fiber_size` >= 1 values `fiber_step` > 0 apart.
 
     Every fiber is the same offset progression around its planted value,
     so entire progressions are collinear across fibers and the triple
@@ -306,12 +307,16 @@ def gen_planted_collinear(base: ScalarSet, slope: float, intercept: float, jitte
     swept.
     """
     d = as_delta(delta)
-    if jitter > d / 2:
-        raise ValueError("jitter must not exceed delta/2")
+    if not 0.0 <= jitter <= d / 2:
+        raise ValueError(f"jitter must lie in [0, delta/2], got {jitter}")
     if fiber_step is None:
         fiber_step = math.sqrt(d)
     if fiber_size is None:
         fiber_size = max(1, round(d ** -s / 4))
+    if fiber_size < 1:
+        raise ValueError(f"fiber_size must be at least 1, got {fiber_size}")
+    if not fiber_step > 0:
+        raise ValueError(f"fiber_step must be positive, got {fiber_step}")
     b0 = base.values[0]
     half = (fiber_size - 1) / 2.0
     offsets = fiber_step * (np.arange(fiber_size) - math.floor(half))

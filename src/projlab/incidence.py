@@ -107,8 +107,11 @@ def cauchy_schwarz_lower_bound(P: PointSet2D, e: Direction, delta) -> CauchySchw
 
 def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None) -> KaufmanWitness:
     """Direction in E maximizing N(π_e(P), δ), with the maximum and the
-    whole N profile; ties go to the lowest index."""
+    whole N profile; ties go to the lowest index.  An exponent `s`, when
+    given, must lie in (0, 2]."""
     d = as_delta(delta)
+    if s is not None and not 0.0 < s <= 2.0:
+        raise ValueError(f"exponent s must lie in (0, 2], got {s}")
     if len(E) == 0:
         raise ValueError("direction set is empty")
     profile = projection_sweep(P, E, d, pairs=False)[0]

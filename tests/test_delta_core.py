@@ -17,7 +17,6 @@ from projlab.delta_core import (
     NonConcentrationReport,
     PointSet2D,
     ScalarSet,
-    Scale,
     check_delta_t,
     covering_number,
     dyadic_content,
@@ -32,13 +31,11 @@ from projlab.generators import gen_random_frostman
 import oracles
 
 
-def test_scale_validation():
-    with pytest.raises(ValueError):
-        Scale(0.7)
-    with pytest.raises(ValueError):
-        Scale(0.0)
-    with pytest.raises(ValueError):
-        Scale(0.25, j=3)  # 0.25 == 2^-2, not 2^-3
+def test_as_delta_refuses_a_scale_outside_zero_to_half():
+    for bad in (0.7, 0.0):
+        with pytest.raises(ValueError, match=r"scale must lie in \(0, 1/2\]"):
+            delta_core.as_delta(bad)
+    assert delta_core.as_delta(0.5) == 0.5
 
 
 def test_scalar_set_sorted_dedup():
@@ -722,9 +719,8 @@ def test_extraction_levels_start_at_the_first_side_at_most_delta():
     d = math.nextafter(2.0 ** -10, 0.0)
     assert delta_core._dyadic_levels(PointSet2D([(0.1, 0.2)]), d, 1.0)[2] == 11
     assert delta_core._dyadic_levels(PointSet2D([(0.1, 0.2)]), 2.0 ** -10, 1.0)[2] == 10
-    with pytest.raises(ValueError, match=r"not exactly 2\^-10"):
-        Scale(d, j=10)
-    assert Scale(2.0 ** -1074, j=1074).j == 1074
+    assert delta_core._dyadic_level(d) == (11, False)
+    assert delta_core._dyadic_level(2.0 ** -1074) == (1074, True)
 
 
 def test_covering_number_refuses_a_delta_past_int64():

@@ -265,6 +265,22 @@ def test_planted_collinear_jitter_bound():
     d = 2.0 ** -10
     with pytest.raises(ValueError):
         gen_planted_collinear(base, 1.0, 0.2, jitter=d, delta=d)
+    # NaN and negative jitters drew no shift and wrote the jitter-free product
+    for jitter in (math.nan, -1.0, -d):
+        with pytest.raises(ValueError, match=r"^jitter must lie in \[0, delta/2\], got "):
+            gen_planted_collinear(base, 1.0, 0.2, jitter=jitter, delta=d)
+
+
+def test_planted_collinear_refuses_empty_or_unspaced_fibers():
+    base = ScalarSet([0.0, 0.5, 1.0])
+    d = 2.0 ** -10
+    # fiber_size 0 wrote a product with no rows
+    for size in (0, -3):
+        with pytest.raises(ValueError, match=f"^fiber_size must be at least 1, got {size}$"):
+            gen_planted_collinear(base, 1.0, 0.2, 0.0, delta=d, fiber_size=size, validate=False)
+    for step in (0.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match=f"^fiber_step must be positive, got {step}$"):
+            gen_planted_collinear(base, 1.0, 0.2, 0.0, delta=d, fiber_step=step, validate=False)
     p = gen_planted_collinear(base, 0.5, 0.2, jitter=d / 2, seed=9, delta=d)
     for b in base:
         planted = 0.2 + 0.5 * b

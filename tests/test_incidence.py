@@ -163,3 +163,11 @@ def test_kaufman_witness_warns_on_fewer_directions_than_delta_pow_minus_s():
 def test_kaufman_witness_empty_errors():
     with pytest.raises(ValueError):
         kaufman_witness(PointSet2D([(0, 0)]), DirectionSet([]), 0.1)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, 2.5])
+def test_kaufman_witness_refuses_an_exponent_outside_zero_to_two(s):
+    with pytest.raises(ValueError, match=r"^exponent s must lie in \(0, 2\], got "):
+        kaufman_witness(PointSet2D([(0, 0)]), DirectionSet.net(4), 0.1, s=s)
+    with pytest.warns(UserWarning, match="below delta"):  # s = 2 itself is accepted
+        kaufman_witness(PointSet2D([(0, 0)]), DirectionSet.net(4), 0.1, s=2.0)

@@ -444,6 +444,20 @@ def test_product_experiment_empty_direction_set():
     assert res.profile == () and res.max_n == 0 and res.witness is None
 
 
+def test_product_experiment_refuses_a_bad_exponent_or_epsilon():
+    d = 2.0 ** -8
+    p = ProductLikeSet(ScalarSet([0.5]), {0.5: gen_ap(16, math.sqrt(d))}, d, 0.5, 0.0)
+    e = DirectionSet([0.0])
+    for s in (math.nan, math.inf, 0.0, 2.5):
+        with pytest.raises(ValueError, match=r"^exponent s must lie in \(0, 2\], got "):
+            product_experiment(p, e, d, s=s)
+    # NaN read target=nan and no witness, whatever the counts
+    for eps in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match=f"^epsilon must be a finite number >= 0, got {eps}$"):
+            product_experiment(p, e, d, epsilon=eps)
+    assert product_experiment(p, e, d, s=2.0, epsilon=0.0).target == d ** -2.0
+
+
 def test_experiment_sweep_is_own_oracle_regression():
     d = D10
     base, fibers = ap_product(delta=d)

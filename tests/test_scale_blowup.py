@@ -19,12 +19,9 @@ from projlab.product_construction import ProductLikeSet
 from projlab.scale_blowup import (
     GOOD_BALL_FACTOR,
     GOOD_BALL_LOG_POWER,
-    DyadicCover,
-    WeightedPointSet,
     _singleton_level,
     frostman_weights,
     horizontal_dilate,
-    pick_scale,
     rescaled_projection_identity,
     two_scale_decomposition,
 )
@@ -101,53 +98,6 @@ def test_frostman_errors():
         frostman_weights(PointSet2D(np.empty((0, 2))), 1.0)
     with pytest.raises(ValueError):
         frostman_weights(PointSet2D([(0, 0)]), 2.5)
-
-
-def test_pick_scale_single_level():
-    cells = tuple((5, (k, 3)) for k in range(4))
-    cov = DyadicCover(cells=cells, diam_sum=4 * math.sqrt(2) * 2 ** -5)
-    pts = [(k * 2.0 ** -5 + 2.0 ** -7, 3 * 2.0 ** -5) for k in range(4)]
-    mu = WeightedPointSet(PointSet2D(pts), [0.25] * 4)
-    j, scale = pick_scale(cov, mu, 2.0 ** -5)
-    assert j == 5
-    assert float(scale) == 2.0 ** -10
-
-
-def test_pick_scale_even_split_frozen():
-    # oracle arithmetic: quota at j0 is (6/pi^2) ~ 0.608 > 0.25, so the
-    # first level meeting its quota is j0 + 1
-    j0 = 3
-    cells = []
-    pts = []
-    for k, j in enumerate(range(j0, j0 + 4)):
-        cells.append((j, (k + 4, k + 4)))
-        pts.append(((k + 4) * 2.0 ** -j, (k + 4) * 2.0 ** -j))
-    cov = DyadicCover(cells=tuple(cells), diam_sum=1.0)
-    mu = WeightedPointSet(PointSet2D(pts), [0.25] * 4)
-    j, scale = pick_scale(cov, mu, 2.0 ** -j0)
-    assert j == j0 + 1
-    assert float(scale) == 2.0 ** (-2 * (j0 + 1))
-
-
-def test_pick_scale_totality_1000_seeds():
-    for seed in range(1000):
-        rng = np.random.default_rng(90000 + seed)
-        j0 = int(rng.integers(2, 6))
-        n_levels = int(rng.integers(1, 6))
-        cells = []
-        pts = []
-        masses = []
-        for k in range(n_levels):
-            j = j0 + k
-            for c in range(int(rng.integers(1, 4))):
-                kx, ky = int(rng.integers(0, 2 ** j)), int(rng.integers(0, 2 ** j))
-                cells.append((j, (kx, ky)))
-                pts.append(((kx + 0.5) * 2.0 ** -j, (ky + 0.5) * 2.0 ** -j))
-                masses.append(float(rng.uniform(0.01, 1.0)))
-        cov = DyadicCover(cells=tuple(cells), diam_sum=1.0)
-        mu = WeightedPointSet(PointSet2D(pts), masses)
-        j, _ = pick_scale(cov, mu, 2.0 ** -j0)  # must never raise
-        assert j >= j0
 
 
 def test_two_scale_full_grid():
