@@ -45,9 +45,9 @@ EXTRACTION_CARDINALITY_C = 0.01
 CHUNK_ELEMENTS = 2 ** 22
 
 # check_delta_t's pruning: cells of side r/NC_CELLS_PER_RADIUS bound the
-# ball counts at radius r and hold the points that are counted exactly; the
-# exact counts of the NC_SAMPLE centers with the largest bound ratio give
-# the lower bound that prunes the rest
+# ball counts at radius r and hold the points that are counted exactly; its
+# walk over the centers, largest bound ratio first, counts NC_SAMPLE of
+# them in its first block and twice as many in each later one
 NC_CELLS_PER_RADIUS = 8
 NC_SAMPLE = 32
 
@@ -63,6 +63,15 @@ def as_delta(delta) -> float:
     if not 0.0 < d <= 0.5:
         raise ValueError(f"scale must lie in (0, 1/2], got {d}")
     return d
+
+
+def as_exponent(value, name) -> float:
+    """Coerce a number to a validated float exponent in (0, 2]; `name` is
+    how the refusal calls it ("exponent s", say)."""
+    v = float(value)
+    if not 0.0 < v <= 2.0:
+        raise ValueError(f"{name} must lie in (0, 2], got {v}")
+    return v
 
 
 class ScalarSet:
@@ -303,19 +312,20 @@ def check_delta_t(P, delta, t) -> NonConcentrationReport:
     PointSet2D declaring a separation >= δ.
 
     Exact and pruned.  `_BallCells` bounds every center's count at every
-    radius.  The NC_SAMPLE centers with the largest bound ratio are counted
-    exactly; their worst ratio L, first attained by the sampled center f,
-    is a lower bound on the worst ratio.  Any other center is counted, in
-    index order and only at the radii whose bound ratio reaches L, if its
-    bound ratio exceeds L, or equals it before f.  A pair left out has a
-    ratio below L, or cannot beat f, so the report is the one a full scan
-    gives: the first center in index order attaining the worst ratio, and
-    its smallest such radius.  The report counts the centers counted
-    exactly and the distances computed.
+    radius, and one walk visits the centers by descending bound ratio (ties
+    in index order), NC_SAMPLE in its first block and twice as many in each
+    later one.  The worst ratio L counted so far, first attained by the
+    center f, starts at 1, which every center reaches at r = δ.  A block's
+    centers whose bound ratio exceeds L, or equals it before f, are counted
+    exactly, at the radii whose bound ratio reaches L; the walk stops at the
+    first center that cannot beat f.  A pair left out has a ratio below L,
+    or cannot beat f, so the report is the one a full scan gives: the first
+    center in index order attaining the worst ratio, and its smallest such
+    radius.  The report counts the centers counted exactly and the
+    distances computed.
     """
     d = as_delta(delta)
-    if not 0.0 < t <= 2.0:
-        raise ValueError(f"exponent t must lie in (0, 2], got {t}")
+    t = as_exponent(t, "exponent t")
     pts = _coerce_coords(P)
     n = pts.shape[0]
     if n == 0:
@@ -332,7 +342,7 @@ def check_delta_t(P, delta, t) -> NonConcentrationReport:
     scanned = powers <= n
     worst, witness, work = _pruned_scan(pts, radii[scanned], powers[scanned])
     return NonConcentrationReport(
-        exponent=float(t),
+        exponent=t,
         worst_ratio=worst,
         witness_center=tuple(pts[witness[0]].tolist()),
         witness_radius=witness[1],
@@ -344,53 +354,40 @@ def check_delta_t(P, delta, t) -> NonConcentrationReport:
 
 
 def _pruned_scan(pts, radii, powers):
-    """check_delta_t's two-phase scan: (worst ratio, (witness index,
-    witness radius), (centers counted exactly, distances computed))."""
+    """check_delta_t's walk, described there: (worst ratio, (witness
+    index, witness radius), (centers counted exactly, distances computed))."""
     n = pts.shape[0]
     grid = _BallCells(pts, radii, NC_CELLS_PER_RADIUS)
     bound_ratio = grid.bounds() / powers
     best_bound = bound_ratio.max(axis=1)
-    exact = np.zeros(n, dtype=bool)
-    distances = 0
-    worst, witness = -1.0, (n, 0.0)
-
-    def count(centers, live):
-        """Count the increasing `centers` exactly at their `live` radii; the
-        first of them attaining their worst ratio becomes the witness if
-        that ratio is larger than the worst so far, or equal at a smaller
-        index."""
-        nonlocal distances, worst, witness
+    walk = np.argsort(-best_bound, kind="stable")
+    # every center's ratio at r = δ is at least 1: the worst so far starts
+    # there, with no witness yet
+    worst, witness = 1.0, (n, 0.0)
+    exact = distances = 0
+    a, size = 0, NC_SAMPLE
+    while a < n:
+        # the centers whose bound beats the witness, or ties it at a smaller
+        # index, are a prefix of the walk (ties go in index order); sorted
+        # by index, the first row at the block's worst is its first center
+        block = walk[a : a + size]
+        bound = best_bound[block]
+        block = np.sort(block[(bound > worst) | ((bound == worst) & (block < witness[0]))])
+        if block.size == 0:
+            break
+        live = bound_ratio[block] >= worst
         row, k = np.nonzero(live)
         counts = np.zeros(live.shape, dtype=np.int64)
-        counts[row, k], pairs = grid.ball_counts(pts, centers[row], k)
-        distances += pairs
-        exact[centers] = True
+        counts[row, k], pairs = grid.ball_counts(pts, block[row], k)
+        exact, distances = exact + block.size, distances + pairs
         ratios = counts / powers
         ratios[~live] = -np.inf
         rowmax = ratios.max(axis=1)
         j = int(np.argmax(rowmax))
-        if rowmax[j] > worst or (rowmax[j] == worst and centers[j] < witness[0]):
-            worst, witness = float(rowmax[j]), (int(centers[j]), float(radii[int(np.argmax(ratios[j]))]))
-
-    # the exact rows of the sample: every center's ratio at r = δ is at
-    # least 1, so a radius whose bound ratio is below 1 cannot hold a worst
-    sample = np.sort(np.argsort(-best_bound, kind="stable")[:NC_SAMPLE])
-    count(sample, bound_ratio[sample] >= 1.0)
-    # any other center can be the witness only with a bound ratio above the
-    # sample's worst, or equal to it at a smaller index, and only at the
-    # radii whose bound ratio reaches it; those are counted in index order,
-    # skipping centers whose bound cannot beat the witness found so far
-    rest = np.ones(n, dtype=bool)
-    rest[sample] = False
-    index = np.arange(n)
-    candidates = index[rest & ((best_bound > worst) | ((best_bound == worst) & (index < witness[0])))]
-    live = bound_ratio[candidates] >= worst
-    for a, b in _blocks(live.sum(axis=1) * grid.offsets.shape[1]):
-        block = candidates[a:b]
-        keep = (best_bound[block] > worst) | ((best_bound[block] == worst) & (block < witness[0]))
-        if keep.any():
-            count(block[keep], live[a:b][keep])
-    return worst, witness, (int(exact.sum()), distances)
+        if rowmax[j] > worst or (rowmax[j] == worst and block[j] < witness[0]):
+            worst, witness = float(rowmax[j]), (int(block[j]), float(radii[int(np.argmax(ratios[j]))]))
+        a, size = a + size, 2 * size
+    return worst, witness, (exact, distances)
 
 
 def _pair_block():
@@ -452,10 +449,13 @@ class _BallCells:
 
     def runs(self, cell_keys, radius):
         """Per key and stencil row of the radius index, the run of `order`
-        whose keys lie in key + row offset + [-reach, reach]: (lo, hi)."""
-        rows = cell_keys[:, None] + self.offsets[radius]
-        return (np.searchsorted(self.keys, rows - self.reach, side="left"),
-                np.searchsorted(self.keys, rows + self.reach, side="right"))
+        whose keys lie in key + row offset + [-reach, reach]: (a, lo, hi)
+        for the keys from a on, at most _pair_block() runs at a time."""
+        step = max(1, _pair_block() // self.offsets.shape[1])
+        for a in range(0, cell_keys.size, step):
+            rows = cell_keys[a : a + step, None] + self.offsets[radius[a : a + step]]
+            yield (a, np.searchsorted(self.keys, rows - self.reach, side="left"),
+                   np.searchsorted(self.keys, rows + self.reach, side="right"))
 
     def bounds(self):
         """(n, radii) array: the number of points in each point's stencil at
@@ -465,34 +465,33 @@ class _BallCells:
         new[0] = True
         np.not_equal(self.keys[1:], self.keys[:-1], out=new[1:])
         occupied = self.keys[new]
-        radius = self.order[new] // self.cell_keys.shape[1]
         per_cell = np.empty(occupied.size, dtype=np.int64)
-        step = max(1, _pair_block() // self.offsets.shape[1])
-        for a in range(0, occupied.size, step):
-            lo, hi = self.runs(occupied[a : a + step], radius[a : a + step])
-            per_cell[a : a + step] = (hi - lo).sum(axis=1)
+        for a, lo, hi in self.runs(occupied, self.order[new] // self.cell_keys.shape[1]):
+            per_cell[a : a + lo.shape[0]] = (hi - lo).sum(axis=1)
         out = np.empty(self.keys.size, dtype=np.int64)
         out[self.order] = per_cell[np.cumsum(new) - 1]
         return out.reshape(self.cell_keys.shape).T
 
     def stencil_distances(self, pts, centers, radius):
-        """Per block [a, b) of centers, at most _pair_block() distances:
+        """Per block [a, b) of centers, at most _pair_block() distances
+        (or one center's) from `runs`' chunks of stencil runs:
         (a, b, sizes, pos, dists), the number of points in each center's
         stencil at its radius index, their positions in `order` (center by
         center) and their distances to the center (`abs` in 1-D, einsum and
         sqrt in 2-D)."""
-        lo, hi = self.runs(self.cell_keys[radius, centers], radius)
-        lens = hi - lo
-        sizes = lens.sum(axis=1)
-        for a, b in _blocks(sizes):
-            run = lens[a:b].ravel()
-            pos = np.repeat(lo[a:b].ravel() - (np.cumsum(run) - run), run) + np.arange(run.sum())
-            diff = np.take(self.points, pos, axis=0) - np.repeat(pts[centers[a:b]], sizes[a:b], axis=0)
-            if pts.shape[1] == 1:
-                dists = np.abs(diff[:, 0])
-            else:
-                dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            yield a, b, sizes[a:b], pos, dists
+        for start, lo, hi in self.runs(self.cell_keys[radius, centers], radius):
+            chunk = centers[start : start + lo.shape[0]]
+            lens = hi - lo
+            sizes = lens.sum(axis=1)
+            for a, b in _blocks(sizes):
+                run = lens[a:b].ravel()
+                pos = np.repeat(lo[a:b].ravel() - (np.cumsum(run) - run), run) + np.arange(run.sum())
+                diff = np.take(self.points, pos, axis=0) - np.repeat(pts[chunk[a:b]], sizes[a:b], axis=0)
+                if pts.shape[1] == 1:
+                    dists = np.abs(diff[:, 0])
+                else:
+                    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                yield start + a, start + b, sizes[a:b], pos, dists
 
     def ball_counts(self, pts, centers, radius):
         """(counts, distances): |P ∩ B(x_c, r)| for each center and radius
@@ -581,8 +580,7 @@ def _dyadic_level(d):
 def _dyadic_levels(K, delta, s):
     """Validated (δ, (n, 2) points, first level with side <= δ)."""
     d = as_delta(delta)
-    if not 0.0 < s <= 2.0:
-        raise ValueError(f"exponent s must lie in (0, 2], got {s}")
+    as_exponent(s, "exponent s")
     pts = _coerce_coords(K)
     if pts.shape[1] == 1:
         pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])

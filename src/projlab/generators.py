@@ -18,7 +18,8 @@ import math
 
 import numpy as np
 
-from .delta_core import PointSet2D, ScalarSet, _check_depth, _dyadic_level, as_delta, check_delta_t
+from .delta_core import (PointSet2D, ScalarSet, _check_depth, _dyadic_level, as_delta, as_exponent,
+                         check_delta_t)
 from .errors import GeneratorError
 from .product_construction import ProductLikeSet, build_product_like
 
@@ -281,8 +282,7 @@ def gen_random_frostman(n: int, exponent: float, delta, seed: int = 0) -> PointS
     rejected until the (δ, exponent) scan passes with ratio <= 8."""
     if n < 1:
         raise ValueError("need at least one point")
-    if not 0.0 < exponent <= 2.0:
-        raise ValueError("exponent must lie in (0, 2]")
+    as_exponent(exponent, "exponent")
     d = as_delta(delta)
     for attempt in range(_MAX_REJECTION_ATTEMPTS):
         pts = _branching_points(n, exponent, d, seed, attempt)
@@ -309,6 +309,8 @@ def gen_planted_collinear(base: ScalarSet, slope: float, intercept: float, jitte
     d = as_delta(delta)
     if not 0.0 <= jitter <= d / 2:
         raise ValueError(f"jitter must lie in [0, delta/2], got {jitter}")
+    as_exponent(s, "exponent s")
+    as_exponent(tau, "exponent tau")
     if fiber_step is None:
         fiber_step = math.sqrt(d)
     if fiber_size is None:

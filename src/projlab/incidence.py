@@ -20,6 +20,7 @@ from .delta_core import (
     DirectionSet,
     PointSet2D,
     as_delta,
+    as_exponent,
     grid_cells_1d,
     project,
     projected_values,
@@ -110,8 +111,8 @@ def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None) -> KaufmanWit
     whole N profile; ties go to the lowest index.  An exponent `s`, when
     given, must lie in (0, 2]."""
     d = as_delta(delta)
-    if s is not None and not 0.0 < s <= 2.0:
-        raise ValueError(f"exponent s must lie in (0, 2], got {s}")
+    if s is not None:
+        as_exponent(s, "exponent s")
     if len(E) == 0:
         raise ValueError("direction set is empty")
     profile = projection_sweep(P, E, d, pairs=False)[0]

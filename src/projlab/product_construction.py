@@ -24,6 +24,7 @@ from .delta_core import (
     ScalarSet,
     _cell_index,
     as_delta,
+    as_exponent,
     check_delta_t,
     covering_number,
     projected_values,
@@ -358,9 +359,7 @@ def product_experiment(P: ProductLikeSet, E: DirectionSet, delta=None, s=None,
     exact maximum, with the full (theta, N) profile.  s must lie in (0, 2]
     and ε be a finite number >= 0."""
     d = as_delta(delta) if delta is not None else P.delta
-    s_val = float(s) if s is not None else P.s
-    if not 0.0 < s_val <= 2.0:
-        raise ValueError(f"exponent s must lie in (0, 2], got {s_val}")
+    s_val = as_exponent(s if s is not None else P.s, "exponent s")
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     if len(E) == 0:

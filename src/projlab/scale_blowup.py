@@ -21,6 +21,7 @@ from .delta_core import (
     _dyadic_level,
     _extract_below,
     as_delta,
+    as_exponent,
     check_delta_t,
     covering_number,
 )
@@ -81,8 +82,7 @@ def frostman_weights(P: PointSet2D, exponent, min_scale=None) -> WeightedPointSe
     capping.  `min_scale` fixes the finest capped level (weights start at
     that level's cap); by default the tree is deepened until cells are
     singletons (capped at level 40)."""
-    if not 0.0 < exponent <= 2.0:
-        raise ValueError("exponent must lie in (0, 2]")
+    as_exponent(exponent, "exponent")
     pts = P.points if isinstance(P, PointSet2D) else np.asarray(P, float).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("cannot weight an empty set")
@@ -131,7 +131,8 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     """Select good √δ-cells (mass >= factor·√δ/log²(1/δ)), thin them
     to pairwise ball separation >= √δ, extract a (δ,1)-set inside each,
     anchor at the lexicographically least point, and verify the output
-    invariants (both scans within max_ratio) before returning.
+    invariants (both scans within max_ratio) before returning.  The
+    factor must be a finite number >= 0, and max_ratio finite.
 
     One extraction covers every ball.  On one dyadic tree over the kept
     balls' points, each kept cell is a root of `extract_delta_s_subset`'s
@@ -142,6 +143,8 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     picks keeps what a sweep per ball would.  A ball's own scan needs no
     run: its centers and the radii it would scan (r/δ <= its size) are
     among the fine scan's, where each ball count is at least as large."""
+    if not 0.0 <= good_ball_factor < math.inf:
+        raise ValueError(f"good_ball_factor must be a finite number >= 0, got {good_ball_factor}")
     if not math.isfinite(max_ratio):
         raise ValueError(f"max_ratio must be finite, got {max_ratio}")
     d = as_delta(delta)

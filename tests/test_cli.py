@@ -373,6 +373,7 @@ def test_failed_threshold_writes_no_file(tmp_path, command):
 
 _PLANTED = ("generate --kind planted_collinear --input {d}/base_7.csv --slope 0.5 --intercept 0.1 "
             "--delta 0.0009765625 --output {d}/out.csv ")
+_TWO_SCALE = "two-scale --input {f}/points_300.csv --delta 0.015625 --output {d}/ts "
 _EXPERIMENT = ("product-experiment --input {f}/product_8.csv --num-directions 4 "
                "--output {d}/out.csv --triples-output {d}/t.csv ")
 # a parameter each command's library function refuses before any file is
@@ -394,6 +395,15 @@ REFUSED_PARAMETERS = {
     "generate-jitter-negative": (_PLANTED + "--jitter -1", "jitter must lie in [0, delta/2], got -1.0"),
     "generate-fiber-size-0": (_PLANTED + "--fiber-size 0", "fiber_size must be at least 1, got 0"),
     "generate-fiber-step-0": (_PLANTED + "--fiber-step 0", "fiber_step must be positive, got 0.0"),
+    # --no-validate wrote `# tau=nan`, which product-experiment refuses to
+    # read, and died on round(nan) for --s nan
+    "generate-tau-nan": (_PLANTED + "--no-validate --tau nan", "exponent tau must lie in (0, 2], got nan"),
+    "generate-s-nan": (_PLANTED + "--no-validate --s nan", "exponent s must lie in (0, 2], got nan"),
+    # a negative factor passed every occupied cell as a good ball
+    "two-scale-good-ball-negative": (_TWO_SCALE + "--threshold-good-ball -1",
+                                     "good_ball_factor must be a finite number >= 0, got -1.0"),
+    "two-scale-good-ball-nan": (_TWO_SCALE + "--threshold-good-ball nan",
+                                "good_ball_factor must be a finite number >= 0, got nan"),
 }
 
 

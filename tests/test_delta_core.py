@@ -38,6 +38,15 @@ def test_as_delta_refuses_a_scale_outside_zero_to_half():
     assert delta_core.as_delta(0.5) == 0.5
 
 
+def test_exponents_outside_zero_to_two_are_refused_by_one_rule():
+    assert delta_core.as_exponent(2, "exponent t") == 2.0
+    for bad in (0.0, -1.0, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^exponent t must lie in \\(0, 2\\], got {bad}$"):
+            check_delta_t(PointSet2D([(0, 0)]), 0.25, bad)
+        with pytest.raises(ValueError, match=f"^exponent s must lie in \\(0, 2\\], got {bad}$"):
+            dyadic_content(PointSet2D([(0, 0)]), 0.25, bad)
+
+
 def test_scalar_set_sorted_dedup():
     s = ScalarSet([0.3, 0.1, 0.3, 0.2])
     assert list(s) == [0.1, 0.2, 0.3]
@@ -198,6 +207,8 @@ def test_check_delta_t_prunes_most_centers_of_the_generator_set(frostman_sets):
     rep = check_delta_t(frostman_sets[0], 2.0 ** -10, 1.5)
     assert rep.exact_centers < 0.1 * rep.n_points
     assert 0 < rep.distances < 0.01 * rep.n_points ** 2
+    # the walk's first block alone, counted at its live radii
+    assert rep.exact_centers <= delta_core.NC_SAMPLE and rep.distances <= 64
 
 
 def test_check_delta_t_prunes_at_a_tiny_delta(frostman_sets):
@@ -220,7 +231,16 @@ def test_check_delta_t_matches_quadratic_twin_on_lattice_ties():
     d = 2.0 ** -6
     ticks = np.arange(64) * d
     lattice = np.array([(x, y) for x in ticks for y in ticks])
-    assert check_delta_t(PointSet2D(lattice), d, 1.0) == _twin_report(lattice, d, 1.0)
+    rep = check_delta_t(PointSet2D(lattice), d, 1.0)
+    assert rep == _twin_report(lattice, d, 1.0)
+    # its stencil bounds tie the worst ratio at many centers, and those are
+    # counted; the walk counts no more of them than the scan it replaced
+    assert rep.exact_centers <= 448 and rep.distances <= 1_741_088
+    fine = np.arange(256) * (d / 4)
+    big = np.stack(np.meshgrid(fine, fine, indexing="ij"), axis=-1).reshape(-1, 2)
+    rep = check_delta_t(PointSet2D(big, separation=d / 4, check=False), d / 4, 2.0)
+    assert (rep.worst_ratio, rep.witness_center, rep.witness_radius) == (5.0, (d / 4, d / 4), d / 4)
+    assert rep.exact_centers <= 63_759 and rep.distances <= 2_632_276
     # two translated copies of one cluster tie center for center at every
     # radius short of the gap between them: the witness (at r = δ) is the
     # first copy's, found in index order

@@ -271,6 +271,19 @@ def test_planted_collinear_jitter_bound():
             gen_planted_collinear(base, 1.0, 0.2, jitter=jitter, delta=d)
 
 
+def test_planted_collinear_refuses_an_exponent_outside_zero_to_two():
+    base = ScalarSet([0.0, 0.5, 1.0])
+    d = 2.0 ** -10
+    # checked before the fiber is sized: s = 3 would size each fiber at
+    # round(δ^-3 / 4) = 2^28 values
+    for value in (math.nan, math.inf, 0.0, -1.0, 3.0):
+        for name in ("s", "tau"):
+            with pytest.raises(ValueError, match=f"^exponent {name} must lie in \\(0, 2\\], got {value}$"):
+                gen_planted_collinear(base, 1.0, 0.2, 0.0, delta=d, validate=False, **{name: value})
+    p = gen_planted_collinear(base, 1.0, 0.2, 0.0, delta=d, s=2.0, tau=2.0, fiber_size=1, validate=False)
+    assert (p.s, p.tau) == (2.0, 2.0)
+
+
 def test_planted_collinear_refuses_empty_or_unspaced_fibers():
     base = ScalarSet([0.0, 0.5, 1.0])
     d = 2.0 ** -10

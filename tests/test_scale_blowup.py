@@ -96,8 +96,9 @@ def test_singleton_level_is_the_first_level_of_singletons():
 def test_frostman_errors():
     with pytest.raises(ValueError):
         frostman_weights(PointSet2D(np.empty((0, 2))), 1.0)
-    with pytest.raises(ValueError):
-        frostman_weights(PointSet2D([(0, 0)]), 2.5)
+    for exponent in (2.5, 0.0, math.nan):
+        with pytest.raises(ValueError, match=f"^exponent must lie in \\(0, 2\\], got {exponent}$"):
+            frostman_weights(PointSet2D([(0, 0)]), exponent)
 
 
 def test_two_scale_full_grid():
@@ -135,6 +136,19 @@ def test_two_scale_rejects_non_finite_max_ratio(value):
     mu = frostman_weights(pts, 1.0)
     with pytest.raises(ValueError, match="^max_ratio must be finite"):
         two_scale_decomposition(pts, mu, 2.0 ** -6, max_ratio=value)
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -1.0, -1e-300])
+def test_two_scale_rejects_a_good_ball_factor_that_is_not_finite_and_at_least_0(factor):
+    pts = unit_grid(3)
+    mu = frostman_weights(pts, 1.0)
+    with pytest.raises(ValueError, match=f"^good_ball_factor must be a finite number >= 0, got {factor}$"):
+        two_scale_decomposition(pts, mu, 2.0 ** -6, good_ball_factor=factor)
+    # 0 passes every occupied cell, as the smallest positive factor does
+    grid = unit_grid(6)
+    mu = frostman_weights(grid, 1.0)
+    assert (two_scale_decomposition(grid, mu, 2.0 ** -6, good_ball_factor=0.0).balls
+            == two_scale_decomposition(grid, mu, 2.0 ** -6, good_ball_factor=5e-324).balls)
 
 
 def test_two_scale_horizontal_line():
