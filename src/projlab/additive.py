@@ -24,8 +24,8 @@ class GridSet:
 
     def __init__(self, members, step):
         step = float(step)
-        if step <= 0:
-            raise ValueError("grid step must be positive")
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"grid step must be a finite number > 0, got {step}")
         # a copy: the caller's array is never aliased or frozen
         members = np.array(members, dtype=np.int64).ravel()
         if np.count_nonzero(members[1:] <= members[:-1]):

@@ -23,7 +23,7 @@ from .delta_core import DirectionSet, as_delta, projection_sweep
 from .errors import InvariantError, ProjlabError
 from .incidence import kaufman_witness
 from .product_construction import good_triple_scan, product_experiment
-from .scale_blowup import frostman_weights, two_scale_decomposition
+from .scale_blowup import two_scale_decomposition
 from .verify import run_verify
 
 
@@ -224,9 +224,8 @@ def _cmd_plunnecke(args):
 def _cmd_two_scale(args):
     _require(args, "input", "output")
     pts = serialize.read_points(args.input)
-    mu = frostman_weights(pts, args.exponent, min_scale=args.delta)
     ts = two_scale_decomposition(
-        pts, mu, args.delta,
+        pts, args.delta, args.exponent,
         good_ball_factor=args.threshold_good_ball,
         max_ratio=args.threshold_ratio,
     )

@@ -173,7 +173,10 @@ class Direction:
     theta: float
 
     def __post_init__(self):
-        theta = float(self.theta) % TWO_PI
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"direction angles must be finite, got {theta}")
+        theta %= TWO_PI
         # x % TWO_PI rounds up to TWO_PI itself for x a hair below 0
         object.__setattr__(self, "theta", theta if theta < TWO_PI else 0.0)
 
@@ -192,7 +195,10 @@ class DirectionSet:
     __slots__ = ("thetas",)
 
     def __init__(self, thetas):
-        arr = np.asarray(thetas, dtype=np.float64).ravel() % TWO_PI
+        arr = np.asarray(thetas, dtype=np.float64).ravel()
+        if not np.isfinite(arr).all():
+            raise ValueError("direction angles must be finite")
+        arr = arr % TWO_PI
         arr[arr == TWO_PI] = 0.0  # as in Direction
         self.thetas = np.unique(arr)
         self.thetas.setflags(write=False)
@@ -268,11 +274,13 @@ def grid_cells_1d(S, delta):
 
 
 def _cell_index(vals, d):
-    """floor(vals / d) as int64, for an array of any shape.  A δ at which an
-    index would leave int64, exactly when some |v| >= δ·2^63, is refused
-    with a ValueError naming the smallest usable δ."""
+    """floor(vals / d) as int64, for an array of any shape.  A non-finite
+    value is refused, and so is a δ at which an index would leave int64,
+    exactly when some |v| >= δ·2^63, naming the smallest usable δ."""
     bound = float(np.abs(vals).max(initial=0.0))
     if not bound < math.ldexp(d, 63):
+        if not math.isfinite(bound):
+            raise ValueError(f"grid cells need finite values, got {bound!r}")
         least = math.ldexp(bound, -63)
         least = least if math.ldexp(least, 63) > bound else math.nextafter(least, math.inf)
         raise ValueError(f"delta {d!r} takes floor(v / delta) out of int64 for |v| up to {bound!r}; "
@@ -287,7 +295,7 @@ def optimal_interval_cover(S, delta) -> int:
     against the grid convention: cover <= covering_number <= 2 * cover.
     """
     d = as_delta(delta)
-    vals = S.values if isinstance(S, ScalarSet) else np.unique(np.asarray(S, dtype=np.float64))
+    vals = (S if isinstance(S, ScalarSet) else ScalarSet(S)).values
     n = vals.size
     count = 0
     i = 0
@@ -559,6 +567,14 @@ class DyadicCells:
         """Level-j run number of each level-k run (k >= j) from all their starts."""
         return np.cumsum(self.split[starts] <= j) - 1
 
+    def restrict(self, j, runs):
+        """The tree over the level-j runs numbered `runs`, its `order` still
+        indexing every point; its `split` holds at levels j and finer."""
+        sub = object.__new__(DyadicCells)
+        keep = np.isin(np.cumsum(self.split <= j) - 1, runs)
+        sub.depth, sub.fine, sub.order, sub.split = self.depth, self.fine, self.order[keep], self.split[keep]
+        return sub
+
 
 def _check_depth(depth, pts):
     """Refuse, naming `DyadicCells.max_depth(pts)`, a depth at which
@@ -626,16 +642,17 @@ def extract_delta_s_subset(K, delta, s) -> PointSet2D:
     d, pts, levels = _dyadic_levels(K, delta, s)
     if pts.shape[0] == 0:
         raise ValueError("cannot extract from an empty set")
-    return _extract_below(pts[np.lexsort((pts[:, 1], pts[:, 0]))], d, s, levels, 0)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    return _extract_below(pts, DyadicCells(pts, levels), d, s, 0)
 
 
-def _extract_below(pts, d, s, levels, root):
-    """extract_delta_s_subset's greedy and sweep on the (n, 2) array `pts`
-    in lexicographic order, with every occupied level-`root` cell as a root
-    capped from its own level down; `levels` is the first level with side
-    <= d.  Up the levels, each δ-cell's pick carries its cell and its place
-    among that cell's picks; `runs` start the cells, each of `size` δ-cells."""
-    tree = DyadicCells(pts, levels)
+def _extract_below(pts, tree, d, s, root):
+    """extract_delta_s_subset's greedy and sweep on `tree`, a DyadicCells
+    over the lexicographic (n, 2) array `pts` (or its `restrict`), its depth
+    the first level with side <= d and each level-`root` cell a root.  Up
+    the levels, each δ-cell's pick carries its cell and its place among
+    that cell's picks; `runs` start the cells, each of `size` δ-cells."""
+    levels = tree.depth
     runs = np.flatnonzero(tree.split <= levels)
     picks, cell = tree.order[runs], np.arange(runs.size)
     place, size = np.zeros_like(runs), np.ones_like(runs)

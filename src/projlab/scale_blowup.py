@@ -56,13 +56,6 @@ class WeightedPointSet:
         return len(self.points)
 
 
-def _singleton_level(pts):
-    """First level (at most 40) at which no two points share a dyadic cell:
-    the largest `split` of one tree, as deep as the coordinates allow."""
-    tree = DyadicCells(pts, min(40, max(0, DyadicCells.max_depth(pts))))
-    return min(40, int(tree.split.max()))
-
-
 def _max_cap_ratio(tree: DyadicCells, weights, exponent):
     """Largest mass(cell) / side^exponent over the levels 0..tree.depth,
     with the (level, cell) that attains it."""
@@ -76,20 +69,11 @@ def _max_cap_ratio(tree: DyadicCells, weights, exponent):
     return worst, witness
 
 
-def frostman_weights(P: PointSet2D, exponent, min_scale=None) -> WeightedPointSet:
-    """Mass distribution maximizing total weight under the dyadic caps
-    mass(level-j cell) <= (2^-j)^exponent, by bottom-up proportional
-    capping.  `min_scale` fixes the finest capped level (weights start at
-    that level's cap); by default the tree is deepened until cells are
-    singletons (capped at level 40)."""
-    as_exponent(exponent, "exponent")
-    pts = P.points if isinstance(P, PointSet2D) else np.asarray(P, float).reshape(-1, 2)
+def _capped_tree(pts, levels, exponent):
+    """One DyadicCells(pts, levels), with frostman_weights' capped weights
+    on it and their certificate ratio: (tree, weights, ratio)."""
     if pts.shape[0] == 0:
         raise ValueError("cannot weight an empty set")
-    if min_scale is not None:
-        levels = _dyadic_level(as_delta(min_scale))[0]
-    else:
-        levels = _singleton_level(pts)
     tree = DyadicCells(pts, levels)
     # start at the finest cap, split evenly inside shared finest cells
     _, _, inverse = tree.level(levels)
@@ -105,8 +89,19 @@ def frostman_weights(P: PointSet2D, exponent, min_scale=None) -> WeightedPointSe
     ratio, witness = _max_cap_ratio(tree, w, exponent)
     if ratio > 1.0 + 1e-9:
         raise InvariantError("cap certificate failed", ratio, 1.0 + 1e-9, witness)
-    return WeightedPointSet(P if isinstance(P, PointSet2D) else PointSet2D(pts),
-                            w, exponent=exponent, certificate_ratio=ratio)
+    return tree, w, ratio
+
+
+def frostman_weights(P: PointSet2D, exponent, min_scale) -> WeightedPointSet:
+    """Mass distribution maximizing total weight under the dyadic caps
+    mass(level-j cell) <= (2^-j)^exponent, by bottom-up proportional
+    capping from the finest capped level, the first whose side is at most
+    `min_scale` (weights start at that level's cap)."""
+    as_exponent(exponent, "exponent")
+    levels = _dyadic_level(as_delta(min_scale))[0]
+    P = P if isinstance(P, PointSet2D) else PointSet2D(P)
+    _, w, ratio = _capped_tree(P.points, levels, exponent)
+    return WeightedPointSet(P, w, exponent=exponent, certificate_ratio=ratio)
 
 
 @dataclass(frozen=True)
@@ -125,28 +120,30 @@ class TwoScaleStructure:
     reports: dict
 
 
-def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
+def two_scale_decomposition(K: PointSet2D, delta, exponent,
                             good_ball_factor=GOOD_BALL_FACTOR,
                             max_ratio=TWO_SCALE_RATIO_BOUND) -> TwoScaleStructure:
-    """Select good √δ-cells (mass >= factor·√δ/log²(1/δ)), thin them
-    to pairwise ball separation >= √δ, extract a (δ,1)-set inside each,
-    anchor at the lexicographically least point, and verify the output
-    invariants (both scans within max_ratio) before returning.  The
-    factor must be a finite number >= 0, and max_ratio finite.
+    """Weigh K by `frostman_weights`' caps down to δ, select good √δ-cells
+    (mass >= factor·√δ/log²(1/δ)), thin them to pairwise ball separation
+    >= √δ, extract a (δ,1)-set inside each, anchor at the
+    lexicographically least point, and verify both scans within max_ratio.
+    The factor (finite, >= 0), max_ratio (finite), the exponent and δ =
+    2^-2j are checked before any work.
 
-    One extraction covers every ball.  On one dyadic tree over the kept
-    balls' points, each kept cell is a root of `extract_delta_s_subset`'s
-    greedy, run bottom-up from δ; the caps of the coarser levels exceed
-    the cell's own, so a ball's picks are those of an extraction on its
-    points alone.  Kept
-    cells are more than √δ >= 2δ apart, so one separation sweep over all
-    picks keeps what a sweep per ball would.  A ball's own scan needs no
-    run: its centers and the radii it would scan (r/δ <= its size) are
-    among the fine scan's, where each ball count is at least as large."""
+    One DyadicCells over K at depth 2j carries the weights, the level-j
+    masses and, restricted to the kept balls, one extraction: each kept
+    cell is a root of `extract_delta_s_subset`'s greedy, whose coarser
+    caps exceed the cell's own, so a ball's picks are those of an
+    extraction on its points alone.  Kept cells are more than √δ >= 2δ
+    apart, so one separation sweep over all picks keeps what a sweep per
+    ball would.  A ball's own scan needs no run: its centers and the radii
+    it would scan (r/δ <= its size) are among the fine scan's, where each
+    ball count is at least as large."""
     if not 0.0 <= good_ball_factor < math.inf:
         raise ValueError(f"good_ball_factor must be a finite number >= 0, got {good_ball_factor}")
     if not math.isfinite(max_ratio):
         raise ValueError(f"max_ratio must be finite, got {max_ratio}")
+    as_exponent(exponent, "exponent")
     d = as_delta(delta)
     j2, exact = _dyadic_level(d)
     if not exact or j2 % 2 != 0:
@@ -156,27 +153,22 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     pts = K.points  # lexicographic, as the extraction needs
     threshold = good_ball_factor * sqrt_d / math.log(1.0 / d) ** GOOD_BALL_LOG_POWER
 
-    if len(mu) != len(K):
-        raise ValueError("mu must weight exactly the points of K")
-    cells, _, inverse = DyadicCells(pts, j).level(j)
-    mass = np.bincount(inverse, weights=mu.weights)
+    tree, weights, _ = _capped_tree(pts, j2, exponent)
+    cells, _, inverse = tree.level(j)
+    mass = np.bincount(inverse, weights=weights)
     good = [(float(mass[r]), tuple(cells[r].tolist()), r) for r in np.flatnonzero(mass >= threshold)]
     # thin to pairwise non-adjacent cells (Chebyshev index distance >= 2),
     # greedily by descending mass, ties to the lower cell index: a cell is
     # kept unless a kept cell is one of its eight neighbours
     good.sort(key=lambda t: (-t[0], t[1]))
-    kept, taken = [], set()
-    for m, (kx, ky), r in good:
-        if not any((kx + dx, ky + dy) in taken for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
-            kept.append((m, (kx, ky), r))
-            taken.add((kx, ky))
+    kept = {}  # cell -> its level-j run
+    for _, (kx, ky), r in good:
+        if not any((kx + dx, ky + dy) in kept for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+            kept[kx, ky] = r
     if len(kept) < 2:
-        raise TwoScaleError(
-            f"only {len(kept)} good ball(s) at threshold {threshold:.3g}; "
-            "use a larger delta or lower the threshold"
-        )
-    kept.sort(key=lambda t: t[1])
-    fine = _extract_below(pts[np.isin(inverse, [r for _, _, r in kept])], d, 1.0, j2, j)
+        raise TwoScaleError(f"only {len(kept)} good ball(s) at threshold {threshold:.3g}; "
+                            "use a larger delta or lower the threshold")
+    fine = _extract_below(pts, tree.restrict(j, list(kept.values())), d, 1.0, j)
     # each ball's first point of `fine`, which is lexicographic
     tree = DyadicCells(fine.points, j)
     anchor_set = PointSet2D(fine.points[tree.order[tree.split <= j]])
@@ -187,19 +179,9 @@ def two_scale_decomposition(K: PointSet2D, mu: WeightedPointSet, delta,
     }
     for name, rep in reports.items():
         if rep.worst_ratio > max_ratio:
-            raise TwoScaleError(
-                f"{name} scan ratio {rep.worst_ratio:.3g} exceeds {max_ratio}"
-            )
-    return TwoScaleStructure(
-        delta=d,
-        sqrt_delta=sqrt_d,
-        level=j,
-        balls=tuple(cell for _, cell, _ in kept),
-        anchors=anchor_set,
-        fine=fine,
-        reports=reports,
-    )
-
+            raise TwoScaleError(f"{name} scan ratio {rep.worst_ratio:.3g} exceeds {max_ratio}")
+    return TwoScaleStructure(delta=d, sqrt_delta=sqrt_d, level=j, balls=tuple(sorted(kept)),
+                             anchors=anchor_set, fine=fine, reports=reports)
 
 def horizontal_dilate(f_prime: ProductLikeSet, delta=None) -> ProductLikeSet:
     """Multiply fiber values by δ^-1/2 (the base is untouched); the result

@@ -37,7 +37,6 @@ from projlab.product_construction import (
     triple_projection,
 )
 from projlab.scale_blowup import (
-    frostman_weights,
     rescaled_projection_identity,
     two_scale_decomposition,
 )
@@ -202,16 +201,14 @@ def test_criterion_6_product_identities():
 def test_criterion_7_two_scale_pipeline():
     d = 2.0 ** -8
     frost = gen_random_frostman(2 ** 8, 1.0, d, seed=1)
-    mu = frostman_weights(frost, 1.0, min_scale=d)
-    ts = two_scale_decomposition(frost, mu, d)
+    ts = two_scale_decomposition(frost, d, 1.0)
     assert ts.reports["coarse"].worst_ratio <= 8.0
     assert ts.reports["fine"].worst_ratio <= 8.0
 
     side = 2 ** 8
     grid = PointSet2D([(ix * d, iy * d) for ix in range(side) for iy in range(side)],
                       separation=d, check=False)
-    mu = frostman_weights(grid, 1.0)
-    ts = two_scale_decomposition(grid, mu, d)
+    ts = two_scale_decomposition(grid, d, 1.0)
     assert ts.reports["coarse"].worst_ratio <= 8.0
     assert ts.reports["fine"].worst_ratio <= 8.0
 

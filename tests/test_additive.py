@@ -160,6 +160,13 @@ def test_gridset_copies_and_freezes_only_its_own_members():
     assert done.flags.writeable and not h.members.flags.writeable
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1])
+def test_gridset_refuses_a_step_that_is_not_finite_and_positive(step):
+    # a NaN step built, and its sumset failed with "grid steps differ: nan vs nan"
+    with pytest.raises(ValueError, match=f"^grid step must be a finite number > 0, got {step}$"):
+        GridSet([1, 2], step)
+
+
 def test_pair_graph_dedups_edges_in_lexicographic_order():
     rng = np.random.default_rng(5)
     a, b = gs([-4, 0, 7, 11, 30]), gs([2, 3, 50])

@@ -404,6 +404,9 @@ REFUSED_PARAMETERS = {
                                      "good_ball_factor must be a finite number >= 0, got -1.0"),
     "two-scale-good-ball-nan": (_TWO_SCALE + "--threshold-good-ball nan",
                                 "good_ball_factor must be a finite number >= 0, got nan"),
+    # refused before the points are weighed
+    "two-scale-delta-not-dyadic": ("two-scale --input {f}/points_300.csv --delta 0.1 --output {d}/ts",
+                                   "delta must be dyadic with an even exponent (2^-2j)"),
 }
 
 
@@ -438,7 +441,7 @@ def test_scan_names_the_first_non_injective_family_it_reads(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, start, end", [
-    ("two-scale-subnormal-delta", "error: dyadic depth 1030 ", " the largest usable depth is 63\n"),
+    ("two-scale-subnormal-delta", "error: delta must be dyadic with an even exponent (2^-2j)\n", ""),
     ("generate-frostman-subnormal-delta", "error: branching generator needs an exactly dyadic delta\n", ""),
     ("kaufman-subnormal-delta", "error: delta 1e-310 takes floor(v / delta) out of int64 for |v| up to "
      "0.4949747468305833;", " the smallest usable delta is 5.36652695839181e-20\n"),

@@ -595,17 +595,27 @@ def test_extract_sweep_matches_greedy_oracle(monkeypatch):
     st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=80, unique=True),
     st.sampled_from([0.5, 1.0, 1.5, 2.0]),
     st.booleans(),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
 )
-def test_property_extraction_matches_top_down_oracle(levels, extra, ticks, s, halfway):
+def test_property_extraction_matches_top_down_oracle(levels, extra, ticks, s, halfway, seed):
     # points on the 2^-(levels + extra) grid: up to 4^extra per δ-cell, and
     # siblings often tie on their counts of occupied δ-cells
     d = 2.0 ** -levels
     pts = PointSet2D(np.array(ticks, dtype=np.float64) * 2.0 ** -(levels + extra)).points
     root = levels // 2 if halfway else 0
     want = top_down_extraction(pts, d, s, levels, root)
-    assert delta_core._extract_below(pts, d, s, levels, root).points.tolist() == want
+    tree = DyadicCells(pts, levels)
+    assert delta_core._extract_below(pts, tree, d, s, root).points.tolist() == want
     if root == 0:
         assert extract_delta_s_subset(PointSet2D(pts), d, s).points.tolist() == want
+    # the tree restricted to some of its level-root runs, as two-scale cuts
+    # it down to its kept balls, against a fresh tree over their points
+    chosen = np.random.default_rng(seed).random(np.count_nonzero(tree.split <= root)) < 0.5
+    chosen[0] |= not chosen.any()
+    runs = np.flatnonzero(chosen)
+    sub = pts[np.isin(tree.level(root)[2], runs)]
+    assert (delta_core._extract_below(pts, tree.restrict(root, runs), d, s, root).points.tolist()
+            == delta_core._extract_below(sub, DyadicCells(sub, levels), d, s, root).points.tolist())
 
 
 def test_project_axes_and_diagonal():
@@ -677,6 +687,15 @@ def test_direction_set_net_and_separation():
 def test_direction_unit_norm():
     d = Direction(1.234)
     assert math.hypot(d.ex, d.ey) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_directions_refuse_a_non_finite_angle(theta):
+    # a NaN angle read 0.0, the x axis, and an infinite one warned and held a NaN
+    with pytest.raises(ValueError, match=f"^direction angles must be finite, got {theta}$"):
+        Direction(theta)
+    with pytest.raises(ValueError, match="^direction angles must be finite$"):
+        DirectionSet([0.5, theta])
 
 
 def test_tiny_negative_angles_wrap_to_zero():
@@ -764,6 +783,18 @@ def test_cell_index_refuses_exactly_where_an_index_leaves_int64(bound):
         assert cells.tolist() == want and all(-2 ** 63 <= k < 2 ** 63 for k in want)
     with pytest.raises(ValueError, match=f"the smallest usable delta is {least!r}$"):
         delta_core._cell_index(vals, math.nextafter(least, 0.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_grid_cells_name_a_non_finite_value(value):
+    # the refusal read "the smallest usable delta is nan", and the greedy
+    # cover counted 2
+    vals = np.array([value, 0.1])
+    with pytest.raises(ValueError, match=f"^grid cells need finite values, got {abs(value)!r}$"):
+        covering_number(vals, 0.1)
+    with pytest.raises(ValueError, match="^scalar set values must be finite$"):
+        optimal_interval_cover(vals, 0.1)
+    assert covering_number(vals[1:], 0.1) == optimal_interval_cover(vals[1:], 0.1) == 1
 
 
 def test_projection_sweep_n_is_covering_number_on_both_sides_of_int64():

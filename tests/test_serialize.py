@@ -91,12 +91,11 @@ def test_report_writers(tmp_path):
 
 def test_two_scale_directory(tmp_path):
     from projlab.generators import gen_random_frostman
-    from projlab.scale_blowup import frostman_weights, two_scale_decomposition
+    from projlab.scale_blowup import two_scale_decomposition
 
     d = 2.0 ** -6
     pts = gen_random_frostman(64, 1.0, d, seed=4)
-    mu = frostman_weights(pts, 1.0, min_scale=d)
-    ts = two_scale_decomposition(pts, mu, d)
+    ts = two_scale_decomposition(pts, d, 1.0)
     out = tmp_path / "ts"
     serialize.write_two_scale(out, ts)
     assert (out / "anchors.csv").exists()
