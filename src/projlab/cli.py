@@ -19,7 +19,7 @@ import sys
 
 from . import generators, serialize
 from .additive import PairGraph, bsg_extract, plunnecke_report
-from .delta_core import DirectionSet, as_delta, projection_sweep
+from .delta_core import DirectionSet, as_delta, delta_pow_minus, projection_sweep
 from .errors import InvariantError, ProjlabError
 from .incidence import kaufman_witness
 from .product_construction import good_triple_scan, product_experiment
@@ -161,7 +161,7 @@ def _cmd_kaufman(args):
     serialize.write_profile(args.output, zip(dirs.thetas.tolist(), witness.profile))
     _write_summary(args, ["delta", "s", "input", "output"], {
         "witness_theta": witness.direction.theta, "witness_index": witness.index,
-        "witness_N": witness.n, "benchmark_delta_pow_minus_s": d ** -args.s})
+        "witness_N": witness.n, "benchmark_delta_pow_minus_s": delta_pow_minus(d, args.s)})
     print(f"witness theta={witness.direction.theta:.6g} N={witness.n}")
     return 0
 

@@ -51,6 +51,11 @@ CHUNK_ELEMENTS = 2 ** 22
 NC_CELLS_PER_RADIUS = 8
 NC_SAMPLE = 32
 
+# the least δ of a planar check_delta_t: squared distances near δ stay in
+# the normal float range above it (2^-1020 >= 2^-1022), and a subnormal or
+# zero square would count a point outside a ball as inside
+PLANAR_NC_DELTA_FLOOR = 2.0 ** -510
+
 # cells along each axis of a `_BallCells` grid at most: keeps the rounding
 # of its cell indices under the hair, and the packed keys of all the
 # radii a float δ allows (at most 1,076) inside int64
@@ -72,6 +77,15 @@ def as_exponent(value, name) -> float:
     if not 0.0 < v <= 2.0:
         raise ValueError(f"{name} must lie in (0, 2], got {v}")
     return v
+
+
+def delta_pow_minus(delta, exponent) -> float:
+    """δ^-exponent as a float; a power past float range is refused with a
+    ValueError naming δ and the exponent."""
+    try:
+        return float(delta) ** -float(exponent)
+    except OverflowError:
+        raise ValueError(f"delta^-{float(exponent)} overflows a float at delta {float(delta)}") from None
 
 
 class ScalarSet:
@@ -340,6 +354,9 @@ def check_delta_t(P, delta, t) -> NonConcentrationReport:
         raise ValueError("cannot scan an empty set")
     if not np.isfinite(pts).all():
         raise ValueError("cannot scan non-finite coordinates")
+    if pts.shape[1] == 2 and d < PLANAR_NC_DELTA_FLOOR:
+        raise ValueError(f"a planar scan needs delta >= 2^-510, where squared distances stay "
+                         f"normal floats; got {d}")
     if not (isinstance(P, PointSet2D) and P.separation is not None and P.separation >= d):
         _require_separation(pts, d)
 

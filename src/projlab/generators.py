@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .delta_core import (PointSet2D, ScalarSet, _check_depth, _dyadic_level, as_delta, as_exponent,
-                         check_delta_t)
+                         check_delta_t, delta_pow_minus)
 from .errors import GeneratorError
 from .product_construction import ProductLikeSet, build_product_like
 
@@ -314,7 +314,7 @@ def gen_planted_collinear(base: ScalarSet, slope: float, intercept: float, jitte
     if fiber_step is None:
         fiber_step = math.sqrt(d)
     if fiber_size is None:
-        fiber_size = max(1, round(d ** -s / 4))
+        fiber_size = max(1, round(delta_pow_minus(d, s) / 4))
     if fiber_size < 1:
         raise ValueError(f"fiber_size must be at least 1, got {fiber_size}")
     if not fiber_step > 0:

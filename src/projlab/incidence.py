@@ -21,6 +21,7 @@ from .delta_core import (
     PointSet2D,
     as_delta,
     as_exponent,
+    delta_pow_minus,
     grid_cells_1d,
     project,
     projected_values,
@@ -111,14 +112,13 @@ def kaufman_witness(P: PointSet2D, E: DirectionSet, delta, s=None) -> KaufmanWit
     whole N profile; ties go to the lowest index.  An exponent `s`, when
     given, must lie in (0, 2]."""
     d = as_delta(delta)
-    if s is not None:
-        as_exponent(s, "exponent s")
+    bound = None if s is None else delta_pow_minus(d, as_exponent(s, "exponent s"))
     if len(E) == 0:
         raise ValueError("direction set is empty")
     profile = projection_sweep(P, E, d, pairs=False)[0]
-    if s is not None and len(E) < d ** -s:
+    if bound is not None and len(E) < bound:
         warnings.warn(
-            f"direction set of size {len(E)} is below delta^-s = {d ** -s:.4g}",
+            f"direction set of size {len(E)} is below delta^-s = {bound:.4g}",
             stacklevel=2,
         )
     best = int(np.argmax(profile))

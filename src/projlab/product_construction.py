@@ -27,6 +27,7 @@ from .delta_core import (
     as_exponent,
     check_delta_t,
     covering_number,
+    delta_pow_minus,
     projected_values,
     projection_sweep,
 )
@@ -147,14 +148,16 @@ def roughly_horizontal_filter(P: ProductLikeSet, E: DirectionSet) -> FilterResul
 class PairTubeIndex:
     """Canonical tube for every related cross-fiber point pair, in one table.
 
-    `pair_tube` is an int64 array with one row (i, j, direction index, cell)
-    per pair of point rows i < j on different fibers that share a cell
-    floor(π_e/δ) for some direction of E.  The tube chosen for a pair is the
-    lowest such direction index and its cell, so families and intersections
-    are deterministic.  Rows are sorted by (fiber of i, fiber of j,
-    direction, cell, i, j), so a family is one slice (empty for a fiber with
-    itself), and a row that repeats the previous row's fiber pair and tube
-    marks a non-injective family.
+    Rows on different fibers are related when they share a cell floor(π_e/δ)
+    for some direction of E; the pair's tube is the lowest such direction
+    index and its cell, so families and intersections are deterministic.
+    `table` (int64) lists each related pair under both of its fibers, as rows
+    (fiber · |B| + other fiber, direction, cell, point on the fiber, point on
+    the other fiber) sorted stably on the first three columns from (i, j)
+    order.  So fam(b1, b2) is one slice (empty for b1 = b2), fiber m's rows
+    are another, and a row repeating the previous row's first three columns
+    marks a non-injective family.  `pair_tube` is the half with i < j, as
+    rows (i, j, direction, cell).
     """
 
     def __init__(self, P: ProductLikeSet, E: DirectionSet, delta=None):
@@ -180,30 +183,32 @@ class PairTubeIndex:
         j = order[np.arange(first.size) - np.repeat(np.cumsum(later) - later - pos - 1, later)]
         cross = self.fiber_ids[i] != self.fiber_ids[j]
         first, i, j = first[cross], i[cross], j[cross]
-        # positions run direction-major, so a pair's first one is its lowest direction
+        # positions run direction-major, so a pair's first one is its lowest
+        # direction; np.unique leaves the pairs in (i, j) order
         keep = np.unique(i * n + j, return_index=True)[1]
-        table = np.stack([i[keep], j[keep], first[keep] // n, cells[first[keep]]], axis=1)
-        del first, i, j, cross, keep
-        fiber_pair = self.fiber_ids[table[:, 0]] * nb + self.fiber_ids[table[:, 1]]
-        sort = np.lexsort((table[:, 1], table[:, 0], table[:, 3], table[:, 2], fiber_pair))
-        self.pair_tube, self._fiber_pair = table[sort], fiber_pair[sort]
-        keys = np.column_stack([self._fiber_pair, self.pair_tube[:, 2:]])
-        self._repeats = (np.diff(keys, axis=0, prepend=keys[:1] - 1) == 0).all(axis=1)
+        i, j, di, k = i[keep], j[keep], first[keep] // n, cells[first[keep]]
+        del first, cross, keep
+        fi, fj = self.fiber_ids[i], self.fiber_ids[j]
+        cols = np.stack([np.append(fi * nb + fj, fj * nb + fi), np.tile(di, 2), np.tile(k, 2),
+                         np.append(i, j), np.append(j, i)])
+        cols = np.take(cols, np.lexsort(cols[2::-1]), axis=1)
+        # held as columns, table[:, 0] is contiguous for family()'s searchsorted
+        self.table = cols.T
+        self.pair_tube = cols[[3, 4, 1, 2]][:, cols[3] < cols[4]].T
+        self._repeats = (np.diff(cols[:3], axis=1, prepend=cols[:3, :1] - 1) == 0).all(axis=0)
 
     def family(self, b1, b2) -> "TubePairFamily":
         for b in (b1, b2):
             if b not in self.product.fibers:
                 raise ValueError(f"{b} is not a base point")
-        f1, f2 = self.base_values.index(b1), self.base_values.index(b2)
-        key = min(f1, f2) * len(self.base_values) + max(f1, f2)
-        lo, hi = np.searchsorted(self._fiber_pair, [key, key + 1])
+        key = self.base_values.index(b1) * len(self.base_values) + self.base_values.index(b2)
+        lo, hi = np.searchsorted(self.table[:, 0], [key, key + 1])
         if self._repeats[lo:hi].any():
-            tube = tuple(self.pair_tube[lo + self._repeats[lo:hi].argmax(), 2:].tolist())
+            tube = tuple(self.table[lo + self._repeats[lo:hi].argmax(), 1:3].tolist())
             raise ValueError(f"pair-to-tube map not injective at tube {tube}; "
                              "roughly-horizontal condition violated")
-        i, j, di, k = self.pair_tube[lo:hi].T.tolist()
-        pairs = list(zip(i, j) if f1 < f2 else zip(j, i))
-        tubes = list(zip(di, k))
+        _, di, k, i, j = self.table[lo:hi].T.tolist()
+        pairs, tubes = list(zip(i, j)), list(zip(di, k))
         return TubePairFamily(b1=b1, b2=b2, pair_to_tube=dict(zip(pairs, tubes)),
                               tube_to_pair=dict(zip(tubes, pairs)))
 
@@ -295,28 +300,21 @@ def good_triple_scan(P: ProductLikeSet, E: DirectionSet, delta=None,
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     idx = PairTubeIndex(P, E, delta)
-    base, nb = idx.base_values, len(idx.base_values)
+    base, nb, table = idx.base_values, len(idx.base_values), idx.table
     gaps = np.abs(np.subtract.outer(P.base.values, P.base.values))
     separated = (gaps >= separation_min) & ~np.eye(nb, dtype=bool)
-    fi, fj = np.divmod(idx._fiber_pair, nb)
+    bounds = np.searchsorted(table[:, 0], np.arange(nb + 1) * nb)  # fiber m's rows
     # a tube's id: direction index · rows + the rank of its cell
-    tube = idx.pair_tube[:, 2] * len(fi) + np.unique(idx.pair_tube[:, 3], return_inverse=True)[1]
-    # each row listed under both of its fibers, grouped by that fiber: its
-    # other fiber and its tube, so that fiber m's rows are one slice
-    owner = np.concatenate([fi, fj])
-    by_fiber = np.argsort(owner)
-    bounds = np.searchsorted(owner[by_fiber], np.arange(nb + 1))
-    other, tube = np.concatenate([fj, fi])[by_fiber], np.concatenate([tube, tube])[by_fiber]
+    tube = table[:, 1] * len(table) + np.unique(table[:, 2], return_inverse=True)[1]
     bad = np.zeros((nb, nb), dtype=bool)  # the non-injective families: the index's repeats
-    bad[fi[idx._repeats], fj[idx._repeats]] = True
-    bad |= bad.T
+    bad.flat[table[idx._repeats, 0]] = True
     hits, total, first_bad = [np.zeros((4, 0), dtype=np.int64)], 0, nb ** 3
     for m in range(nb):
         # member[b, t] = 1 when m's t-th tube holds a pair of fibers b and m
         sel = slice(bounds[m], bounds[m + 1])
         tubes, col = np.unique(tube[sel], return_inverse=True)
         member = np.zeros((nb, tubes.size))
-        member[other[sel], col] = 1.0
+        member[table[sel, 0] % nb, col] = 1.0
         sizes = member @ member.T
         scanned = separated & separated[m][:, None] & separated[m][None, :]
         total += int(sizes[scanned].sum())
@@ -340,8 +338,9 @@ def compression_check(g_prime, b1, b2, b3, delta, s):
     """Covering number of the triple-projected endpoint pairs against the
     δ^-s benchmark; returns (N, bound) for ratio reporting."""
     d = as_delta(delta)
+    bound = delta_pow_minus(d, s)
     vals = [triple_projection(a1, a3, b1, b2, b3) for a1, a3 in g_prime]
-    return covering_number(ScalarSet(vals), d), d ** -float(s)
+    return covering_number(ScalarSet(vals), d), bound
 
 
 @dataclass(frozen=True)
@@ -364,7 +363,7 @@ def product_experiment(P: ProductLikeSet, E: DirectionSet, delta=None, s=None,
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     if len(E) == 0:
         warnings.warn("empty direction set; experiment is vacuous", stacklevel=2)
-    target = d ** -(s_val + float(epsilon))
+    target = delta_pow_minus(d, s_val + float(epsilon))
     counts = projection_sweep(P.points(), E, d, pairs=False)[0]
     hits = np.flatnonzero(counts >= target)
     return ProductExperiment(

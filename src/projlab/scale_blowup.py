@@ -75,11 +75,13 @@ def _capped_tree(pts, levels, exponent):
     if pts.shape[0] == 0:
         raise ValueError("cannot weight an empty set")
     tree = DyadicCells(pts, levels)
-    # start at the finest cap, split evenly inside shared finest cells
+    # start at the finest cap, split evenly inside shared finest cells; the
+    # capping pass at that level reads the same walk
     _, _, inverse = tree.level(levels)
     w = (2.0 ** -levels) ** exponent / np.bincount(inverse)[inverse]
     for j in range(levels, -1, -1):
-        _, _, inverse = tree.level(j)
+        if j < levels:
+            _, _, inverse = tree.level(j)
         mass = np.bincount(inverse, weights=w)
         cap = (2.0 ** -j) ** exponent
         scale = np.ones_like(mass)

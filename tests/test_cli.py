@@ -244,6 +244,7 @@ def test_sweep_idempotent_reports(tmp_path):
 
 # a product-like set of three one-point fibers
 PRODUCT_3 = "# delta=0.00390625\n# s=0.5\n# tau=0.5\nb,a\n0.125,0.1\n0.5,0.2\n0.875,0.3\n"
+BASE_3 = "v\n0.0\n0.5\n1.0\n"
 # one malformed or missing input per subcommand, plus an out-of-int64 grid
 # index: (argv, files to write)
 BAD_INPUTS = {
@@ -318,6 +319,24 @@ BAD_INPUTS = {
     # an array of 71 PiB: numpy's allocation fails at once
     "generate-out-of-memory": (["generate", "--kind", "ap", "--n", "10000000000000000",
                                 "--step", "0.1", "--output", "{d}/out.csv"], {}),
+    # δ^-s past float range: an OverflowError traceback in product_experiment's
+    # δ^-(s + ε), the planted generator's default fiber size and kaufman's
+    # check of the direction count
+    "product-experiment-eps0-overflow": (["product-experiment", "--input", "{d}/prod.csv",
+                                          "--num-directions", "4", "--eps0", "200",
+                                          "--output", "{d}/out.csv"], {"prod.csv": PRODUCT_3}),
+    "generate-planted-fiber-size-overflow": (["generate", "--kind", "planted_collinear",
+                                              "--input", "{d}/base.csv", "--slope", "0.5",
+                                              "--intercept", "0.1", "--delta", "1e-200", "--s", "2",
+                                              "--output", "{d}/out.csv"], {"base.csv": BASE_3}),
+    "kaufman-delta-pow-minus-s-overflow": (["kaufman", "--input", "{d}/p.csv", "--num-directions", "4",
+                                            "--delta", "1e-200", "--s", "2", "--output", "{d}/out.csv"],
+                                           {"p.csv": "x,y\n0.0,0.0\n"}),
+    # the planted product's assembled scan at δ below 2^-510
+    "generate-planted-planar-floor": (["generate", "--kind", "planted_collinear", "--input", "{d}/base.csv",
+                                       "--slope", "0.5", "--intercept", "0.1", "--delta", "1e-200",
+                                       "--fiber-size", "2", "--fiber-step", "0.1",
+                                       "--output", "{d}/out.csv"], {"base.csv": BASE_3}),
     # 4^40 and 2^60 points, past the generators' point budget of 2^22
     "generate-four-corner-depth": (["generate", "--kind", "four_corner", "--depth", "40",
                                     "--output", "{d}/out.csv"], {}),
@@ -447,6 +466,11 @@ def test_scan_names_the_first_non_injective_family_it_reads(tmp_path, capsys):
      "0.4949747468305833;", " the smallest usable delta is 5.36652695839181e-20\n"),
     ("generate-frostman-depth", "error: dyadic depth 70 takes floor(x * 2^70) out of int64 ",
      " the largest usable depth is 63\n"),
+    ("product-experiment-eps0-overflow", "error: delta^-200.5 overflows a float at delta 0.00390625\n", ""),
+    ("generate-planted-fiber-size-overflow", "error: delta^-2.0 overflows a float at delta 1e-200\n", ""),
+    ("kaufman-delta-pow-minus-s-overflow", "error: delta^-2.0 overflows a float at delta 1e-200\n", ""),
+    ("generate-planted-planar-floor", "error: a planar scan needs delta >= 2^-510, where squared "
+     "distances stay normal floats; got 1e-200\n", ""),
 ])
 def test_delta_past_float_or_int64_names_the_limit(tmp_path, capsys, command, start, end):
     argv, files = BAD_INPUTS[command]

@@ -47,6 +47,14 @@ def test_exponents_outside_zero_to_two_are_refused_by_one_rule():
             dyadic_content(PointSet2D([(0, 0)]), 0.25, bad)
 
 
+def test_delta_pow_minus_refuses_a_power_past_float_range():
+    assert delta_core.delta_pow_minus(2.0 ** -8, 0.5) == 16.0
+    assert delta_core.delta_pow_minus(1e-200, 1.5) == 1e-200 ** -1.5
+    for d, exponent in ((1e-200, 2), (2.0 ** -8, 200.5)):
+        with pytest.raises(ValueError, match=f"^delta\\^-{float(exponent)} overflows a float at delta {d}$"):
+            delta_core.delta_pow_minus(d, exponent)
+
+
 def test_scalar_set_sorted_dedup():
     s = ScalarSet([0.3, 0.1, 0.3, 0.2])
     assert list(s) == [0.1, 0.2, 0.3]
@@ -224,6 +232,27 @@ def test_check_delta_t_prunes_at_a_tiny_delta(frostman_sets):
     assert rep.distances < 0.01 * rep.n_points ** 2
     head = pts.points[:512]
     assert check_delta_t(head, d, 1.5) == _twin_report(head, d, 1.5)
+
+
+def test_planar_check_delta_t_refuses_a_delta_below_its_floor():
+    # the x axis at a tiny δ, as a planar and as a 1-D set: at δ = 1e-200 the
+    # squares of distances near δ underflowed, and the planar scan read 2.0
+    # for two points 1.05δ apart where the 1-D scan reads the true 1.0
+    floor = delta_core.PLANAR_NC_DELTA_FLOOR
+    assert floor == 2.0 ** -510
+    for d in (floor, math.nextafter(floor, 0.0), 1e-200):
+        x = [0.0, 1.05 * d, 2.1 * d, 3.2 * d, 9.0 * d]
+        line = check_delta_t(ScalarSet(x), d, 0.5).worst_ratio
+        planar = PointSet2D([(v, 0.0) for v in x])
+        if d >= floor:
+            assert check_delta_t(planar, d, 0.5).worst_ratio == line
+            continue
+        with pytest.raises(ValueError, match=f"^a planar scan needs delta >= 2\\^-510, .*; got {d}$"):
+            check_delta_t(planar, d, 0.5)
+        # refused before the separation pass, which would name the close pair
+        with pytest.raises(ValueError, match="^a planar scan needs delta >= 2\\^-510"):
+            check_delta_t(PointSet2D([(0.0, 0.0), (0.5 * d, 0.0)]), d, 0.5)
+    assert check_delta_t(ScalarSet([0.0, 1.05e-200]), 1e-200, 1.0).worst_ratio == 1.0
 
 
 def test_check_delta_t_matches_quadratic_twin_on_lattice_ties():

@@ -284,6 +284,13 @@ def test_planted_collinear_refuses_an_exponent_outside_zero_to_two():
     assert (p.s, p.tau) == (2.0, 2.0)
 
 
+def test_planted_collinear_refuses_a_default_fiber_size_past_float_range():
+    # round(δ^-s / 4) raised OverflowError at δ = 1e-200, s = 2
+    base = ScalarSet([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match=r"^delta\^-2.0 overflows a float at delta 1e-200$"):
+        gen_planted_collinear(base, 0.5, 0.1, 0.0, delta=1e-200, s=2.0, validate=False)
+
+
 def test_planted_collinear_refuses_empty_or_unspaced_fibers():
     base = ScalarSet([0.0, 0.5, 1.0])
     d = 2.0 ** -10

@@ -160,6 +160,13 @@ def test_kaufman_witness_warns_on_fewer_directions_than_delta_pow_minus_s():
     kaufman_witness(pts, DirectionSet.net(8), d, s=0.5)  # 8 directions: no warning
 
 
+def test_kaufman_witness_refuses_delta_pow_minus_s_past_float_range():
+    # its check against len(E) raised OverflowError after the sweep
+    with pytest.raises(ValueError, match=r"^delta\^-2.0 overflows a float at delta 1e-200$"):
+        kaufman_witness(PointSet2D([(0.0, 0.0)]), DirectionSet.net(4), 1e-200, s=2.0)
+    assert kaufman_witness(PointSet2D([(0.0, 0.0)]), DirectionSet.net(4), 1e-200).n == 1
+
+
 def test_kaufman_witness_empty_errors():
     with pytest.raises(ValueError):
         kaufman_witness(PointSet2D([(0, 0)]), DirectionSet([]), 0.1)

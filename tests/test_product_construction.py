@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -193,6 +194,32 @@ def test_pair_tube_table_rows_match_oracle(case):
         assert len(idx.family(base[0], base[0])) == 0
 
 
+@pytest.mark.parametrize("case", sorted(_table_cases()))
+def test_pair_table_lists_each_pair_under_both_fibers(case):
+    # fam(b1, b2) is the table's (b1, b2) slice, in (b1 point, b2 point)
+    # orientation, for every ordered fiber pair; the oracle keys a pair by
+    # (point on b1, point on b2), so each related pair is seen twice
+    p, e, d = _table_cases()[case]
+    idx = PairTubeIndex(p, e, d)
+    base, nb = list(p.base), len(p.base)
+    rows = idx.rows.tolist()
+    table = idx.table
+    assert table.dtype == np.int64 and table.shape == (2 * len(idx.pair_tube), 5)
+    keys = [tuple(row[:3]) + ((row[3], row[4]) if row[3] < row[4] else (row[4], row[3]))
+            for row in table.tolist()]
+    assert keys == sorted(keys)
+    seen = []
+    for f1, b1 in enumerate(base):
+        for f2, b2 in enumerate(base):
+            rows12 = table[table[:, 0] == f1 * nb + f2].tolist()
+            want = {} if b1 == b2 else oracles.brute_tube_family(rows, e.thetas.tolist(), d, b1, b2)
+            assert {(i, j): (di, k) for _, di, k, i, j in rows12} == want
+            assert len(rows12) == len(want)
+            seen += [frozenset((i, j)) for _, _, _, i, j in rows12]
+    assert all(count == 2 for count in Counter(seen).values())
+    assert len(seen) == len(table)
+
+
 def _scan_or_error(scan):
     try:
         return scan()
@@ -247,8 +274,10 @@ def test_good_triple_scan_raises_for_the_first_family_the_loop_reads():
                  lambda: good_triple_scan(p, e, 0.5, separation_min=0.0)):
         with pytest.raises(ValueError, match=r"not injective at tube \(1, 0\)"):
             scan()
-    with pytest.raises(ValueError, match=r"not injective at tube \(0, 1\)"):
-        PairTubeIndex(p, e, 0.5).family(0.25, 0.625)
+    # both orientations of a family name its lowest repeated tube
+    for b1, b2 in ((0.25, 0.625), (0.625, 0.25)):
+        with pytest.raises(ValueError, match=r"not injective at tube \(0, 1\)"):
+            PairTubeIndex(p, e, 0.5).family(b1, b2)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -271,8 +300,9 @@ def test_family_not_injective_names_the_tube():
     fibers = {0.0: ScalarSet([0.1, 0.15]), 0.5: ScalarSet([0.2])}
     p = ProductLikeSet(ScalarSet([0.0, 0.5]), fibers, 0.25, 0.5, 0.5)
     idx = PairTubeIndex(p, DirectionSet([0.0]), 0.25)
-    with pytest.raises(ValueError, match=r"not injective at tube \(0, 0\)"):
-        idx.family(0.0, 0.5)
+    for b1, b2 in ((0.0, 0.5), (0.5, 0.0)):
+        with pytest.raises(ValueError, match=r"not injective at tube \(0, 0\)"):
+            idx.family(b1, b2)
 
 
 def test_pair_tube_index_refuses_a_delta_past_int64():
@@ -456,6 +486,16 @@ def test_product_experiment_refuses_a_bad_exponent_or_epsilon():
         with pytest.raises(ValueError, match=f"^epsilon must be a finite number >= 0, got {eps}$"):
             product_experiment(p, e, d, epsilon=eps)
     assert product_experiment(p, e, d, s=2.0, epsilon=0.0).target == d ** -2.0
+
+
+def test_delta_pow_minus_past_float_range_is_refused():
+    # δ^-(s + ε) and compression_check's δ^-s raised OverflowError
+    d = 2.0 ** -8
+    p = ProductLikeSet(ScalarSet([0.5]), {0.5: gen_ap(16, math.sqrt(d))}, d, 0.5, 0.0)
+    with pytest.raises(ValueError, match=r"^delta\^-200.5 overflows a float at delta 0.00390625$"):
+        product_experiment(p, DirectionSet([0.0]), d, s=0.5, epsilon=200.0)
+    with pytest.raises(ValueError, match=r"^delta\^-2.0 overflows a float at delta 1e-200$"):
+        compression_check([(0.2, 0.4)], 0.0, 0.5, 1.0, 1e-200, 2.0)
 
 
 def test_experiment_sweep_is_own_oracle_regression():

@@ -78,6 +78,17 @@ def test_frostman_default_depth_matches_oracle_caps():
     assert mu.certificate_ratio == worst
 
 
+def test_frostman_weights_walks_the_finest_level_once_while_capping(monkeypatch):
+    # the capping loop reuses the walk that seeds the weights; the
+    # certificate walks every level once more: 2L + 2 walks for L = 6
+    walks = []
+    level = delta_core.DyadicCells.level
+    monkeypatch.setattr(delta_core.DyadicCells, "level", lambda tree, j: walks.append(j) or level(tree, j))
+    raw = np.random.default_rng(47).uniform(0, 1, size=(200, 2))
+    frostman_weights(PointSet2D(raw), 1.0, min_scale=2.0 ** -6)
+    assert walks == [6, 5, 4, 3, 2, 1, 0, 0, 1, 2, 3, 4, 5, 6]
+
+
 def test_frostman_weights_a_raw_array_as_its_point_set():
     # the weights of a raw array were left in its order, next to the
     # lexicographically sorted points
