@@ -34,13 +34,10 @@ from .additive import (
 from .incidence import (
     CauchySchwarzBound,
     KaufmanWitness,
-    Tube,
-    TubeFamily,
     cauchy_schwarz_lower_bound,
     close_pairs,
     close_pairs_bruteforce,
     kaufman_witness,
-    tube_cover,
 )
 from .product_construction import (
     PairTubeIndex,

@@ -25,8 +25,9 @@ from .product_construction import ProductLikeSet, build_product_like
 
 RANDOM_FROSTMAN_RATIO_BOUND = 8.0
 _MAX_REJECTION_ATTEMPTS = 100
-# most points gen_cantor_1d (2^depth) and gen_four_corner (4^depth) build:
-# cantor1d depth 22, four_corner depth 11
+# most points any generator builds: gen_ap (n), gen_cantor_1d (2^depth, so
+# depth 22), gen_four_corner (4^depth, so depth 11), gen_random_frostman (n)
+# and gen_planted_collinear (|B| · fiber size)
 MAX_GENERATED_POINTS = 2 ** 22
 
 
@@ -34,9 +35,21 @@ def gen_ap(n: int, step: float, origin: float = 0.0) -> ScalarSet:
     """Arithmetic progression {origin + k·step : 0 <= k < n}."""
     if n < 1:
         raise ValueError("progression needs at least one term")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    _check_points(n, f"n {n}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not math.isfinite(origin):
+        raise ValueError(f"origin must be finite, got {origin}")
+    if not math.isfinite(origin + step * (n - 1)):
+        raise ValueError(f"the last term origin + (n - 1)·step overflows at n {n}, step {step}")
     return ScalarSet(origin + step * np.arange(n))
+
+
+def _check_points(count, what):
+    """Reject `what`, which builds `count` points, before anything is built
+    when the count exceeds MAX_GENERATED_POINTS."""
+    if count > MAX_GENERATED_POINTS:
+        raise ValueError(f"{what} builds {count} points, over the budget of {MAX_GENERATED_POINTS}")
 
 
 def _check_budget(depth, bits):
@@ -282,6 +295,7 @@ def gen_random_frostman(n: int, exponent: float, delta, seed: int = 0) -> PointS
     rejected until the (δ, exponent) scan passes with ratio <= 8."""
     if n < 1:
         raise ValueError("need at least one point")
+    _check_points(n, f"n {n}")
     as_exponent(exponent, "exponent")
     d = as_delta(delta)
     for attempt in range(_MAX_REJECTION_ATTEMPTS):
@@ -317,6 +331,8 @@ def gen_planted_collinear(base: ScalarSet, slope: float, intercept: float, jitte
         fiber_size = max(1, round(delta_pow_minus(d, s) / 4))
     if fiber_size < 1:
         raise ValueError(f"fiber_size must be at least 1, got {fiber_size}")
+    _check_points(len(base) * fiber_size,
+                  f"fiber size {fiber_size} on {len(base)} base points at delta {d!r}")
     if not fiber_step > 0:
         raise ValueError(f"fiber_step must be positive, got {fiber_step}")
     b0 = base.values[0]

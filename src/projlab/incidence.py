@@ -1,11 +1,12 @@
-"""Tube covers, δ-close projected pair counts, and the double-counting
-experiment behind the projection lower bound.
+"""δ-close projected pair counts, and the double-counting experiment
+behind the projection lower bound.
 
 Pairs are counted ordered, matching the (p1, p2) ∈ P × P convention; the
-factor 2 against unordered counts is absorbed once here.  Tubes are
-realized as occupied δ-cells of the projected values, which is equivalent
-to geometric slabs up to constants for sets in the unit ball and enables
-sort-and-sweep counting.
+factor 2 against unordered counts is absorbed once here.  A tube in
+direction e is one occupied half-open cell [kδ, (k+1)δ) of
+`grid_cells_1d(project(P, e), δ)`, which is equivalent to a geometric slab
+up to constants for sets in the unit ball and enables sort-and-sweep
+counting.
 """
 
 from __future__ import annotations
@@ -22,39 +23,10 @@ from .delta_core import (
     as_delta,
     as_exponent,
     delta_pow_minus,
-    grid_cells_1d,
-    project,
     projected_values,
     projection_sweep,
 )
 from .errors import InvariantError
-
-
-@dataclass(frozen=True)
-class Tube:
-    """Width-δ slab perpendicular to `direction`: points p with
-    offset <= p·e < offset + width."""
-
-    direction: Direction
-    offset: float
-    width: float
-    index: int = 0  # grid cell index k with offset = k * width
-
-    def contains_value(self, v: float) -> bool:
-        return self.offset <= v < self.offset + self.width
-
-    def contains(self, x: float, y: float) -> bool:
-        return self.contains_value(x * self.direction.ex + y * self.direction.ey)
-
-
-@dataclass(frozen=True)
-class TubeFamily:
-    direction: Direction
-    tubes: tuple
-    covered: PointSet2D
-
-    def __len__(self):
-        return len(self.tubes)
 
 
 @dataclass(frozen=True)
@@ -70,14 +42,6 @@ class KaufmanWitness:
     n: int
     index: int
     profile: tuple  # N(π_e P, δ) for every direction, in E's order
-
-
-def tube_cover(P: PointSet2D, e: Direction, delta) -> TubeFamily:
-    """Cover P by the occupied δ-cells of its projection onto e."""
-    d = as_delta(delta)
-    cells = grid_cells_1d(project(P, e), d)
-    tubes = tuple(Tube(e, float(k) * d, d, index=int(k)) for k in cells)
-    return TubeFamily(direction=e, tubes=tubes, covered=P)
 
 
 def close_pairs(P: PointSet2D, e: Direction, delta) -> int:

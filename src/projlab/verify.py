@@ -17,16 +17,17 @@ import numpy as np
 from . import serialize
 from .additive import GridSet, plunnecke_report, snap
 from .delta_core import (
-    Direction,
     DirectionSet,
     ScalarSet,
     check_delta_t,
     covering_number,
+    grid_cells_1d,
     optimal_interval_cover,
+    projected_values,
     projection_sweep,
 )
 from .generators import gen_cantor_1d, gen_four_corner, gen_planted_collinear, gen_random_frostman
-from .incidence import cauchy_schwarz_lower_bound, close_pairs_bruteforce, tube_cover
+from .incidence import cauchy_schwarz_lower_bound, close_pairs_bruteforce
 from .product_construction import triple_intersections
 from .scale_blowup import rescaled_projection_identity
 
@@ -75,17 +76,14 @@ def check_tube_partition() -> CheckResult:
     p = serialize.read_points(_fixture("points_300.csv"))
     d = 2.0 ** -6
     dirs = DirectionSet([0.0, 0.7, 2.1])
-    for theta, n in zip(dirs.thetas.tolist(), projection_sweep(p, dirs, d, pairs=False)[0].tolist()):
-        fam = tube_cover(p, Direction(theta), d)
-        if len(fam) != n:
-            return CheckResult("tube-partition", False, str(len(fam)), "covering number",
+    counts = projection_sweep(p, dirs, d, pairs=False)[0].tolist()
+    for theta, n, v in zip(dirs.thetas.tolist(), counts, projected_values(p.points, dirs.thetas)):
+        # a tube is one occupied cell [kδ, (k+1)δ) of the projected values
+        offset = grid_cells_1d(v, d) * d
+        if offset.size != n:
+            return CheckResult("tube-partition", False, str(offset.size), "covering number",
                                f"theta={theta}")
-        # Tube.contains for every point and tube: offset <= x·ex + y·ey < offset + width
-        e = fam.direction
-        v = (p.points[:, 0] * e.ex + p.points[:, 1] * e.ey)[:, None]
-        offset = np.array([t.offset for t in fam.tubes])
-        end = offset + np.array([t.width for t in fam.tubes])
-        hits = np.count_nonzero((offset <= v) & (v < end), axis=1)
+        hits = np.count_nonzero((offset <= v[:, None]) & (v[:, None] < offset + d), axis=1)
         if (bad := np.flatnonzero(hits != 1)).size:
             x, y = p.points[bad[0]]
             return CheckResult("tube-partition", False, str(hits[bad[0]]), "1",

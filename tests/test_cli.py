@@ -316,9 +316,25 @@ BAD_INPUTS = {
     "generate-sampler-limit": (["generate", "--kind", "random_frostman", "--n", "10",
                                 "--exponent", "2", "--delta", "1.52587890625e-05",
                                 "--output", "{d}/out.csv"], {}),
-    # an array of 71 PiB: numpy's allocation fails at once
+    # an array of 71 PiB, refused by the point budget before numpy's
+    # allocation fails
     "generate-out-of-memory": (["generate", "--kind", "ap", "--n", "10000000000000000",
                                 "--step", "0.1", "--output", "{d}/out.csv"], {}),
+    # past the point budget of 2^22: numpy failed to allocate 745 GiB, or
+    # warned and then refused the set without naming --step
+    "generate-ap-budget": (["generate", "--kind", "ap", "--n", "100000000000", "--step", "1e-12",
+                            "--output", "{d}/out.csv"], {}),
+    "generate-ap-step-inf": (["generate", "--kind", "ap", "--n", "3", "--step", "inf",
+                              "--output", "{d}/out.csv"], {}),
+    # default fiber sizes round(δ^-s / 4) of 2.5·10^19 and 2.5·10^9: numpy
+    # refused the first without naming the size and failed to allocate the
+    # 18.6 GiB of the second
+    "generate-planted-budget-s1": (["generate", "--kind", "planted_collinear", "--input", "{d}/base.csv",
+                                    "--slope", "0.5", "--intercept", "0.1", "--delta", "1e-20", "--s", "1",
+                                    "--no-validate", "--output", "{d}/out.csv"], {"base.csv": BASE_3}),
+    "generate-planted-budget-s2": (["generate", "--kind", "planted_collinear", "--input", "{d}/base.csv",
+                                    "--slope", "0.5", "--intercept", "0.1", "--delta", "1e-5", "--s", "2",
+                                    "--no-validate", "--output", "{d}/out.csv"], {"base.csv": BASE_3}),
     # δ^-s past float range: an OverflowError traceback in product_experiment's
     # δ^-(s + ε), the planted generator's default fiber size and kaufman's
     # check of the direction count
@@ -380,6 +396,19 @@ def test_bad_input_fails_alike_through_the_line_loop(tmp_path, capsys, monkeypat
     assert errors[0] == errors[1]
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    from projlab import generators
+
+    def gen_ap(n, step, origin):
+        raise MemoryError("Unable to allocate 71.1 PiB")
+
+    monkeypatch.setattr(generators, "gen_ap", gen_ap)
+    assert run("generate", "--kind", "ap", "--n", "3", "--step", "0.1",
+               "--output", str(tmp_path / "out.csv")) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 71.1 PiB\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["product-experiment-nan-separation",
                                      "product-experiment-nan-intersection"])
 def test_failed_threshold_writes_no_file(tmp_path, command):
@@ -426,6 +455,15 @@ REFUSED_PARAMETERS = {
     # refused before the points are weighed
     "two-scale-delta-not-dyadic": ("two-scale --input {f}/points_300.csv --delta 0.1 --output {d}/ts",
                                    "delta must be dyadic with an even exponent (2^-2j)"),
+    # past the point budget, refused before numpy is asked for the array
+    "generate-ap-budget": ("generate --kind ap --n 100000000000 --step 1e-12 --output {d}/out.csv",
+                           "n 100000000000 builds 100000000000 points, over the budget of 4194304"),
+    "generate-ap-step-inf": ("generate --kind ap --n 3 --step inf --output {d}/out.csv",
+                             "step must be positive and finite, got inf"),
+    "generate-planted-budget": ("generate --kind planted_collinear --input {d}/base_7.csv --slope 0.5 "
+                                "--intercept 0.1 --delta 1e-5 --s 2 --no-validate --output {d}/out.csv",
+                                "fiber size 2500000000 on 7 base points at delta 1e-05 builds 17500000000 "
+                                "points, over the budget of 4194304"),
 }
 
 

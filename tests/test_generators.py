@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +78,51 @@ def test_point_budget_bounds_cantor_and_four_corner_depth(monkeypatch):
         gen_cantor_1d(0.25, 5)
     with pytest.raises(ValueError, match="over the budget of 16"):
         gen_four_corner(3)
+
+
+def test_point_budget_bounds_ap_random_frostman_and_planted(monkeypatch):
+    # at the budget of 2^22: 10^11 terms, and the default fiber sizes
+    # round(δ^-s / 4) at δ = 1e-20, s = 1 and at δ = 1e-5, s = 2, refused
+    # before numpy is asked for the array
+    with pytest.raises(ValueError, match=r"^n 100000000000 builds 100000000000 points, over the "
+                                         r"budget of 4194304$"):
+        gen_ap(10 ** 11, 1e-12)
+    base = ScalarSet([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match=r"^fiber size 25000000000000000000 on 3 base points at delta "
+                                         r"1e-20 builds 75000000000000000000 points, over the budget"):
+        gen_planted_collinear(base, 0.5, 0.1, 0.0, delta=1e-20, s=1.0, validate=False)
+    with pytest.raises(ValueError, match=r"^fiber size 2500000000 on 3 base points at delta 1e-05 "
+                                         r"builds 7500000000 points, over the budget"):
+        gen_planted_collinear(base, 0.5, 0.1, 0.0, delta=1e-5, s=2.0, validate=False)
+    # at a budget of 2^4: 16 terms or points, and 3 fibers of 5, are the most
+    monkeypatch.setattr(generators, "MAX_GENERATED_POINTS", 2 ** 4)
+    d = 2.0 ** -10
+    assert len(gen_ap(16, 0.5)) == 16 and len(gen_random_frostman(16, 1.0, d)) == 16
+    assert len(gen_planted_collinear(base, 0.5, 0.1, 0.0, delta=d, fiber_size=5, validate=False)) == 15
+    with pytest.raises(ValueError, match=r"^n 17 builds 17 points, over the budget of 16$"):
+        gen_ap(17, 0.5)
+    with pytest.raises(ValueError, match=r"^n 17 builds 17 points, over the budget of 16$"):
+        gen_random_frostman(17, 1.0, d)
+    with pytest.raises(ValueError, match=r"^fiber size 6 on 3 base points at delta 0.0009765625 "
+                                         r"builds 18 points, over the budget of 16$"):
+        gen_planted_collinear(base, 0.5, 0.1, 0.0, delta=d, fiber_size=6, validate=False)
+
+
+@pytest.mark.parametrize("step, origin, message", [
+    (math.inf, 0.0, "step must be positive and finite, got inf"),
+    (math.nan, 0.0, "step must be positive and finite, got nan"),
+    (-0.5, 0.0, "step must be positive and finite, got -0.5"),
+    (0.5, math.inf, "origin must be finite, got inf"),
+    (0.5, -math.inf, "origin must be finite, got -inf"),
+    (0.5, math.nan, "origin must be finite, got nan"),
+    (1e308, 0.0, "the last term origin + (n - 1)·step overflows at n 3, step 1e+308"),
+])
+def test_gen_ap_names_a_step_or_origin_it_refuses(step, origin, message):
+    # inf · arange warned before the set refused its non-finite values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_ap(3, step, origin)
 
 
 def test_four_corner_nonconcentration():

@@ -3,38 +3,40 @@ import math
 import numpy as np
 import pytest
 
-from projlab.delta_core import Direction, DirectionSet, PointSet2D, covering_number, project
+from projlab.delta_core import (Direction, DirectionSet, PointSet2D, covering_number, grid_cells_1d, project,
+                               projection_sweep)
 from projlab.incidence import (
     cauchy_schwarz_lower_bound,
     close_pairs,
     close_pairs_bruteforce,
     kaufman_witness,
-    tube_cover,
 )
 
 import oracles
 
 
-def test_tube_cover_counts():
+def test_tube_cell_counts():
+    # a tube in direction e is one occupied cell of grid_cells_1d(π_e P, δ)
     d = 2.0 ** -4
-    assert len(tube_cover(PointSet2D([(0.3, 0.3)]), Direction(0.0), d)) == 1
+    assert len(grid_cells_1d(project(PointSet2D([(0.3, 0.3)]), Direction(0.0)), d)) == 1
     row = PointSet2D([(k * d, 0.0) for k in range(10)])
-    assert len(tube_cover(row, Direction(0.0), d)) == 10
-    assert len(tube_cover(row, Direction(math.pi / 2), d)) == 1
+    assert len(grid_cells_1d(project(row, Direction(0.0)), d)) == 10
+    assert len(grid_cells_1d(project(row, Direction(math.pi / 2)), d)) == 1
 
 
-def test_tube_cover_partition():
+def test_tube_cells_partition_the_points():
     # half-open cells: every point lies in exactly one tube, and the tube
-    # count matches the projection covering number
+    # count matches the sweep's projection covering number
     rng = np.random.default_rng(21)
     d = 2.0 ** -5
     pts = PointSet2D(rng.uniform(0, 1, size=(80, 2)))
     for theta in [0.0, 0.4, 1.1, 2.9]:
         e = Direction(theta)
-        fam = tube_cover(pts, e, d)
-        assert len(fam) == covering_number(project(pts, e), d)
+        cells = grid_cells_1d(project(pts, e), d)
+        assert len(cells) == projection_sweep(pts, DirectionSet([theta]), d, pairs=False)[0][0]
         for x, y in pts.points:
-            assert sum(1 for t in fam.tubes if t.contains(x, y)) == 1
+            v = x * e.ex + y * e.ey
+            assert sum(1 for k in cells if float(k) * d <= v < float(k) * d + d) == 1
 
 
 def test_close_pairs_trivial():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlab.delta_core import DirectionSet, ScalarSet, covering_number
+from projlab.delta_core import DirectionSet, ScalarSet, covering_number, grid_cells_1d, project
 from projlab.errors import NonConcentrationError, SeparationError
 from projlab.generators import gen_ap, gen_planted_collinear
 from projlab.product_construction import (
@@ -97,12 +97,11 @@ def test_roughly_horizontal_tube_membership_exhaustive():
     res = roughly_horizontal_filter(p, mixed)
     for b, f in res.product.fibers.items():
         assert len(f) >= len(fibers[b]) // 2
-    from projlab.incidence import tube_cover
     for e in res.directions:
+        cells = grid_cells_1d(project(res.product.points(), e), d)
         for b, f in res.product.fibers.items():
-            fam = tube_cover(res.product.points(), e, d)
-            for t in fam.tubes:
-                inside = [a for a in f if t.contains(a, b)]
+            for k in cells:
+                inside = [a for a in f if float(k) * d <= a * e.ex + b * e.ey < float(k) * d + d]
                 assert len(inside) <= 1
 
 
