@@ -44,7 +44,6 @@ from .product_construction import (
     ProductExperiment,
     ProductLikeSet,
     TriplePairData,
-    TubePairFamily,
     build_product_like,
     compression_check,
     good_triple_scan,

@@ -32,7 +32,8 @@ MAX_GENERATED_POINTS = 2 ** 22
 
 
 def gen_ap(n: int, step: float, origin: float = 0.0) -> ScalarSet:
-    """Arithmetic progression {origin + k·step : 0 <= k < n}."""
+    """Arithmetic progression {origin + k·step : 0 <= k < n}; refused when
+    step is below the float spacing near origin and terms round together."""
     if n < 1:
         raise ValueError("progression needs at least one term")
     _check_points(n, f"n {n}")
@@ -42,7 +43,11 @@ def gen_ap(n: int, step: float, origin: float = 0.0) -> ScalarSet:
         raise ValueError(f"origin must be finite, got {origin}")
     if not math.isfinite(origin + step * (n - 1)):
         raise ValueError(f"the last term origin + (n - 1)·step overflows at n {n}, step {step}")
-    return ScalarSet(origin + step * np.arange(n))
+    terms = ScalarSet(origin + step * np.arange(n))
+    if len(terms) < n:
+        raise ValueError(f"n {n} terms at step {step} from origin {origin} round to "
+                         f"fewer distinct floats: {len(terms)}")
+    return terms
 
 
 def _check_points(count, what):

@@ -1,6 +1,7 @@
 """Product-like sets (an s-dimensional fiber over each base point),
-roughly-horizontal filtering, per-pair canonical tubes, triple
-intersections with their endpoint-pair extraction, the projection-like
+roughly-horizontal filtering, per-pair canonical tubes in one pair table
+whose slices are the tube families, triple intersections read off two
+such slices with their endpoint-pair extraction, the projection-like
 maps (x, y) ↦ x + c·y, good-triple scans, and the exhaustive
 projection-growth sweep.
 
@@ -161,11 +162,9 @@ class PairTubeIndex:
     """
 
     def __init__(self, P: ProductLikeSet, E: DirectionSet, delta=None):
-        self.product = P
-        self.directions = E
         self.delta = as_delta(delta) if delta is not None else P.delta
         self.rows = P.point_rows()
-        self.fiber_ids = P.fiber_ids()
+        fiber_ids = P.fiber_ids()
         self.base_values = list(P.base)
         n, nb = len(self.rows), len(self.base_values)
         cells = _cell_index(projected_values(self.rows, E.thetas), self.delta)
@@ -181,25 +180,31 @@ class PairTubeIndex:
         first = np.repeat(pos, later)
         i = order[first]
         j = order[np.arange(first.size) - np.repeat(np.cumsum(later) - later - pos - 1, later)]
-        cross = self.fiber_ids[i] != self.fiber_ids[j]
+        cross = fiber_ids[i] != fiber_ids[j]
         first, i, j = first[cross], i[cross], j[cross]
         # positions run direction-major, so a pair's first one is its lowest
         # direction; np.unique leaves the pairs in (i, j) order
         keep = np.unique(i * n + j, return_index=True)[1]
         i, j, di, k = i[keep], j[keep], first[keep] // n, cells[first[keep]]
         del first, cross, keep
-        fi, fj = self.fiber_ids[i], self.fiber_ids[j]
+        fi, fj = fiber_ids[i], fiber_ids[j]
         cols = np.stack([np.append(fi * nb + fj, fj * nb + fi), np.tile(di, 2), np.tile(k, 2),
                          np.append(i, j), np.append(j, i)])
         cols = np.take(cols, np.lexsort(cols[2::-1]), axis=1)
-        # held as columns, table[:, 0] is contiguous for family()'s searchsorted
+        # held as columns, table[:, 0] is contiguous for family()'s searchsorted;
+        # read-only, since family() hands out views of it
         self.table = cols.T
+        self.table.setflags(write=False)
         self.pair_tube = cols[[3, 4, 1, 2]][:, cols[3] < cols[4]].T
         self._repeats = (np.diff(cols[:3], axis=1, prepend=cols[:3, :1] - 1) == 0).all(axis=0)
 
-    def family(self, b1, b2) -> "TubePairFamily":
+    def family(self, b1, b2) -> np.ndarray:
+        """fam(b1, b2) as the read-only slice of `table` with rows (direction,
+        cell, point on b1, point on b2), one per tube, sorted on (direction,
+        cell); empty for b1 = b2.  Raises for a point off the base and for a
+        non-injective family, naming its lowest repeated tube."""
         for b in (b1, b2):
-            if b not in self.product.fibers:
+            if b not in self.base_values:
                 raise ValueError(f"{b} is not a base point")
         key = self.base_values.index(b1) * len(self.base_values) + self.base_values.index(b2)
         lo, hi = np.searchsorted(self.table[:, 0], [key, key + 1])
@@ -207,25 +212,7 @@ class PairTubeIndex:
             tube = tuple(self.table[lo + self._repeats[lo:hi].argmax(), 1:3].tolist())
             raise ValueError(f"pair-to-tube map not injective at tube {tube}; "
                              "roughly-horizontal condition violated")
-        _, di, k, i, j = self.table[lo:hi].T.tolist()
-        pairs, tubes = list(zip(i, j)), list(zip(di, k))
-        return TubePairFamily(b1=b1, b2=b2, pair_to_tube=dict(zip(pairs, tubes)),
-                              tube_to_pair=dict(zip(tubes, pairs)))
-
-
-@dataclass(frozen=True)
-class TubePairFamily:
-    b1: float
-    b2: float
-    pair_to_tube: dict
-    tube_to_pair: dict
-
-    @property
-    def tubes(self) -> frozenset:
-        return frozenset(self.tube_to_pair)
-
-    def __len__(self):
-        return len(self.tube_to_pair)
+        return self.table[lo:hi, 1:]
 
 
 @dataclass(frozen=True)
@@ -248,18 +235,19 @@ def triple_intersections(P: ProductLikeSet, b1, b2, b3, E: DirectionSet, delta=N
         raise ValueError("triple must have three distinct base points")
     idx = index if index is not None else PairTubeIndex(P, E, delta)
     f12 = idx.family(b1, b2)
-    f23 = idx.family(b2, b3)
-    shared = sorted(f12.tubes & f23.tubes)
-    pairs = set()
-    middles = []
-    for tube in shared:
-        i1, j1 = f12.tube_to_pair[tube]
-        i2, j2 = f23.tube_to_pair[tube]
+    f23 = {(di, k): (i, j) for di, k, i, j in idx.family(b2, b3).tolist()}
+    shared, pairs, middles = [], set(), []
+    # f12 runs in (direction, cell) order, so the shared tubes come out sorted
+    for di, k, i1, j1 in f12.tolist():
+        if (di, k) not in f23:
+            continue
+        i2, j2 = f23[di, k]
         if j1 != i2:
             raise ValueError(
-                f"tube {tube} holds two distinct middle-fiber points; "
+                f"tube {(di, k)} holds two distinct middle-fiber points; "
                 "roughly-horizontal condition violated"
             )
+        shared.append((di, k))
         pairs.add((float(idx.rows[i1, 0]), float(idx.rows[j2, 0])))
         middles.append(float(idx.rows[j1, 0]))
     return TriplePairData(

@@ -331,6 +331,40 @@ def brute_tube_family(rows, thetas, delta, b1, b2):
     return family
 
 
+def brute_triple_intersections(rows, thetas, delta, b1, b2, b3):
+    """`triple_intersections` as a dict intersection: the `brute_tube_family`
+    families fam(b1, b2) and fam(b2, b3), read in that order, each keyed by
+    tube; the first family read whose tube holds two pairs raises ValueError
+    naming the lowest such tube, as in `triple_scan_loop`.  The shared tubes,
+    in sorted order, give the endpoint pairs (a1, a3) through their middle
+    points, and the first whose two pairs meet fiber b2 at different points
+    raises.  Returns TriplePairData."""
+    from projlab.product_construction import TriplePairData
+
+    def by_tube(bi, bj):
+        family = brute_tube_family(rows, thetas, delta, bi, bj)
+        tubes = sorted(family.values())
+        repeated = [t for t, u in zip(tubes, tubes[1:]) if t == u]
+        if repeated:
+            raise ValueError(f"pair-to-tube map not injective at tube {repeated[0]}; "
+                             "roughly-horizontal condition violated")
+        return {tube: pair for pair, tube in family.items()}
+
+    f12 = by_tube(b1, b2)
+    f23 = by_tube(b2, b3)
+    shared = sorted(f12.keys() & f23.keys())
+    pairs, middles = set(), []
+    for tube in shared:
+        (i1, j1), (i2, j2) = f12[tube], f23[tube]
+        if j1 != i2:
+            raise ValueError(f"tube {tube} holds two distinct middle-fiber points; "
+                             "roughly-horizontal condition violated")
+        pairs.add((rows[i1][0], rows[j2][0]))
+        middles.append(rows[j1][0])
+    return TriplePairData(triple=(b1, b2, b3), shared_tubes=tuple(shared),
+                          pairs=tuple(sorted(pairs)), middles=tuple(middles))
+
+
 def triple_scan_loop(rows, thetas, delta, base, separation_min, threshold):
     """The good-triple scan as a loop over ordered triples (b1, b2, b3) of
     distinct base values in base order, skipping any pair closer than

@@ -326,6 +326,9 @@ BAD_INPUTS = {
                             "--output", "{d}/out.csv"], {}),
     "generate-ap-step-inf": (["generate", "--kind", "ap", "--n", "3", "--step", "inf",
                               "--output", "{d}/out.csv"], {}),
+    # a step below the float spacing at origin wrote the single row 1.7e+308
+    "generate-ap-collapse": (["generate", "--kind", "ap", "--n", "3", "--step", "0.5",
+                              "--origin", "1.7e308", "--output", "{d}/out.csv"], {}),
     # default fiber sizes round(δ^-s / 4) of 2.5·10^19 and 2.5·10^9: numpy
     # refused the first without naming the size and failed to allocate the
     # 18.6 GiB of the second
@@ -460,6 +463,8 @@ REFUSED_PARAMETERS = {
                            "n 100000000000 builds 100000000000 points, over the budget of 4194304"),
     "generate-ap-step-inf": ("generate --kind ap --n 3 --step inf --output {d}/out.csv",
                              "step must be positive and finite, got inf"),
+    "generate-ap-collapse": ("generate --kind ap --n 3 --step 0.5 --origin 1.7e308 --output {d}/out.csv",
+                             "n 3 terms at step 0.5 from origin 1.7e+308 round to fewer distinct floats: 1"),
     "generate-planted-budget": ("generate --kind planted_collinear --input {d}/base_7.csv --slope 0.5 "
                                 "--intercept 0.1 --delta 1e-5 --s 2 --no-validate --output {d}/out.csv",
                                 "fiber size 2500000000 on 7 base points at delta 1e-05 builds 17500000000 "

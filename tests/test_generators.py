@@ -116,6 +116,10 @@ def test_point_budget_bounds_ap_random_frostman_and_planted(monkeypatch):
     (0.5, -math.inf, "origin must be finite, got -inf"),
     (0.5, math.nan, "origin must be finite, got nan"),
     (1e308, 0.0, "the last term origin + (n - 1)·step overflows at n 3, step 1e+308"),
+    # steps below the float spacing: the terms wrote one row, or two
+    (0.5, 1.7e308, "n 3 terms at step 0.5 from origin 1.7e+308 round to fewer distinct floats: 1"),
+    (1.0, 2.0 ** 53, "n 3 terms at step 1.0 from origin 9007199254740992.0 round to fewer "
+                     "distinct floats: 2"),
 ])
 def test_gen_ap_names_a_step_or_origin_it_refuses(step, origin, message):
     # inf · arange warned before the set refused its non-finite values

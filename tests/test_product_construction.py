@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -117,6 +118,11 @@ def line_direction(slope):
     return math.atan2(-slope, 1.0)
 
 
+def tubes(family):
+    """The (direction, cell) tubes of a family slice."""
+    return {(di, k) for di, k, _, _ in family.tolist()}
+
+
 def test_tube_pair_family_basics():
     d = D10
     p = collinear_instance()
@@ -129,7 +135,10 @@ def test_tube_pair_family_basics():
     with pytest.raises(ValueError):
         index.family(0.0, 0.123)
     # family size at least the related-pair count, exactly (injective map)
-    assert len(fam.pair_to_tube) == len(fam.tube_to_pair)
+    assert len({(i, j) for _, _, i, j in fam.tolist()}) == len(tubes(fam)) == len(fam)
+    # a view of the index's table, which callers must not write through
+    with pytest.raises(ValueError, match="read-only"):
+        fam[0, 0] = 1
 
 
 def test_family_matches_quadratic_oracle_every_fiber_pair():
@@ -143,10 +152,11 @@ def test_family_matches_quadratic_oracle_every_fiber_pair():
     related = 0
     for b1 in base:
         for b2 in base:
-            fam = idx.family(b1, b2)
+            fam = idx.family(b1, b2).tolist()
+            assert fam == sorted(fam)  # one row per tube, in (direction, cell) order
             want = {} if b1 == b2 else oracles.brute_tube_family(rows, e.thetas.tolist(), d, b1, b2)
-            assert fam.pair_to_tube == want
-            assert fam.tube_to_pair == {tube: pair for pair, tube in want.items()}
+            assert {(i, j): (di, k) for di, k, i, j in fam} == want
+            assert {(di, k): (i, j) for di, k, i, j in fam} == {tube: pair for pair, tube in want.items()}
             related += len(want)
     assert related > 0
 
@@ -315,15 +325,47 @@ def test_pair_tube_index_refuses_a_delta_past_int64():
     assert PairTubeIndex(p, DirectionSet([0.0]), least).pair_tube.shape == (0, 4)
 
 
-def test_triple_intersections_two_middle_points_names_the_tube():
+def _two_middle_points():
     # all three base points share cell 0 at θ = π/2 (direction 1), so tube
     # (1, 0) holds every point; θ = 0 (direction 0) ties 0.1 to 0.2 and 0.6 to
     # 0.7 first, which leaves (0.1, 0.6) and (0.2, 0.7) to tube (1, 0)
     fibers = {0.0: ScalarSet([0.1]), 0.05: ScalarSet([0.2, 0.6]), 0.1: ScalarSet([0.7])}
     p = ProductLikeSet(ScalarSet([0.0, 0.05, 0.1]), fibers, 0.25, 0.5, 0.5)
-    e = DirectionSet([0.0, math.pi / 2])
+    return p, DirectionSet([0.0, math.pi / 2]), 0.25
+
+
+def test_triple_intersections_two_middle_points_names_the_tube():
+    p, e, d = _two_middle_points()
     with pytest.raises(ValueError, match=r"tube \(1, 0\) holds two distinct middle-fiber"):
-        triple_intersections(p, 0.0, 0.05, 0.1, e, 0.25)
+        triple_intersections(p, 0.0, 0.05, 0.1, e, d)
+
+
+# what every ordered triple of distinct base points gives, per case
+TRIPLE_OUTCOMES = {
+    "planted": {"shared": 60},
+    "near-vertical": {"not injective": 6},
+    "no-directions": {"empty": 60},
+    "one-fiber": {},
+    "two-middle-points": {"shared": 4, "middle-fiber": 2},
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIPLE_OUTCOMES))
+def test_triple_intersections_matches_dict_oracle_every_triple(case):
+    p, e, d = _two_middle_points() if case == "two-middle-points" else _table_cases()[case]
+    idx = PairTubeIndex(p, e, d)
+    rows = p.point_rows().tolist()
+    outcomes = Counter()
+    for b1, b2, b3 in itertools.permutations(list(p.base), 3):
+        got = _scan_or_error(lambda: triple_intersections(p, b1, b2, b3, e, d, index=idx))
+        want = _scan_or_error(lambda: oracles.brute_triple_intersections(
+            rows, e.thetas.tolist(), d, b1, b2, b3))
+        assert got == want, (b1, b2, b3)
+        if isinstance(got, str):
+            outcomes["middle-fiber" if "middle-fiber" in got else "not injective"] += 1
+        else:
+            outcomes["shared" if got.shared_tubes else "empty"] += 1
+    assert outcomes == TRIPLE_OUTCOMES[case]
 
 
 def test_triple_intersections_planted_line():
@@ -373,8 +415,8 @@ def test_triple_intersections_full_ap_product_pinned():
     idx = PairTubeIndex(p, e, d)
     data = triple_intersections(p, 0.0, 0.5, 1.0, e, d, index=idx)
     # exhaustive: count tubes shared by both families directly
-    f12 = idx.family(0.0, 0.5).tubes
-    f23 = idx.family(0.5, 1.0).tubes
+    f12 = tubes(idx.family(0.0, 0.5))
+    f23 = tubes(idx.family(0.5, 1.0))
     assert len(data.shared_tubes) == len(f12 & f23)
     assert data.count_identity_holds
     assert len(data.pairs) == 8  # frozen: one shared tube per progression index
@@ -399,7 +441,7 @@ def test_good_triple_scan_filters():
     assert all(size >= 8 for *_, size in scan.triples)
     idx = PairTubeIndex(p, e, d)
     for b1, b2, b3, size in scan.triples:
-        assert size == len(idx.family(b1, b2).tubes & idx.family(b2, b3).tubes)
+        assert size == len(tubes(idx.family(b1, b2)) & tubes(idx.family(b2, b3)))
 
 
 @pytest.mark.parametrize("name", ["separation_min", "threshold"])
