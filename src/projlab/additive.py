@@ -35,6 +35,16 @@ class GridSet:
         self.step = step
 
     @classmethod
+    def _adopt(cls, members, step) -> "GridSet":
+        """A GridSet over `members`, a sorted distinct int64 array that
+        `sumset` built itself: the step is checked and the array frozen,
+        but not copied."""
+        out = cls([], step)
+        members.setflags(write=False)
+        out.members = members
+        return out
+
+    @classmethod
     def from_values(cls, values, step) -> "GridSet":
         return cls([snap(v, step) for v in values], step)
 
@@ -79,7 +89,8 @@ def _require_same_step(a: GridSet, b: GridSet):
 
 def _pair_sum_blocks(x, y):
     """The sums y[i] + x[j], row-major, in blocks of at most
-    delta_core.CHUNK_ELEMENTS values."""
+    delta_core.CHUNK_ELEMENTS values: whole rows of x when one fits, else
+    column slices of one row."""
     cols = min(x.size, delta_core.CHUNK_ELEMENTS)
     rows = max(1, delta_core.CHUNK_ELEMENTS // cols)
     for i in range(0, y.size, rows):
@@ -100,7 +111,10 @@ def sumset(a: GridSet, b: GridSet, sign="+") -> GridSet:
       per member of S, |S| span(L) <= 8|S||L| bytes and no pair sums;
     - a sparse L marks each block of pair sums in the bitmap instead.
 
-    At most CHUNK_ELEMENTS pair sums exist at once.
+    At most CHUNK_ELEMENTS pair sums exist at once.  A bitmap is freed
+    before the least sum is added in place to the positions of its marks,
+    and the result keeps that array, as it keeps the sorted route's,
+    without a copy.
     """
     _require_same_step(a, b)
     if sign not in ("+", "-"):
@@ -113,7 +127,7 @@ def sumset(a: GridSet, b: GridSet, sign="+") -> GridSet:
     span = (int(x[-1]) - x0) + (int(y[-1]) - y0) + 1
     if span > 8 * x.size * y.size:
         out = _distinct(np.concatenate([_distinct(block) for block in _pair_sum_blocks(x, y)]))
-        return GridSet(out, a.step)
+        return GridSet._adopt(out, a.step)
     small, large = (x, y) if x.size <= y.size else (y, x)
     s0, l0 = int(small[0]), int(large[0])
     width = int(large[-1]) - l0 + 1
@@ -127,7 +141,10 @@ def sumset(a: GridSet, b: GridSet, sign="+") -> GridSet:
     else:
         for idx in _pair_sum_blocks(x - x0, y - y0):
             mark[idx] = True
-    return GridSet(mark.nonzero()[0] + (x0 + y0), a.step)
+    out = np.flatnonzero(mark).astype(np.int64, copy=False)
+    del mark
+    out += x0 + y0
+    return GridSet._adopt(out, a.step)
 
 
 def iterated_sumset(b: GridSet, m: int, n: int) -> GridSet:

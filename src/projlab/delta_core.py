@@ -39,10 +39,12 @@ SEPARATION_RTOL = 1e-9
 EXTRACTION_RATIO_BOUND = 20.0
 EXTRACTION_CARDINALITY_C = 0.01
 
-# values per block in projection_sweep (projected values) and, divided by
-# 64, in check_delta_t (distances, or stencil runs): bounds their memory
+# values per block (512 KiB of float64 or int64) in every chunked kernel:
+# projection_sweep (projected values, or one direction's), check_delta_t
+# and _close_pairs (distances, or stencil runs), additive's pair sums and
+# incidence.close_pairs_bruteforce (differences): bounds their memory
 # whatever the input size
-CHUNK_ELEMENTS = 2 ** 22
+CHUNK_ELEMENTS = 2 ** 16
 
 # check_delta_t's pruning: cells of side r/NC_CELLS_PER_RADIUS bound the
 # ball counts at radius r and hold the points that are counted exactly; its
@@ -415,19 +417,14 @@ def _pruned_scan(pts, radii, powers):
     return worst, witness, (exact, distances)
 
 
-def _pair_block():
-    """check_delta_t's block: distances, or stencil runs, computed at once."""
-    return max(1, CHUNK_ELEMENTS // 64)
-
-
 def _blocks(sizes):
     """Slices [a, b) of consecutive items whose `sizes` sum to at most
-    _pair_block() (or of one item)."""
+    CHUNK_ELEMENTS (or of one item)."""
     ends = np.cumsum(sizes)
     a = 0
     while a < ends.size:
         done = int(ends[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, done + _pair_block(), side="right")))
+        b = max(a + 1, int(np.searchsorted(ends, done + CHUNK_ELEMENTS, side="right")))
         yield a, b
         a = b
 
@@ -475,8 +472,8 @@ class _BallCells:
     def runs(self, cell_keys, radius):
         """Per key and stencil row of the radius index, the run of `order`
         whose keys lie in key + row offset + [-reach, reach]: (a, lo, hi)
-        for the keys from a on, at most _pair_block() runs at a time."""
-        step = max(1, _pair_block() // self.offsets.shape[1])
+        for the keys from a on, at most CHUNK_ELEMENTS runs at a time."""
+        step = max(1, CHUNK_ELEMENTS // self.offsets.shape[1])
         for a in range(0, cell_keys.size, step):
             rows = cell_keys[a : a + step, None] + self.offsets[radius[a : a + step]]
             yield (a, np.searchsorted(self.keys, rows - self.reach, side="left"),
@@ -498,7 +495,7 @@ class _BallCells:
         return out.reshape(self.cell_keys.shape).T
 
     def stencil_distances(self, pts, centers, radius):
-        """Per block [a, b) of centers, at most _pair_block() distances
+        """Per block [a, b) of centers, at most CHUNK_ELEMENTS distances
         (or one center's) from `runs`' chunks of stencil runs:
         (a, b, sizes, pos, dists), the number of points in each center's
         stencil at its radius index, their positions in `order` (center by
@@ -731,10 +728,11 @@ def _close_pair_count(row, d):
 def projection_sweep(P: PointSet2D, E: DirectionSet, delta, pairs=True):
     """N(π_e P, δ) and the number of ordered pairs p != q with
     |π_e(p) - π_e(q)| <= δ, for every e in E: two int64 arrays indexed like
-    `E.thetas`.  Projects blocks of at most CHUNK_ELEMENTS values and sorts
-    each direction's values once; N counts their distinct floor(v/δ), once
-    `_cell_index` accepts δ for the ends of every sorted row, and
-    `_close_pair_count` the pairs (with pairs=False, zeros)."""
+    `E.thetas`.  Projects blocks of whole directions, at most
+    max(CHUNK_ELEMENTS, |P|) values each, and sorts each direction's values
+    once; N counts their distinct floor(v/δ), once `_cell_index` accepts δ
+    for the ends of every sorted row, and `_close_pair_count` the pairs
+    (with pairs=False, zeros)."""
     d = as_delta(delta)
     pts = P.points
     thetas = E.thetas

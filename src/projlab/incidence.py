@@ -51,11 +51,17 @@ def close_pairs(P: PointSet2D, e: Direction, delta) -> int:
 
 
 def close_pairs_bruteforce(P: PointSet2D, e: Direction, delta) -> int:
-    """Quadratic reference count; the documented oracle for close_pairs."""
+    """Quadratic reference count; the documented oracle for close_pairs.
+    Every pair's fl(|v_i - v_j|) <= δ, compared in blocks of whole rows of
+    at most CHUNK_ELEMENTS entries (one row at least)."""
+    from .delta_core import CHUNK_ELEMENTS  # read per call, so a patched block size holds
+
     d = as_delta(delta)
     proj = projected_values(P.points, [e.theta])[0]
-    diff = np.abs(proj[:, None] - proj[None, :]) <= d
-    return int(diff.sum()) - proj.size
+    rows = max(1, CHUNK_ELEMENTS // max(proj.size, 1))
+    close = sum(int(np.count_nonzero(np.abs(proj[a : a + rows, None] - proj) <= d))
+                for a in range(0, proj.size, rows))
+    return close - proj.size
 
 
 def cauchy_schwarz_lower_bound(P: PointSet2D, e: Direction, delta) -> CauchySchwarzBound:

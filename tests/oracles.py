@@ -7,6 +7,7 @@ the package batches the pieces, so the two routes stay independent.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -456,3 +457,15 @@ def ap_iterated_sumset_size(length, m, n):
     if length == 0:
         return 0
     return (m + n) * (length - 1) + 1
+
+
+def traced_peak(call):
+    """(result, peak): what `call()` returns and the most bytes that
+    `tracemalloc` saw allocated at once while it ran (numpy reports its
+    array buffers), counting the result itself."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

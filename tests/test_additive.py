@@ -160,6 +160,20 @@ def test_gridset_copies_and_freezes_only_its_own_members():
     assert done.flags.writeable and not h.members.flags.writeable
 
 
+def test_sumset_pair_bitmap_peak_memory_is_output_bitmap_and_one_block():
+    # 1,800 members in [0, 10^6): 3.24 million pair sums, marked 2^16 at a
+    # time in a bitmap of span 2·10^6 bytes, whose members become the
+    # result's array without a copy
+    rng = np.random.default_rng(0)
+    a = gs(rng.choice(10 ** 6, size=1800, replace=False))
+    assert _route(a, a) == "pair bitmap"
+    want = sumset(a, a)
+    got, peak = oracles.traced_peak(lambda: sumset(a, a))
+    assert got == want and not got.members.flags.writeable
+    span = 2 * (int(a.members[-1]) - int(a.members[0])) + 1
+    assert peak <= got.members.nbytes + span + 2 * 2 ** 20, (peak, got.members.nbytes, span)
+
+
 @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1])
 def test_gridset_refuses_a_step_that_is_not_finite_and_positive(step):
     # a NaN step built, and its sumset failed with "grid steps differ: nan vs nan"

@@ -26,7 +26,7 @@ from projlab.delta_core import (
     projection_sweep,
 )
 from projlab.errors import SeparationError
-from projlab.generators import gen_random_frostman
+from projlab.generators import gen_four_corner, gen_random_frostman
 
 import oracles
 
@@ -186,8 +186,8 @@ def test_check_delta_t_matches_oracle_on_seeded_2d(monkeypatch):
     rep = check_delta_t(PointSet2D(pts), d, 1.0)
     worst, _ = oracles.brute_nonconcentration([tuple(p) for p in pts], d, 1.0)
     assert rep.worst_ratio == pytest.approx(worst, rel=1e-12)
-    # rows in chunks of 7 (the last one ragged) give the same report
-    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", 7 * len(pts))
+    # blocks of 6 distances (the last one ragged) give the same report
+    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", 6)
     assert check_delta_t(PointSet2D(pts), d, 1.0) == rep
 
 
@@ -318,13 +318,13 @@ def test_check_delta_t_matches_quadratic_twin_on_scalar_fibers():
     m=st.integers(min_value=1, max_value=3),
     max_cells=st.sampled_from([1, 3, 16, 2 ** 25]),
     sample=st.integers(min_value=1, max_value=4),
-    chunk=st.integers(min_value=1, max_value=3000),
+    chunk=st.integers(min_value=1, max_value=46),
 )
 def test_property_pruned_scan_matches_brute_oracle(cells, delta, eighths, one_d, m, max_cells, sample, chunk):
     # grid points in index order (not sorted), so ties between centers and
     # radii sit exactly on ball boundaries; coarse cells (few per axis, as
     # for a set spanning more than MAX_CELLS cells), tiny samples and blocks
-    # of at most chunk // 64 distances
+    # of at most chunk distances
     t = eighths / 8
     if one_d:
         coords = [(i * delta,) for i in dict.fromkeys(i for i, _ in cells)]
@@ -343,9 +343,9 @@ def test_property_pruned_scan_matches_brute_oracle(cells, delta, eighths, one_d,
 def test_check_delta_t_cells_a_hair_wider_than_r_over_m(monkeypatch):
     # the last two points are r = 2^-3 apart, and on cells of side exactly
     # r/8 counted from the least point, 0, the rounded quotients put them 9
-    # cells apart: only the hair keeps the pair in the stencil (in tiny
-    # blocks)
-    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", 64)
+    # cells apart: only the hair keeps the pair in the stencil (in blocks of
+    # one distance)
+    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", 1)
     d = 2.0 ** -7
     xs = [0.0, math.nextafter(2.0 ** -6, 0.0), 9 * 2.0 ** -6]
     for coords, P in (([(x,) for x in xs], ScalarSet(xs)), ([(x, 0.5) for x in xs], PointSet2D([(x, 0.5) for x in xs]))):
@@ -370,9 +370,9 @@ def _brute_violation(pts, r):
     return min(_brute_close_pairs(pts, r), key=lambda p: (p[2], p[0], p[1]), default=None)
 
 
-@pytest.mark.parametrize("chunk, max_cells", [(None, None), (200, 3), (64, 1)])
+@pytest.mark.parametrize("chunk, max_cells", [(None, None), (3, 3), (1, 1)])
 def test_close_pairs_match_all_pairs_loop(monkeypatch, chunk, max_cells):
-    # blocks of chunk // 64 distances (the last one ragged) and cells of
+    # blocks of chunk distances (the last one ragged) and cells of
     # side span / max_cells, far wider than the threshold
     if chunk is not None:
         monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
@@ -396,7 +396,7 @@ def test_close_pairs_match_all_pairs_loop(monkeypatch, chunk, max_cells):
         assert delta_core._close_pairs(pts, r) == _brute_close_pairs(pts.tolist(), r)
 
 
-@pytest.mark.parametrize("chunk", [None, 200])
+@pytest.mark.parametrize("chunk", [None, 3])
 def test_closest_violation_matches_brute_pair_search(monkeypatch, chunk):
     if chunk is not None:  # the cell screen's distances a few at a time
         monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
@@ -685,6 +685,42 @@ def test_projection_sweep_n_only_matches_full_sweep(monkeypatch, per_block):
     assert cells.dtype == pairs.dtype == np.int64
     assert cells.tolist() == full_cells.tolist()
     assert pairs.tolist() == [0] * len(e)
+
+
+def test_projection_sweep_peak_memory_is_one_block():
+    # 4,096 points × 1,024 directions: 32 MiB of projected values in one
+    # piece, 16 directions (512 KiB) in each block
+    pts, e, d = gen_four_corner(6), DirectionSet.net(1024, span=math.pi), 2.0 ** -11
+    whole = projection_sweep(pts, e, d)
+    swept, peak = oracles.traced_peak(lambda: projection_sweep(pts, e, d))
+    assert [a.tolist() for a in swept] == [a.tolist() for a in whole]
+    assert peak <= 4 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("chunk", [None, 3 * 4 ** 5 + 1, 100])
+def test_projection_sweep_blocks_hold_at_most_max_chunk_or_n_values(monkeypatch, chunk):
+    # the default block, 3 directions of 4^5 points a block (the last one
+    # ragged), and a block smaller than one direction
+    pts, e, d = gen_four_corner(5), DirectionSet.net(100, span=math.pi), 2.0 ** -9
+    whole = projection_sweep(pts, e, d)
+    if chunk is not None:
+        monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
+    blocks = []
+    project_block = delta_core.projected_values
+
+    def spy(points, thetas):
+        vals = project_block(points, thetas)
+        blocks.append(vals.shape)
+        return vals
+
+    monkeypatch.setattr(delta_core, "projected_values", spy)
+    swept = projection_sweep(pts, e, d)
+    assert [a.tolist() for a in swept] == [a.tolist() for a in whole]
+    n = len(pts)
+    assert all(cols == n and rows * cols <= max(delta_core.CHUNK_ELEMENTS, n) for rows, cols in blocks)
+    assert sum(rows for rows, _ in blocks) == len(e)
+    if chunk is None:  # 64 directions of 1,024 points: 512 KiB of float64 a block
+        assert [rows for rows, _ in blocks] == [64, 36]
 
 
 def test_projection_sweep_one_point_and_empty_inputs():

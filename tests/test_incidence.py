@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from projlab import delta_core
 from projlab.delta_core import (Direction, DirectionSet, PointSet2D, covering_number, grid_cells_1d, project,
-                               projection_sweep)
+                               projected_values, projection_sweep)
 from projlab.incidence import (
     cauchy_schwarz_lower_bound,
     close_pairs,
@@ -78,6 +79,29 @@ def test_close_pairs_sweep_oracle_equivalence_100_seeds():
         d = float(rng.choice([2.0 ** -k for k in range(4, 9)]))
         theta = float(rng.uniform(0, 2 * math.pi))
         assert close_pairs(p, Direction(theta), d) == close_pairs_bruteforce(p, Direction(theta), d)
+
+
+@pytest.mark.parametrize("chunk", [1, 7 * 300, 2 ** 16])
+def test_close_pairs_bruteforce_blocks_match_the_one_shot_count(monkeypatch, chunk):
+    # rows compared 1, 7 (300 = 42·7 + a ragged 6) and 218 (218 + a ragged
+    # 82) at a time; grid points tie, and sit exactly δ apart, at θ = 0, π/2
+    rng = np.random.default_rng(29)
+    d = 2.0 ** -6
+    p = PointSet2D(np.vstack([rng.integers(0, 64, size=(150, 2)) * d, rng.uniform(0, 1, size=(150, 2))]))
+    monkeypatch.setattr(delta_core, "CHUNK_ELEMENTS", chunk)
+    for theta in (0.0, math.pi / 2, 0.7, 2.1):
+        proj = projected_values(p.points, [theta])[0]
+        want = int(np.count_nonzero(np.abs(proj[:, None] - proj[None, :]) <= d)) - proj.size
+        assert close_pairs_bruteforce(p, Direction(theta), d) == want
+
+
+def test_close_pairs_bruteforce_peak_memory_is_one_block():
+    # 2,000 points: 32 MiB of differences at once, 512 KiB a block
+    rng = np.random.default_rng(30)
+    p, e, d = PointSet2D(rng.uniform(0, 1, size=(2000, 2))), Direction(0.4), 2.0 ** -8
+    count, peak = oracles.traced_peak(lambda: close_pairs_bruteforce(p, e, d))
+    assert count == close_pairs(p, e, d)
+    assert peak <= 2 * 2 ** 20, peak
 
 
 def test_cauchy_schwarz_examples():
