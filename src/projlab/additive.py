@@ -270,7 +270,9 @@ def bsg_extract(graph: PairGraph, k: float) -> BsgResult:
     restricted = adj[:, b1].astype(np.float64)
     codeg = restricted @ restricted.T
     np.fill_diagonal(codeg, 0)
-    thr_link = _median_threshold(codeg[np.triu_indices(n_a, 1)]) if n_a > 1 else None
+    # codeg is symmetric with a zero diagonal, so its positive entries are the upper
+    # triangle's, each twice, which leaves their median as it is (a 1 x 1 has none)
+    thr_link = _median_threshold(codeg)
     # a positive thr_link links some pair, so some vertex has partners; every
     # kept left vertex has an edge into b1, so some deg_into_a is positive
     if thr_link is not None:

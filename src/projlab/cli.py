@@ -129,7 +129,9 @@ def _cmd_generate(args):
 def _load_directions(args):
     if args.directions:
         return serialize.read_directions(args.directions)
-    if args.num_directions:
+    if args.num_directions is not None:
+        if args.num_directions < 1:
+            raise CliError(f"--num-directions must be at least 1, got {args.num_directions}")
         return DirectionSet.net(args.num_directions, span=math.pi)
     raise CliError("provide --directions FILE or --num-directions N")
 

@@ -227,34 +227,29 @@ class TriplePairData:
         return len(self.pairs) == len(self.shared_tubes)
 
 
-def triple_intersections(P: ProductLikeSet, b1, b2, b3, E: DirectionSet, delta=None,
-                         index: PairTubeIndex | None = None) -> TriplePairData:
-    """Shared tubes of the (b1,b2) and (b2,b3) families and the endpoint
-    pairs (a1, a3) they generate through their unique decompositions."""
+def triple_intersections(index: PairTubeIndex, b1, b2, b3) -> TriplePairData:
+    """The tubes that fam(b1, b2) and fam(b2, b3) of `index` share, in (direction,
+    cell) order, with their middle points and the sorted distinct endpoint pairs
+    (a1, a3).  A slice holds a tube once, so after one stable sort of both slices
+    on (direction, cell) a shared tube is a (b1, b2) row followed by its (b2, b3)
+    row.  Raises for a triple of fewer than three base points, through `family`
+    (b1, b2 first), and at the first shared tube meeting fiber b2 twice."""
     if len({b1, b2, b3}) != 3:
         raise ValueError("triple must have three distinct base points")
-    idx = index if index is not None else PairTubeIndex(P, E, delta)
-    f12 = idx.family(b1, b2)
-    f23 = {(di, k): (i, j) for di, k, i, j in idx.family(b2, b3).tolist()}
-    shared, pairs, middles = [], set(), []
-    # f12 runs in (direction, cell) order, so the shared tubes come out sorted
-    for di, k, i1, j1 in f12.tolist():
-        if (di, k) not in f23:
-            continue
-        i2, j2 = f23[di, k]
-        if j1 != i2:
-            raise ValueError(
-                f"tube {(di, k)} holds two distinct middle-fiber points; "
-                "roughly-horizontal condition violated"
-            )
-        shared.append((di, k))
-        pairs.add((float(idx.rows[i1, 0]), float(idx.rows[j2, 0])))
-        middles.append(float(idx.rows[j1, 0]))
+    rows = np.concatenate([index.family(b1, b2), index.family(b2, b3)])
+    rows = rows[np.lexsort(rows.T[1::-1])]  # stable: a tie keeps its (b1, b2) row first
+    tie = np.flatnonzero((rows[1:, :2] == rows[:-1, :2]).all(axis=1))
+    f12, f23 = rows[tie], rows[tie + 1]
+    split = f12[:, 3] != f23[:, 2]
+    if split.any():
+        raise ValueError(f"tube {tuple(f12[split.argmax(), :2].tolist())} holds two distinct "
+                         "middle-fiber points; roughly-horizontal condition violated")
+    a = index.rows[:, 0]
     return TriplePairData(
         triple=(b1, b2, b3),
-        shared_tubes=tuple(shared),
-        pairs=tuple(sorted(pairs)),
-        middles=tuple(middles),
+        shared_tubes=tuple(map(tuple, f12[:, :2].tolist())),
+        pairs=tuple(sorted(set(zip(a[f12[:, 2]].tolist(), a[f23[:, 3]].tolist())))),
+        middles=tuple(a[f12[:, 3]].tolist()),
     )
 
 

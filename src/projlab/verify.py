@@ -28,7 +28,7 @@ from .delta_core import (
 )
 from .generators import gen_cantor_1d, gen_four_corner, gen_planted_collinear, gen_random_frostman
 from .incidence import cauchy_schwarz_lower_bound, close_pairs_bruteforce
-from .product_construction import triple_intersections
+from .product_construction import PairTubeIndex, triple_intersections
 from .scale_blowup import rescaled_projection_identity
 
 
@@ -147,7 +147,7 @@ def check_planted_collinear() -> CheckResult:
     inst = gen_planted_collinear(base, slope=0.5, intercept=0.1, jitter=0.0,
                                  delta=d, fiber_size=8, fiber_step=16 * d, validate=False)
     e = DirectionSet([math.atan2(-0.5, 1.0)])
-    data = triple_intersections(inst, 0.0, 0.5, 1.0, e, d)
+    data = triple_intersections(PairTubeIndex(inst, e, d), 0.0, 0.5, 1.0)
     ok = data.count_identity_holds and len(data.pairs) >= 8
     return CheckResult("planted-collinear", ok, f"pairs={len(data.pairs)}",
                        f"tubes={len(data.shared_tubes)}",

@@ -159,7 +159,7 @@ def test_criterion_6_product_identities():
     clean = gen_planted_collinear(base, 0.5, 0.1, 0.0, delta=d,
                                   fiber_size=8, fiber_step=16 * d, validate=False)
     e = DirectionSet([line_dir, 0.3])
-    data = triple_intersections(clean, 0.0, 0.5, 1.0, e, d)
+    data = triple_intersections(PairTubeIndex(clean, e, d), 0.0, 0.5, 1.0)
     assert data.count_identity_holds and len(data.pairs) >= 8
 
     # seeded instances: identity on every scanned triple
@@ -181,8 +181,7 @@ def test_criterion_6_product_identities():
                 for b3 in bs:
                     if len({b1, b2, b3}) != 3:
                         continue
-                    data = triple_intersections(filt.product, b1, b2, b3,
-                                                filt.directions, d, index=idx)
+                    data = triple_intersections(idx, b1, b2, b3)
                     assert data.count_identity_holds, f"seed {seed} triple {(b1, b2, b3)}"
 
     # planted-collinear compression within +2 cells of jitter-free at 2^-10

@@ -403,3 +403,45 @@ def test_bsg_planted_block_vs_exhaustive_oracle():
     best, _ = oracles.max_subgraph_edges_with_sum_bound(rows, a_vals, a_vals, len(planted_sums))
     assert best == 25
     assert len(got_edges) == best
+
+
+def _spy_link_threshold(monkeypatch):
+    """Record every `_median_threshold` result of a bsg_extract run; the
+    second is the link threshold, read off the codegree matrix."""
+    seen = []
+    median = additive._median_threshold
+
+    def spy(values):
+        seen.append(median(values))
+        return seen[-1]
+
+    monkeypatch.setattr(additive, "_median_threshold", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n_a", [1, 2, 3, 40, 41])
+def test_bsg_link_threshold_is_the_upper_triangle_median(monkeypatch, n_a):
+    rng = np.random.default_rng(300 + n_a)
+    n_b = 24
+    keep = rng.random((n_a, n_b)) < 0.4
+    keep[0, 0] = True
+    g = PairGraph(gs(range(n_a)), gs(range(n_b)), list(zip(*np.nonzero(keep))))
+    seen = _spy_link_threshold(monkeypatch)
+    bsg_extract(g, float(n_a * n_b))
+    # the oracle: codegrees over the popular right vertices, one per pair i < j
+    degrees = keep.sum(axis=0)
+    popular = keep[:, degrees >= np.median(degrees[degrees > 0])].astype(int)
+    upper = [int(popular[i] @ popular[j]) for i in range(n_a) for j in range(i + 1, n_a)]
+    positive = [c for c in upper if c > 0]
+    assert seen[1] == (float(np.median(positive)) if positive else None)
+    assert (seen[1] is None) == (n_a == 1)
+
+
+def test_bsg_link_threshold_is_none_when_no_left_pair_shares_a_right_vertex(monkeypatch):
+    n = 6
+    g = PairGraph(gs(range(n)), gs(range(n)), [(i, i) for i in range(n)])
+    seen = _spy_link_threshold(monkeypatch)
+    res = bsg_extract(g, float(n))
+    # no link: every left vertex with an edge into the popular right vertices stays
+    assert seen[1] is None
+    assert list(res.a_sub) == list(range(n)) and list(res.b_sub) == list(range(n))

@@ -437,6 +437,12 @@ REFUSED_PARAMETERS = {
                   "--output {d}/out.txt --k inf", "K must be a finite number >= 1, got inf"),
     "kaufman-s-nan": ("kaufman --input {f}/points_300.csv --num-directions 8 --output {d}/out.csv "
                       "--s nan", "exponent s must lie in (0, 2], got nan"),
+    # 0 read as no --num-directions at all, and -3 reached DirectionSet.net
+    "kaufman-num-directions-0": ("kaufman --input {f}/points_300.csv --num-directions 0 --output {d}/out.csv",
+                                 "--num-directions must be at least 1, got 0"),
+    "product-experiment-num-directions-negative": (
+        "product-experiment --input {f}/product_8.csv --num-directions -3 --output {d}/out.csv "
+        "--triples-output {d}/t.csv", "--num-directions must be at least 1, got -3"),
     "product-experiment-eps0-nan": (_EXPERIMENT + "--eps0 nan",
                                     "epsilon must be a finite number >= 0, got nan"),
     "product-experiment-eps0-negative": (_EXPERIMENT + "--eps0 -0.5",

@@ -337,7 +337,7 @@ def _two_middle_points():
 def test_triple_intersections_two_middle_points_names_the_tube():
     p, e, d = _two_middle_points()
     with pytest.raises(ValueError, match=r"tube \(1, 0\) holds two distinct middle-fiber"):
-        triple_intersections(p, 0.0, 0.05, 0.1, e, d)
+        triple_intersections(PairTubeIndex(p, e, d), 0.0, 0.05, 0.1)
 
 
 # what every ordered triple of distinct base points gives, per case
@@ -357,7 +357,7 @@ def test_triple_intersections_matches_dict_oracle_every_triple(case):
     rows = p.point_rows().tolist()
     outcomes = Counter()
     for b1, b2, b3 in itertools.permutations(list(p.base), 3):
-        got = _scan_or_error(lambda: triple_intersections(p, b1, b2, b3, e, d, index=idx))
+        got = _scan_or_error(lambda: triple_intersections(idx, b1, b2, b3))
         want = _scan_or_error(lambda: oracles.brute_triple_intersections(
             rows, e.thetas.tolist(), d, b1, b2, b3))
         assert got == want, (b1, b2, b3)
@@ -368,11 +368,45 @@ def test_triple_intersections_matches_dict_oracle_every_triple(case):
     assert outcomes == TRIPLE_OUTCOMES[case]
 
 
+def test_triple_intersections_matches_dict_oracle_on_a_seeded_planted_product():
+    d = 2.0 ** -8
+    base = ScalarSet(np.arange(8) / 8)
+    p = gen_planted_collinear(base, slope=0.5, intercept=0.1, jitter=d / 4, seed=11,
+                              delta=d, fiber_size=16, fiber_step=16 * d, validate=False)
+    e = DirectionSet(np.append(np.linspace(-0.6, 0.6, 12), line_direction(0.5)))
+    idx = PairTubeIndex(p, e, d)
+    rows = p.point_rows().tolist()
+    sizes = Counter()
+    for b1, b2, b3 in itertools.permutations(list(p.base), 3):
+        got = _scan_or_error(lambda: triple_intersections(idx, b1, b2, b3))
+        want = _scan_or_error(lambda: oracles.brute_triple_intersections(
+            rows, e.thetas.tolist(), d, b1, b2, b3))
+        assert got == want, (b1, b2, b3)
+        sizes[len(got.shared_tubes)] += 1  # no triple here raises
+    assert sum(sizes.values()) == 8 * 7 * 6 and len(sizes) > 1
+
+
+def test_triple_intersections_names_a_later_tube_with_two_middle_points():
+    # tube (0, 1) (θ = 0, cell 1) holds 0.3 on all three fibers, so it agrees;
+    # tube (2, 0) (θ = π/2) holds (0.3, 0.5) of fam(0, 0.05) but (0.3, 0.3) of
+    # fam(0.05, 0.1), which meet fiber 0.05 at two points
+    fibers = {0.0: ScalarSet([0.3]), 0.05: ScalarSet([0.3, 0.5]), 0.1: ScalarSet([0.3, 0.5])}
+    p = ProductLikeSet(ScalarSet([0.0, 0.05, 0.1]), fibers, 0.25, 0.5, 0.5)
+    e = DirectionSet([0.0, math.pi / 4, math.pi / 2])
+    idx = PairTubeIndex(p, e, 0.25)
+    assert sorted(tubes(idx.family(0.0, 0.05)) & tubes(idx.family(0.05, 0.1))) == [(0, 1), (2, 0)]
+    with pytest.raises(ValueError, match=r"^tube \(2, 0\) holds two distinct middle-fiber"):
+        triple_intersections(idx, 0.0, 0.05, 0.1)
+    want = _scan_or_error(lambda: oracles.brute_triple_intersections(
+        p.point_rows().tolist(), e.thetas.tolist(), 0.25, 0.0, 0.05, 0.1))
+    assert want.startswith("tube (2, 0) holds")
+
+
 def test_triple_intersections_planted_line():
     d = D10
     p = collinear_instance()
     e = DirectionSet([line_direction(0.5), 0.3])
-    data = triple_intersections(p, 0.0, 0.5, 1.0, e, d)
+    data = triple_intersections(PairTubeIndex(p, e, d), 0.0, 0.5, 1.0)
     assert data.count_identity_holds
     assert len(data.pairs) >= 8  # the shared tubes of the planted family
     # geometry oracle: every extracted (a1, a3) pair really shares a tube
@@ -389,7 +423,7 @@ def test_triple_intersections_singleton_planted():
     p = gen_planted_collinear(base, slope=0.5, intercept=0.3, jitter=0.0,
                               delta=d, fiber_size=1, validate=False)
     e = DirectionSet([line_direction(0.5)])
-    data = triple_intersections(p, 0.0, 0.5, 1.0, e, d)
+    data = triple_intersections(PairTubeIndex(p, e, d), 0.0, 0.5, 1.0)
     assert len(data.shared_tubes) == 1
     assert len(data.pairs) == 1
 
@@ -400,10 +434,10 @@ def test_triple_intersections_disjoint():
     fibers = {0.0: ScalarSet([0.1]), 0.45: ScalarSet([0.5]), 0.9: ScalarSet([0.95])}
     p = ProductLikeSet(base, fibers, d, 0.5, 0.5)
     e = DirectionSet([0.7])  # no shared tubes in a skew direction
-    data = triple_intersections(p, 0.0, 0.45, 0.9, e, d)
+    data = triple_intersections(PairTubeIndex(p, e, d), 0.0, 0.45, 0.9)
     assert data.pairs == () and data.shared_tubes == ()
     with pytest.raises(ValueError):
-        triple_intersections(p, 0.0, 0.0, 0.9, e, d)
+        triple_intersections(PairTubeIndex(p, e, d), 0.0, 0.0, 0.9)
 
 
 def test_triple_intersections_full_ap_product_pinned():
@@ -413,7 +447,7 @@ def test_triple_intersections_full_ap_product_pinned():
     p = ProductLikeSet(base, fibers, d, 0.5, 0.5)
     e = DirectionSet([line_direction(0.5)])
     idx = PairTubeIndex(p, e, d)
-    data = triple_intersections(p, 0.0, 0.5, 1.0, e, d, index=idx)
+    data = triple_intersections(idx, 0.0, 0.5, 1.0)
     # exhaustive: count tubes shared by both families directly
     f12 = tubes(idx.family(0.0, 0.5))
     f23 = tubes(idx.family(0.5, 1.0))
@@ -460,7 +494,7 @@ def test_compression_check_trivial_and_planted():
     # planted family compresses to about the middle fiber's covering number
     p = collinear_instance()
     e = DirectionSet([line_direction(0.5)])
-    data = triple_intersections(p, 0.0, 0.5, 1.0, e, d)
+    data = triple_intersections(PairTubeIndex(p, e, d), 0.0, 0.5, 1.0)
     n, _ = compression_check(data.pairs, 0.0, 0.5, 1.0, d, 0.5)
     mid_cover = covering_number(p.fibers[0.5], d)
     assert n <= mid_cover + 2
